@@ -52,6 +52,11 @@ MAX_DRIVE_DEPTH = 0.5
 SOFT_HARMONIC_RATIO = 0.25
 EJ0_RATIO_FLOOR = 0.1
 
+# Relative margin by which sum_n |c_n| must stay below a0/2 for the
+# triangle-inequality bound to settle E_J(t) > 0 without sampling; far above
+# the round-off of the sampled series, so the decision never differs.
+POSITIVITY_BOUND_MARGIN = 1e-9
+
 
 class RealizabilityError(ValueError):
     """The requested drive cannot be produced by the flux-tuned SQUID."""
@@ -118,7 +123,9 @@ class DriveSpectrum:
 
     with a0 = 2 E_J^0. Immutable after construction; construction enforces
     the perturbative bound |a_n|/a0, |b_n|/a0 <= 0.5 (warning above 0.25)
-    and that E_J(t) stays strictly positive."""
+    and that E_J(t) stays strictly positive. Positivity is proved by
+    E_J(t) >= a0/2 - sum_n |a_n + i b_n| when that bound is conclusive, and
+    checked on a sampled period otherwise."""
 
     a0: float
     a: np.ndarray
@@ -134,21 +141,25 @@ class DriveSpectrum:
             raise ValueError(f"a0 must be positive, got {self.a0}")
         if not self.omega_d > 0.0:
             raise ValueError(f"omega_d must be positive, got {self.omega_d}")
-        ratios = np.concatenate([np.abs(self.a), np.abs(self.b)]) / self.a0
-        if ratios.size and float(np.max(ratios)) > MAX_DRIVE_DEPTH:
-            raise RealizabilityError(
-                f"harmonic ratio |c_n|/a0 = {float(np.max(ratios)):.4g} exceeds "
-                f"the hard bound {MAX_DRIVE_DEPTH}"
-            )
-        if ratios.size and float(np.max(ratios)) > SOFT_HARMONIC_RATIO:
-            warnings.warn(
-                f"harmonic ratio |c_n|/a0 = {float(np.max(ratios)):.4g} exceeds "
-                f"{SOFT_HARMONIC_RATIO}; first-order treatment degrades",
-                DriveWarning,
-                stacklevel=2,
-            )
-        if self.n_max and float(np.min(self.e_j(self._probe_times()))) <= 0.0:
-            raise RealizabilityError("E_J(t) is not strictly positive")
+        if self.n_max:
+            peak = float(np.max(np.concatenate([np.abs(self.a), np.abs(self.b)]))) / self.a0
+            if peak > MAX_DRIVE_DEPTH:
+                raise RealizabilityError(
+                    f"harmonic ratio |c_n|/a0 = {peak:.4g} exceeds "
+                    f"the hard bound {MAX_DRIVE_DEPTH}"
+                )
+            if peak > SOFT_HARMONIC_RATIO:
+                warnings.warn(
+                    f"harmonic ratio |c_n|/a0 = {peak:.4g} exceeds "
+                    f"{SOFT_HARMONIC_RATIO}; first-order treatment degrades",
+                    DriveWarning,
+                    stacklevel=2,
+                )
+            reach = float(np.sum(self.harmonic_magnitudes))
+            if not reach < 0.5 * self.a0 * (1.0 - POSITIVITY_BOUND_MARGIN) and (
+                float(np.min(self.e_j(self._probe_times()))) <= 0.0
+            ):
+                raise RealizabilityError("E_J(t) is not strictly positive")
         self.a.setflags(write=False)
         self.b.setflags(write=False)
 
@@ -178,30 +189,40 @@ class DriveSpectrum:
         return ej - 0.5 * self.a0
 
 
+def _synthesis_grid(p: TrajectoryParams, samples: int = 4096) -> np.ndarray:
+    """Uniform times over one coordinate period: the grid on which drive
+    synthesis, its depth check and bias normalization sample z(t)."""
+    return np.arange(samples) * (coordinate_period(p) / samples)
+
+
 def trajectory_to_drive(
     p: TrajectoryParams,
     c: CircuitParams,
     n_max: int = 3,
     samples: int = 4096,
+    *,
+    _z: np.ndarray | None = None,
 ) -> DriveSpectrum:
     """Synthesize the Josephson drive realizing the centered trajectory z(t).
 
     The mapping is linear: a_n, b_n are (E_J^0 / L_eff^0) times the Fourier
     coefficients of z(t), and a0 = 2 E_J^0 (the trajectory is centered, so
     no DC term is generated). Raises RealizabilityError when the modulation
-    depth exceeds the hard margin or E_J(t) would leave (0, 2 E_J]."""
+    depth exceeds the hard margin or E_J(t) would leave (0, 2 E_J].
+
+    `_z` is internal: position(p, _synthesis_grid(p, samples)) when the
+    caller has sampled it already, so a sweep point samples z(t) once."""
     if p.omega_d <= 0.0:
         raise ValueError("trajectory must have a positive drive frequency")
     leff0 = effective_length(c)
     scale = c.E_J0 / leff0
 
-    series = fourier_decompose(
-        lambda t: position(p, t), p.omega_d, n_max=n_max, samples=samples
-    )
+    z = position(p, _synthesis_grid(p, samples)) if _z is None else _z
+    # fourier_decompose samples the same grid, so it can take z as is.
+    series = fourier_decompose(lambda t: z, p.omega_d, n_max=n_max, samples=samples)
 
     # Depth check against the full (untruncated) waveform, not the series.
-    t_grid = np.arange(samples) * (coordinate_period(p) / samples)
-    z_peak = float(np.max(np.abs(position(p, t_grid))))
+    z_peak = float(np.max(np.abs(z)))
     depth = z_peak / leff0
     if depth > MAX_DRIVE_DEPTH:
         raise RealizabilityError(

@@ -15,7 +15,8 @@ Config files use INI syntax with sections [run], [trajectory], [circuit],
 [physics], [output]; all frequencies in config files and flags are LINEAR
 (Hz) and converted to angular internally. Unknown sections or keys are
 rejected. Command-line flags override config values. Set MIRROR_DCE_THREADS
-to parallelize sweep evaluation (results are identical for any value).
+to a positive integer to parallelize sweep evaluation (results are identical
+for any value).
 """
 
 from __future__ import annotations
@@ -510,8 +511,10 @@ def main(argv=None) -> int:
         else:
             cfg = RunConfig()
         cfg = _merge_flags(cfg, args)
-        if cfg.temperature < 0.0:
-            raise ConfigError("temperature must be >= 0")
+        if not 0.0 <= cfg.temperature < math.inf:
+            raise ConfigError(
+                f"temperature must be finite and >= 0, got {cfg.temperature!r}"
+            )
         if cfg.points < 2:
             raise ConfigError("--points must be >= 2")
         return dispatch(cfg)

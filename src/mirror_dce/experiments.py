@@ -16,9 +16,13 @@ same relative tone strength as the baseline experiment. The output spectrum
 is independent of this choice (the bias cancels from the first-order
 amplitudes); it only affects experimental feasibility flags.
 
-Sweep evaluation is deterministic: grid points are pure function
-evaluations placed by index, so results are bitwise identical across runs
-and across any thread count (set MIRROR_DCE_THREADS to parallelize).
+Sweep evaluation synthesizes each grid point's drive once per worldline
+kind: A is resolved, z(t) sampled once (shared by bias normalization,
+Fourier synthesis and the depth check), and the drive built; the output
+spectrum is then evaluated from that drive for every temperature. Grid
+points are pure function evaluations placed by index, so results are
+bitwise identical across runs and across any thread count (set
+MIRROR_DCE_THREADS to parallelize the synthesis).
 """
 
 from __future__ import annotations
@@ -35,19 +39,21 @@ import numpy as np
 
 from .circuit import (
     CircuitParams,
+    DriveSpectrum,
     ValidityReport,
     _atomic_write,
+    _synthesis_grid,
     effective_length,
     trajectory_to_drive,
     validate,
 )
+from .numerics import ConvergenceError
 from .scattering import ThermalInput, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
     TrajectoryKind,
     TrajectoryParams,
     average_acceleration,
-    coordinate_period,
     directional_acceleration,
     position,
     solve_acceleration_parameter,
@@ -112,11 +118,10 @@ def relativistic_point() -> tuple[float, float]:
     return 20e18, 2.0 * math.pi * 14.6e9
 
 
-def _waveform_stats(p: TrajectoryParams, samples: int = 4096) -> tuple[float, float]:
-    """(|z_1|, max|z|) of the centered trajectory over one period [m]."""
-    t = np.arange(samples) * (coordinate_period(p) / samples)
-    z = position(p, t)
-    wt = p.omega_d * t
+def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
+    """(|z_1|, max|z|) [m] of the centered trajectory from its samples
+    z = position(p, _synthesis_grid(p, z.size)) over one period."""
+    wt = p.omega_d * _synthesis_grid(p, z.size)
     z1 = float(
         np.hypot(2.0 * np.mean(z * np.cos(wt)), 2.0 * np.mean(z * np.sin(wt)))
     )
@@ -125,13 +130,15 @@ def _waveform_stats(p: TrajectoryParams, samples: int = 4096) -> tuple[float, fl
 
 def first_harmonic_amplitude(p: TrajectoryParams, samples: int = 4096) -> float:
     """|z_1|: magnitude of the fundamental Fourier component of z(t) [m]."""
-    return _waveform_stats(p, samples)[0]
+    return _waveform_stats(p, position(p, _synthesis_grid(p, samples)))[0]
 
 
 def drive_normalized_bias(
     p: TrajectoryParams,
     c: CircuitParams,
     tone_ratio: float = NORMALIZED_TONE_RATIO,
+    *,
+    _z: np.ndarray | None = None,
 ) -> CircuitParams:
     """Circuit with E_J^0 set so the synthesized first harmonic has
     |a_1 + i b_1| = tone_ratio * a0 (default 1/8).
@@ -140,10 +147,14 @@ def drive_normalized_bias(
     and thereby the bias ratio. Small-amplitude trajectories would push the
     bias past the flux-tuning ceiling E_J(t) <= 2 E_J; the bias then
     saturates just below the ceiling (the realized tone ratio drops, which
-    leaves the output spectrum unchanged)."""
+    leaves the output spectrum unchanged).
+
+    `_z` is internal: position(p, _synthesis_grid(p)) when the caller has
+    sampled it already (a sweep point shares it with drive synthesis)."""
     if not 0.0 < tone_ratio < 0.5:
         raise ValueError(f"tone_ratio must lie in (0, 0.5), got {tone_ratio}")
-    z1, z_peak = _waveform_stats(p)
+    z = position(p, _synthesis_grid(p)) if _z is None else _z
+    z1, z_peak = _waveform_stats(p, z)
     leff0 = z1 / (2.0 * tone_ratio)
     leff_unit = (c.phi0 / (2.0 * math.pi)) ** 2 / (c.L0 * c.E_J)  # L_eff at E_J^0 = E_J
     ratio = leff_unit / leff0
@@ -326,15 +337,16 @@ class SweepSpec:
         object.__setattr__(
             self, "trajectories", tuple(TrajectoryKind(k) for k in self.trajectories)
         )
+        # + 0.0 turns -0.0 into 0.0, so the curve id reads "@0".
         object.__setattr__(
-            self, "temperatures", tuple(float(t) for t in self.temperatures)
+            self, "temperatures", tuple(float(t) + 0.0 for t in self.temperatures)
         )
         if len(self.x) < 2:
             raise ValueError("sweep grid needs at least 2 points")
         if not self.trajectories:
             raise ValueError("sweep needs at least one trajectory kind")
-        if any(t < 0.0 for t in self.temperatures):
-            raise ValueError("temperatures must be >= 0")
+        if not all(0.0 <= t < math.inf for t in self.temperatures):
+            raise ValueError("temperatures must be finite and >= 0")
         if self.axis is not SweepAxis.OMEGA_D and self.omega_d is None:
             raise ValueError(f"axis {self.axis.value} requires a fixed omega_d")
         if self.axis is not SweepAxis.OMEGA and self.omega is None:
@@ -398,7 +410,9 @@ def _thread_count() -> int:
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(
+            f"MIRROR_DCE_THREADS must be an integer, got {raw!r}"
+        ) from None
 
 
 def _map_indexed(fn, n: int) -> list:
@@ -436,35 +450,61 @@ def _report_metadata(report: ValidityReport) -> dict[str, str]:
     return meta
 
 
-def _resolve_params(
-    kind: TrajectoryKind, spec: SweepSpec, omega_d: float, v: float, abar=None
-) -> TrajectoryParams:
-    if abar is None and spec.A is not None and kind in spec.A:
-        return TrajectoryParams(kind, float(spec.A[kind]), omega_d, v)
-    target = float(abar if abar is not None else spec.abar)
-    A = solve_acceleration_parameter(kind, target, omega_d, v)
-    return TrajectoryParams(kind, A, omega_d, v)
+@dataclass(frozen=True)
+class _Point:
+    """One synthesized grid point: worldline, biased circuit and drive."""
+
+    p: TrajectoryParams
+    biased: CircuitParams
+    drive: DriveSpectrum
 
 
-def _bias_circuit(
-    kind: TrajectoryKind, spec: SweepSpec, p: TrajectoryParams, c: CircuitParams
-) -> CircuitParams:
+def _synthesize(
+    kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, xi: float
+) -> _Point:
+    """Resolve A, the bias and the drive at grid value xi: abar on the abar
+    axis, otherwise omega_d (the spec's fixed one on the omega axis).
+    Samples z(t) once."""
+    omega_d = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
+    if spec.axis is SweepAxis.ABAR:
+        A = solve_acceleration_parameter(kind, xi, omega_d, c.v)
+    elif spec.A is not None and kind in spec.A:
+        A = float(spec.A[kind])
+    else:
+        A = solve_acceleration_parameter(kind, float(spec.abar), omega_d, c.v)
+    p = TrajectoryParams(kind, A, omega_d, c.v)
+    z = position(p, _synthesis_grid(p))
     if spec.ejo_ratio is not None and kind in spec.ejo_ratio:
-        return replace(c, EJ0_ratio=float(spec.ejo_ratio[kind]))
-    return drive_normalized_bias(p, c)
+        biased = replace(c, EJ0_ratio=float(spec.ejo_ratio[kind]))
+    else:
+        biased = drive_normalized_bias(p, c, _z=z)
+    drive = trajectory_to_drive(p, biased, n_max=spec.n_max, _z=z)
+    return _Point(p, biased, drive)
 
 
 def run_sweep(spec: SweepSpec, c: CircuitParams) -> list[SpectrumDataset]:
     """Evaluate the sweep: one dataset per (trajectory, temperature).
 
-    Grid points are rebuilt from scratch (A re-solved whenever the axis or
-    the spec demands it), the drive synthesized, and the output spectrum
-    evaluated. Per-point failures are recorded in the metadata under
-    `failures` and leave NaN in the curve; points are never dropped."""
+    Each grid point is rebuilt from scratch once per trajectory kind (A
+    re-solved whenever the axis or the spec demands it, the drive
+    synthesized); the output spectrum is then evaluated from that drive at
+    every temperature. Per-point domain errors (ValueError, which includes
+    RealizabilityError, and ConvergenceError) are recorded in the metadata
+    under `failures` and leave NaN in the curve; points are never dropped.
+    Any other exception propagates."""
     datasets: list[SpectrumDataset] = []
     x = np.asarray(spec.x, dtype=float)
 
     for kind in spec.trajectories:
+        if spec.axis is SweepAxis.OMEGA:
+            point = _synthesize(kind, spec, c, spec.omega_d)
+        else:
+            points = _map_indexed(
+                _guard(lambda i: _synthesize(kind, spec, c, float(x[i]))), x.size
+            )
+            # Representative validity report from the middle of the grid.
+            point = points[x.size // 2]
+
         for T in spec.temperatures:
             th = ThermalInput(T)
             failures: list[str] = []
@@ -481,59 +521,42 @@ def run_sweep(spec: SweepSpec, c: CircuitParams) -> list[SpectrumDataset]:
                 meta["abar"] = _fmt(spec.abar)
 
             if spec.axis is SweepAxis.OMEGA:
-                p = _resolve_params(kind, spec, spec.omega_d, c.v)
-                biased = _bias_circuit(kind, spec, p, c)
-                drive = trajectory_to_drive(p, biased, n_max=spec.n_max)
                 report = validate(
-                    drive, p, biased, omega_probe=x, temperature=T
+                    point.drive, point.p, point.biased, omega_probe=x, temperature=T
                 )
-                vals = output_spectrum(x, drive, biased, th)
+                vals = output_spectrum(x, point.drive, point.biased, th)
                 meta["omega_d"] = _fmt(spec.omega_d)
-                meta["A"] = _fmt(p.A)
-                meta["abar_realized"] = _fmt(average_acceleration(p))
-                meta.update(_circuit_metadata(biased))
+                meta["A"] = _fmt(point.p.A)
+                meta["abar_realized"] = _fmt(average_acceleration(point.p))
+                meta.update(_circuit_metadata(point.biased))
                 meta.update(_report_metadata(report))
             else:
-                def evaluate(i: int):
-                    xi = float(x[i])
-                    if spec.axis is SweepAxis.ABAR:
-                        p = _resolve_params(kind, spec, spec.omega_d, c.v, abar=xi)
-                    else:  # OMEGA_D axis
-                        p = _resolve_params(kind, spec, xi, c.v)
-                    biased = _bias_circuit(kind, spec, p, c)
-                    drive = trajectory_to_drive(p, biased, n_max=spec.n_max)
-                    return float(output_spectrum(float(spec.omega), drive, biased, th))
-
+                n_out = _guard(
+                    lambda pt: float(
+                        output_spectrum(float(spec.omega), pt.drive, pt.biased, th)
+                    )
+                )
                 vals = np.full(x.shape, np.nan)
-                for i, res in enumerate(_map_indexed(_guard(evaluate), x.size)):
+                for i, pt in enumerate(points):
+                    res = pt if isinstance(pt, _PointFailure) else n_out(pt)
                     if isinstance(res, _PointFailure):
                         failures.append(f"{i}:{res.message}")
                     else:
                         vals[i] = res
                 if spec.axis is SweepAxis.ABAR:
                     meta["omega_d"] = _fmt(spec.omega_d)
-                # Representative validity report from the middle of the grid.
-                mid = x.size // 2
-                try:
-                    if spec.axis is SweepAxis.ABAR:
-                        p_mid = _resolve_params(
-                            kind, spec, spec.omega_d, c.v, abar=float(x[mid])
-                        )
-                    else:
-                        p_mid = _resolve_params(kind, spec, float(x[mid]), c.v)
-                    biased_mid = _bias_circuit(kind, spec, p_mid, c)
-                    drive_mid = trajectory_to_drive(p_mid, biased_mid, n_max=spec.n_max)
+                if isinstance(point, _PointFailure):
+                    failures.append(f"validity:{point.message}")
+                else:
                     report = validate(
-                        drive_mid,
-                        p_mid,
-                        biased_mid,
+                        point.drive,
+                        point.p,
+                        point.biased,
                         omega_probe=np.array([float(spec.omega)]),
                         temperature=T,
                     )
-                    meta.update(_circuit_metadata(biased_mid))
+                    meta.update(_circuit_metadata(point.biased))
                     meta.update(_report_metadata(report))
-                except Exception as exc:  # representative point itself failed
-                    failures.append(f"validity:{type(exc).__name__}: {exc}")
 
             if failures:
                 meta["failures"] = "|".join(failures)
@@ -543,16 +566,22 @@ def run_sweep(spec: SweepSpec, c: CircuitParams) -> list[SpectrumDataset]:
     return datasets
 
 
+# Per-point domain errors; RealizabilityError is a ValueError. Anything else
+# is a programming error and propagates out of the sweep.
+_POINT_ERRORS = (ValueError, ConvergenceError)
+
+
 class _PointFailure:
     def __init__(self, message: str):
         self.message = message
 
 
 def _guard(fn):
-    def wrapped(i: int):
+    """fn, returning a _PointFailure in place of a per-point domain error."""
+    def wrapped(*args):
         try:
-            return fn(i)
-        except Exception as exc:
+            return fn(*args)
+        except _POINT_ERRORS as exc:
             return _PointFailure(f"{type(exc).__name__}: {exc}")
 
     return wrapped

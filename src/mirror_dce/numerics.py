@@ -69,9 +69,33 @@ class Quadrature:
             )
 
 
+def _is_scalar(phi, m) -> bool:
+    return isinstance(phi, (int, float)) and isinstance(m, (int, float))
+
+
+def _domain_error(worst: float) -> ValueError:
+    return ValueError(
+        "elliptic integrand leaves the real domain: "
+        f"m*sin^2(theta) reaches {worst:.6g} on the integration range"
+    )
+
+
 def _check_elliptic_domain(phi, m, strict: bool) -> None:
     # The integrands contain sqrt(1 - m sin^2 theta); for m > 0 the argument
     # can cross zero once |sin theta| reaches 1/sqrt(m).
+    if _is_scalar(phi, m):
+        # Plain floats for the scalar calls of the A inversion; decides
+        # exactly as the array path below.
+        if not m > 0.0:
+            return
+        sin_sq_peak = 1.0
+        if not abs(phi) >= np.pi / 2.0:
+            sin_phi = float(np.sin(phi))
+            sin_sq_peak = sin_phi * sin_phi
+        peak = m * sin_sq_peak
+        if (peak >= 1.0) if strict else (peak > 1.0):
+            raise _domain_error(peak)
+        return
     m_arr = np.asarray(m, dtype=float)
     if not np.any(m_arr > 0.0):
         return
@@ -83,11 +107,7 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
     bad = (peak >= 1.0) if strict else (peak > 1.0)
     bad &= m_arr > 0.0
     if np.any(bad):
-        worst = float(np.max(np.where(bad, peak, -np.inf)))
-        raise ValueError(
-            "elliptic integrand leaves the real domain: "
-            f"m*sin^2(theta) reaches {worst:.6g} on the integration range"
-        )
+        raise _domain_error(float(np.max(np.where(bad, peak, -np.inf))))
 
 
 def _elliptic_integrand_quad(phi: float, m: float, second_kind: bool) -> float:
@@ -102,9 +122,11 @@ def _elliptic_integrand_quad(phi: float, m: float, second_kind: bool) -> float:
 
 
 def _eval_elliptic(phi, m, second_kind: bool):
-    scalar = np.isscalar(phi) and np.isscalar(m)
     fn = special.ellipeinc if second_kind else special.ellipkinc
     out = fn(phi, m)
+    if _is_scalar(phi, m) and not m > 1.0:
+        return float(out)
+    scalar = np.isscalar(phi) and np.isscalar(m)
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr > 1.0):
         # scipy yields nan for m > 1 even where the integrand stays real;

@@ -49,8 +49,8 @@ class ThermalInput:
     T: float = 0.0
 
     def __post_init__(self):
-        if self.T < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.T}")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.T}")
 
 
 @dataclass(frozen=True)

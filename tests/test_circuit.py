@@ -106,6 +106,45 @@ class TestDriveSpectrum:
         np.testing.assert_allclose(d.e_j(t), expected, rtol=1e-14)
         np.testing.assert_allclose(d.delta_e_j(t), expected - 0.5 * d.a0, atol=1e-30)
 
+    @staticmethod
+    def count_probes(monkeypatch) -> list:
+        calls = []
+        probe = DriveSpectrum._probe_times
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return probe(self, *args, **kwargs)
+
+        monkeypatch.setattr(DriveSpectrum, "_probe_times", spy)
+        return calls
+
+    def test_positivity_bound_skips_sampling(self, reference_circuit, monkeypatch):
+        probes = self.count_probes(monkeypatch)
+        a0 = 2.0 * reference_circuit.E_J0
+        # sum |c_n| = 0.4 a0 < a0/2: E_J(t) >= 0.1 a0 everywhere.
+        d = DriveSpectrum(a0=a0, a=[0.2 * a0, 0.0], b=[0.0, 0.2 * a0], omega_d=1e11)
+        assert probes == []
+        assert float(np.min(d.e_j(d._probe_times()))) > 0.0
+
+    def test_inconclusive_bound_samples_and_accepts(self, reference_circuit, monkeypatch):
+        probes = self.count_probes(monkeypatch)
+        a0 = 2.0 * reference_circuit.E_J0
+        # sum |c_n| = 0.6 a0 > a0/2, yet min E_J(t) = 0.1625 a0 > 0.
+        with pytest.warns(DriveWarning):
+            d = DriveSpectrum(a0=a0, a=[0.3 * a0, 0.3 * a0], b=[0.0, 0.0], omega_d=1e11)
+        assert probes == [1]
+        assert d.n_max == 2
+
+    def test_inconclusive_bound_samples_and_rejects(self, reference_circuit, monkeypatch):
+        probes = self.count_probes(monkeypatch)
+        a0 = 2.0 * reference_circuit.E_J0
+        # cos x + cos 2x + cos 3x reaches -1.316, so E_J(t) dips below zero.
+        with pytest.warns(DriveWarning), pytest.raises(
+            RealizabilityError, match="not strictly positive"
+        ):
+            DriveSpectrum(a0=a0, a=[0.5 * a0] * 3, b=[0.0] * 3, omega_d=1e11)
+        assert probes == [1]
+
     def test_harmonic_magnitudes(self, reference_circuit):
         c = reference_circuit
         d = DriveSpectrum(

@@ -256,6 +256,35 @@ class TestCommands:
         assert rc == 1
         assert "mirror-dce: error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("T", ["nan", "inf", "-1"])
+    def test_bad_temperature_exits_nonzero(self, tmp_path, capsys, T):
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "spectrum", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9",
+                "--T", T, "--points", "8", "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "temperature must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_zero_temperature_writes_zero_curve_id(self, tmp_path):
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text("[circuit]\nej0_ratio = 0.1002\n")
+        out = tmp_path / "spec.csv"
+        rc = main(
+            [
+                "spectrum", "--config", str(cfg), "--kind", "sa", "--abar", "20e18",
+                "--fd", "14.6e9", "--T", "-0.0", "--points", "8", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        text = out.read_text()
+        assert ",sa,0\n" in text and "-0" not in text.replace("e-0", "")
+        (ds,) = read_spectrum_datasets(out)
+        assert ds.metadata["temperature"] == "0"
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()

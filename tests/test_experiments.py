@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mirror_dce import experiments
 from mirror_dce.circuit import trajectory_to_drive
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
@@ -220,6 +222,95 @@ class TestRunSweep:
         assert np.any(np.isnan(ds.n_out))
         assert np.any(np.isfinite(ds.n_out))
         assert len(ds.x) == 12
+
+    @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
+    def test_drive_synthesized_once_per_point_and_kind(
+        self, reference_circuit, monkeypatch, axis
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return trajectory_to_drive(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
+        spec = replace(
+            self.small_spec(axis),
+            trajectories=(TrajectoryKind.SA, TrajectoryKind.AUA),
+            temperatures=(0.0, 0.025),
+        )
+        datasets = run_sweep(spec, reference_circuit)
+        assert len(datasets) == 4
+        assert calls.count(TrajectoryKind.SA) == calls.count(TrajectoryKind.AUA) == len(spec.x)
+        for ds in datasets:
+            assert np.all(np.isfinite(ds.n_out))
+
+    def test_temperatures_share_the_drive_bit_for_bit(self, reference_circuit):
+        spec = self.small_spec(SweepAxis.ABAR)
+        two = replace(spec, temperatures=(0.025, 0.0))
+        one = replace(spec, temperatures=(0.0,))
+        by_key = {(d.trajectory, d.temperature): d for d in run_sweep(two, reference_circuit)}
+        for ds in run_sweep(one, reference_circuit):
+            shared = by_key[(ds.trajectory, 0.0)]
+            assert np.array_equal(ds.n_out, shared.n_out)
+            assert ds.metadata == shared.metadata
+
+    def test_programming_error_propagates(self, reference_circuit, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(experiments, "trajectory_to_drive", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            run_sweep(self.small_spec(SweepAxis.ABAR), reference_circuit)
+
+    def test_spectrum_error_becomes_point_failure(self, reference_circuit):
+        spec = replace(self.small_spec(SweepAxis.OMEGA_D), omega=-1.0)
+        (ds,) = run_sweep(spec, reference_circuit)
+        assert np.all(np.isnan(ds.n_out))
+        assert ds.metadata["failures"] == "|".join(
+            f"{i}:ValueError: output_spectrum requires omega > 0" for i in range(len(ds.x))
+        )
+        assert "circuit.EJ0_ratio" in ds.metadata  # the mid point itself synthesized
+
+    def test_failed_mid_point_reported_as_validity_failure(self, reference_circuit):
+        abar, wd = relativistic_point()
+        spec = SweepSpec(
+            figure_id="t",
+            axis=SweepAxis.ABAR,
+            x=tuple(np.linspace(60e18, 5e18, 5)),
+            trajectories=(TrajectoryKind.SA,),
+            temperatures=(0.0, 0.025),
+            omega_d=wd,
+            omega=0.5 * wd,
+            ejo_ratio={TrajectoryKind.SA: 0.35},
+        )
+        for ds in run_sweep(spec, reference_circuit):
+            entries = ds.metadata["failures"].split("|")
+            mid = next(e for e in entries if e.startswith("2:"))
+            assert mid.startswith("2:RealizabilityError: ")
+            assert entries[-1] == "validity:" + mid[2:]
+            assert "circuit.EJ0_ratio" not in ds.metadata
+            assert np.isnan(ds.n_out[2]) and np.isfinite(ds.n_out[-1])
+
+    def test_invalid_thread_count_names_the_variable(self, reference_circuit, monkeypatch):
+        monkeypatch.setenv("MIRROR_DCE_THREADS", "abc")
+        with pytest.raises(ValueError, match="MIRROR_DCE_THREADS"):
+            run_sweep(self.small_spec(SweepAxis.ABAR), reference_circuit)
+
+    def test_negative_zero_temperature_normalized(self, reference_circuit):
+        spec = replace(self.small_spec(), temperatures=(-0.0,))
+        assert math.copysign(1.0, spec.temperatures[0]) == 1.0
+        (ds,) = run_sweep(spec, reference_circuit)
+        assert ds.metadata["temperature"] == "0"
+
+    @pytest.mark.parametrize("T", [-0.01, math.nan, math.inf])
+    def test_spec_rejects_negative_and_non_finite_temperatures(self, T):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SweepSpec(
+                figure_id="t", axis=SweepAxis.OMEGA, x=(1.0, 2.0),
+                trajectories=(TrajectoryKind.SA,), temperatures=(T,),
+                omega_d=1e11, abar=1e18,
+            )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least 2"):

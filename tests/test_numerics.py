@@ -99,6 +99,21 @@ class TestEllipticIntegrals:
         # inside the domain although m > 1
         assert ellip_f(0.3, 2.0) == pytest.approx(ellip_f_quad(0.3, 2.0), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "phi, m", [(math.pi / 2, 0.64), (2.0 * math.pi, -3.0), (0.7, 1.5), (-0.4, 0.3)]
+    )
+    def test_scalar_and_array_paths_agree(self, phi, m):
+        for fn in (ellip_e, ellip_f):
+            assert fn(phi, m) == fn(np.array(phi), np.array(m))[()]
+
+    def test_scalar_and_array_domain_errors_agree(self):
+        for fn, phi, m in ((ellip_e, math.pi / 2, 1.5), (ellip_f, 1.2, 1.25)):
+            with pytest.raises(ValueError) as scalar:
+                fn(phi, m)
+            with pytest.raises(ValueError) as array:
+                fn(np.array([phi]), np.array([m]))
+            assert str(scalar.value) == str(array.value)
+
 
 class TestIntegrate:
     def test_sine_over_half_period(self):

@@ -51,6 +51,11 @@ class TestThermalOccupation:
     def test_extreme_ratio_underflows_to_zero(self):
         assert thermal_occupation(1e15, 1e-6) == 0.0
 
+    @pytest.mark.parametrize("T", [-0.01, math.nan, math.inf])
+    def test_thermal_input_rejects_negative_and_non_finite(self, T):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ThermalInput(T)
+
 
 class TestReflection:
     def test_unit_modulus_across_six_decades(self):
