@@ -16,7 +16,8 @@ Config files use INI syntax with sections [run], [trajectory], [circuit],
 (Hz) and converted to angular internally. Unknown sections or keys are
 rejected. Command-line flags override config values. Set MIRROR_DCE_THREADS
 to a positive integer to parallelize sweep evaluation (results are identical
-for any value).
+for any value). A `sweep` whose points all fail exits 1 and writes nothing;
+when only some fail, their count goes to stderr and the exit status is 0.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -349,12 +351,47 @@ def _cmd_sweep(cfg: RunConfig, written: list[Path]) -> int:
         )
     spec = SweepSpec(**kwargs)
     datasets = run_sweep(spec, cfg.circuit)
+    _report_failed_points(datasets)
     written.extend(
         write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
     )
     for path in written:
         print(path)
     return 0
+
+
+# One entry of a dataset's `failures` metadata: "<index>:<ExceptionClass>: "
+# then the message, entries joined by "|" (messages may contain "|" too).
+_FAILURE_ENTRY = re.compile(r"(?:^|\|)(\d+|validity):([A-Za-z_]\w*): ")
+
+
+def _report_failed_points(datasets) -> None:
+    """Raise when every sweep point failed; otherwise, when some did, print
+    their count and exception classes to stderr."""
+    total = sum(ds.x.size for ds in datasets)
+    failed = sum(int(np.count_nonzero(np.isnan(ds.n_out))) for ds in datasets)
+    if not failed:
+        return
+    entries = []  # (point index, exception class, message)
+    for ds in datasets:
+        text = ds.metadata.get("failures", "")
+        found = list(_FAILURE_ENTRY.finditer(text))
+        ends = [m.start() for m in found[1:]] + [len(text)]
+        entries.extend(
+            (m.group(1), m.group(2), text[m.end():end])
+            for m, end in zip(found, ends)
+            if m.group(1) != "validity"
+        )
+    if failed == total:
+        index, cls, message = entries[0]
+        raise ValueError(
+            f"all {total} sweep points failed; the first (point {index}): {cls}: {message}"
+        )
+    classes = dict.fromkeys(cls for _, cls, _ in entries)
+    print(
+        f"mirror-dce: {failed} of {total} points failed ({', '.join(classes)})",
+        file=sys.stderr,
+    )
 
 
 _PARAM_ROWS = (

@@ -16,11 +16,20 @@ same relative tone strength as the baseline experiment. The output spectrum
 is independent of this choice (the bias cancels from the first-order
 amplitudes); it only affects experimental feasibility flags.
 
-Sweep evaluation synthesizes each grid point's drive once per worldline
-kind: A is resolved, z(t) sampled once (shared by bias normalization,
-Fourier synthesis and the depth check), and the drive built; the output
-spectrum is then evaluated from that drive for every temperature. Grid
-points are pure function evaluations placed by index, so results are
+Sweep evaluation computes each shared quantity once:
+
+- each grid point's drive is synthesized once per worldline kind: A is
+  resolved, z(t) sampled once (shared by bias normalization, Fourier
+  synthesis and the depth check), and the drive built;
+- the kinds at one grid value are synthesized together, so on the omega_d
+  axis they share that frequency's cached Fourier basis;
+- `reproduce` shares the synthesized points between the sweeps of one
+  preset that differ only in probe frequency or temperatures (fig5, fig6);
+- each (kind, temperature) curve is evaluated in one batch over the
+  synthesized drives, through the array core of `output_spectrum`, so a
+  batched point is bitwise equal to the point-by-point API.
+
+Grid points are pure function evaluations placed by index, so results are
 bitwise identical across runs and across any thread count (set
 MIRROR_DCE_THREADS to parallelize the synthesis).
 """
@@ -47,8 +56,8 @@ from .circuit import (
     trajectory_to_drive,
     validate,
 )
-from .numerics import ConvergenceError
-from .scattering import ThermalInput, output_spectrum
+from .numerics import ConvergenceError, _fourier_basis
+from .scattering import ThermalInput, _drive_terms, _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
     TrajectoryKind,
@@ -121,9 +130,10 @@ def relativistic_point() -> tuple[float, float]:
 def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
     """(|z_1|, max|z|) [m] of the centered trajectory from its samples
     z = position(p, _synthesis_grid(p, z.size)) over one period."""
-    wt = p.omega_d * _synthesis_grid(p, z.size)
+    # Row 0 of the n_max = 1 basis is cos/sin(omega_d t) on that grid.
+    basis = _fourier_basis(p.omega_d, 1, z.size)
     z1 = float(
-        np.hypot(2.0 * np.mean(z * np.cos(wt)), 2.0 * np.mean(z * np.sin(wt)))
+        np.hypot(2.0 * np.mean(z * basis.cos[0]), 2.0 * np.mean(z * basis.sin[0]))
     )
     return z1, float(np.max(np.abs(z)))
 
@@ -482,31 +492,71 @@ def _synthesize(
     return _Point(p, biased, drive)
 
 
-def run_sweep(spec: SweepSpec, c: CircuitParams) -> list[SpectrumDataset]:
-    """Evaluate the sweep: one dataset per (trajectory, temperature).
+def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
+    """Everything the synthesized points of a sweep depend on: the spec
+    without its figure id, probe frequency and temperatures, plus the
+    circuit."""
 
-    Each grid point is rebuilt from scratch once per trajectory kind (A
-    re-solved whenever the axis or the spec demands it, the drive
-    synthesized); the output spectrum is then evaluated from that drive at
-    every temperature. Per-point domain errors (ValueError, which includes
-    RealizabilityError, and ConvergenceError) are recorded in the metadata
-    under `failures` and leave NaN in the curve; points are never dropped.
-    Any other exception propagates."""
+    def frozen(pins):
+        return None if pins is None else frozenset(pins.items())
+
+    return (
+        spec.axis, spec.x, spec.trajectories, spec.n_max, spec.omega_d,
+        spec.abar, frozen(spec.A), frozen(spec.ejo_ratio), c,
+    )
+
+
+def _synthesize_sweep(spec: SweepSpec, c: CircuitParams) -> dict:
+    """Per kind: the one point of an omega-axis sweep, otherwise the list of
+    grid points (a _PointFailure where synthesis hit a domain error).
+
+    Grid points are evaluated grid-major, every kind at one grid value
+    before the next, so the kinds at one omega_d share its Fourier basis."""
+    kinds = spec.trajectories
+    if spec.axis is SweepAxis.OMEGA:
+        return {kind: _synthesize(kind, spec, c, spec.omega_d) for kind in kinds}
+    k = len(kinds)
+    flat = _map_indexed(
+        _guard(lambda i: _synthesize(kinds[i % k], spec, c, spec.x[i // k])),
+        len(spec.x) * k,
+    )
+    return {kind: flat[j::k] for j, kind in enumerate(kinds)}
+
+
+def _grid_values(omega: float, points: list, T: float) -> tuple[np.ndarray, list[str]]:
+    """n_out at the fixed probe omega for every grid point, evaluated in one
+    batch over the synthesized points, and the `i:<message>` failures.
+
+    A spectrum domain error fails every synthesized point."""
+    vals = np.full(len(points), np.nan)
+    ok = [i for i, pt in enumerate(points) if not isinstance(pt, _PointFailure)]
+    spectrum_error = None
+    if ok:
+        terms = _drive_terms([(points[i].drive, points[i].biased) for i in ok])
+        try:
+            vals[ok] = _n_out(np.full(len(ok), omega), T, *terms)
+        except _POINT_ERRORS as exc:
+            spectrum_error = f"{type(exc).__name__}: {exc}"
+    failures = []
+    for i, pt in enumerate(points):
+        if isinstance(pt, _PointFailure):
+            failures.append(f"{i}:{pt.message}")
+        elif spectrum_error is not None:
+            failures.append(f"{i}:{spectrum_error}")
+    return vals, failures
+
+
+def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]:
+    """One dataset per (trajectory, temperature) from the synthesized points."""
     datasets: list[SpectrumDataset] = []
     x = np.asarray(spec.x, dtype=float)
-
     for kind in spec.trajectories:
-        if spec.axis is SweepAxis.OMEGA:
-            point = _synthesize(kind, spec, c, spec.omega_d)
-        else:
-            points = _map_indexed(
-                _guard(lambda i: _synthesize(kind, spec, c, float(x[i]))), x.size
-            )
-            # Representative validity report from the middle of the grid.
-            point = points[x.size // 2]
+        points = synthesized[kind]
+        # Omega axis: the one point; otherwise the representative validity
+        # report comes from the middle of the grid.
+        point = points if spec.axis is SweepAxis.OMEGA else points[x.size // 2]
 
         for T in spec.temperatures:
-            th = ThermalInput(T)
             failures: list[str] = []
             meta: dict[str, str] = {
                 "figure": spec.figure_id,
@@ -524,25 +574,14 @@ def run_sweep(spec: SweepSpec, c: CircuitParams) -> list[SpectrumDataset]:
                 report = validate(
                     point.drive, point.p, point.biased, omega_probe=x, temperature=T
                 )
-                vals = output_spectrum(x, point.drive, point.biased, th)
+                vals = output_spectrum(x, point.drive, point.biased, ThermalInput(T))
                 meta["omega_d"] = _fmt(spec.omega_d)
                 meta["A"] = _fmt(point.p.A)
                 meta["abar_realized"] = _fmt(average_acceleration(point.p))
                 meta.update(_circuit_metadata(point.biased))
                 meta.update(_report_metadata(report))
             else:
-                n_out = _guard(
-                    lambda pt: float(
-                        output_spectrum(float(spec.omega), pt.drive, pt.biased, th)
-                    )
-                )
-                vals = np.full(x.shape, np.nan)
-                for i, pt in enumerate(points):
-                    res = pt if isinstance(pt, _PointFailure) else n_out(pt)
-                    if isinstance(res, _PointFailure):
-                        failures.append(f"{i}:{res.message}")
-                    else:
-                        vals[i] = res
+                vals, failures = _grid_values(float(spec.omega), points, T)
                 if spec.axis is SweepAxis.ABAR:
                     meta["omega_d"] = _fmt(spec.omega_d)
                 if isinstance(point, _PointFailure):
@@ -564,6 +603,29 @@ def run_sweep(spec: SweepSpec, c: CircuitParams) -> list[SpectrumDataset]:
                 SpectrumDataset(axis=spec.axis, x=x.copy(), n_out=np.asarray(vals), metadata=meta)
             )
     return datasets
+
+
+def run_sweep(
+    spec: SweepSpec, c: CircuitParams, *, _shared: dict | None = None
+) -> list[SpectrumDataset]:
+    """Evaluate the sweep: one dataset per (trajectory, temperature).
+
+    Each grid point is synthesized once per trajectory kind (A re-solved
+    whenever the axis or the spec demands it, the drive built); each curve
+    is then evaluated from those drives in one batch per temperature.
+    Per-point domain errors (ValueError, which includes RealizabilityError,
+    and ConvergenceError) are recorded in the metadata under `failures` and
+    leave NaN in the curve; points are never dropped. Any other exception
+    propagates.
+
+    `_shared` is internal: a dict that `reproduce` hands to every sweep of
+    one preset, so sweeps that differ only in figure id, probe frequency or
+    temperatures synthesize their points once."""
+    shared = {} if _shared is None else _shared
+    key = _synthesis_key(spec, c)
+    if key not in shared:
+        shared[key] = _synthesize_sweep(spec, c)
+    return _evaluate_sweep(spec, shared[key])
 
 
 # Per-point domain errors; RealizabilityError is a ValueError. Anything else
@@ -758,7 +820,9 @@ def _read_table(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
 
 
 def read_table(path) -> tuple[dict[str, str], dict[str, list]]:
-    """Parse any dataset CSV emitted by this package into (metadata, columns).
+    """Parse a dataset CSV with the `# mirror-dce v1` header into
+    (metadata, columns): every file this package writes except the flux
+    waveform of `export_flux_waveform`, a bare `t,phi_ext` CSV.
 
     Numeric columns come back as float lists (lossless at 17 significant
     digits); the trajectory column stays as strings."""
@@ -1028,8 +1092,9 @@ def reproduce(
         return [write_drive_coefficients(ds, out_dir / f"{canonical}_{fid}.csv")]
 
     paths: list[Path] = []
+    shared: dict = {}  # synthesized points, shared by this preset's sweeps only
     for i, spec in enumerate(preset):
-        datasets = run_sweep(spec, c)
+        datasets = run_sweep(spec, c, _shared=shared)
         tag = f"_{i}" if len(preset) > 1 else ""
         target = out_dir / f"{canonical}_{fid}{tag}.csv"
         paths.extend(write_spectrum_datasets(datasets, target, long_format=long_format))

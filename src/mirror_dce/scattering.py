@@ -183,25 +183,52 @@ def output_spectrum(
     The stimulated factor is continuous across omega = n*omega_d.
     """
     w = np.asarray(omega, dtype=float)
+    out = _n_out(np.atleast_1d(w), th.T, *_drive_terms([(d, c)]))
+    return float(out[0]) if w.ndim == 0 else out
+
+
+def _drive_terms(drives) -> tuple[np.ndarray, ...]:
+    """The per-drive inputs of `_n_out` for a sequence of (DriveSpectrum,
+    CircuitParams) pairs sharing one n_max: arrays L_eff^0, v, the prefactor
+    4 L_eff^0^2 / (v^2 a0^2) and omega_d with one entry per drive, and
+    |a_n + i b_n|^2 as an (n_max, drives) array."""
+    rows = []
+    for d, c in drives:
+        leff0 = effective_length(c)
+        c_sq = [float(d.a[n]) ** 2 + float(d.b[n]) ** 2 for n in range(d.n_max)]
+        rows.append((leff0, c.v, 4.0 * leff0**2 / (c.v**2 * d.a0**2), d.omega_d, c_sq))
+    leff0, v, prefactor, wd, c_sq = zip(*rows)
+    return (
+        np.array(leff0),
+        np.array(v),
+        np.array(prefactor),
+        np.array(wd),
+        np.array(c_sq, dtype=float).T,
+    )
+
+
+def _n_out(w, T: float, leff0, v, prefactor, wd, c_sq) -> np.ndarray:
+    """The n_out formula on 1-d arrays: probe frequencies w, each against
+    its drive (the `_drive_terms` arrays broadcast against w).
+
+    `output_spectrum` and batched sweep curves both evaluate here on 1-d
+    arrays: numpy's vector transcendentals can differ in the last bit
+    between 0-d and 1-d inputs, so a single shared path keeps a batched
+    curve bitwise equal to the point-by-point API."""
     if np.any(w <= 0.0):
         raise ValueError("output_spectrum requires omega > 0")
-    leff0 = effective_length(c)
     # |R|^2 is identically 1; keep the factor explicit so the stimulated
     # term is implemented exactly as written.
-    r_sq = np.abs(reflection(w, leff0, c.v)) ** 2
-    out = r_sq * thermal_occupation(w, th.T)
-
-    prefactor = 4.0 * leff0**2 / (c.v**2 * d.a0**2)
-    wd = d.omega_d
-    for n in range(1, d.n_max + 1):
-        c_sq = float(d.a[n - 1]) ** 2 + float(d.b[n - 1]) ** 2
-        if c_sq == 0.0:
+    r_sq = np.abs(reflection(w, leff0, v)) ** 2
+    out = r_sq * thermal_occupation(w, T)
+    for n, cn_sq in enumerate(c_sq, start=1):
+        if not np.any(cn_sq):
             continue
         detune = w - n * wd
-        stimulated = w * _x_times_occupation(np.abs(detune), th.T)
+        stimulated = w * _x_times_occupation(np.abs(detune), T)
         spontaneous = w * np.maximum(-detune, 0.0)
-        out = out + prefactor * c_sq * (stimulated + spontaneous)
-    return float(out) if np.ndim(omega) == 0 else out
+        out = out + prefactor * cn_sq * (stimulated + spontaneous)
+    return out
 
 
 def temperature_estimator(omega: float, n_out) -> float:

@@ -7,13 +7,14 @@ from mirror_dce.circuit import CircuitParams
 from mirror_dce.cli import (
     ConfigError,
     RunConfig,
+    _report_failed_points,
     _resolve_trajectory,
     dispatch,
     main,
     parse_config,
 )
 from mirror_dce.constants import C_LIGHT
-from mirror_dce.experiments import read_spectrum_datasets
+from mirror_dce.experiments import SpectrumDataset, read_spectrum_datasets
 from mirror_dce.trajectories import TrajectoryKind
 
 TWO_PI = 2.0 * math.pi
@@ -200,6 +201,69 @@ class TestCommands:
         (ds,) = read_spectrum_datasets(out)
         assert len(ds.x) == 7
         assert np.all(np.diff(ds.n_out) > 0.0)  # monotone in abar
+
+    @pytest.mark.parametrize(
+        "bias, probe, failure",
+        [
+            ("1.3", "7e9", "RealizabilityError: trajectory amplitude"),
+            ("0.1", "-7e9", "ValueError: output_spectrum requires omega > 0"),
+        ],
+    )
+    def test_sweep_with_every_point_failed_exits_nonzero(
+        self, tmp_path, capsys, bias, probe, failure
+    ):
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text(f"[circuit]\nej0_ratio = {bias}\n")
+        out = tmp_path / "sweep.csv"
+        rc = main(
+            [
+                "sweep", "--config", str(cfg), "--kind", "sa", "--axis", "abar",
+                "--min", "5e18", "--max", "3e19", "--points", "6",
+                "--fd", "14.6e9", f"--w={probe}", "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "all 6 sweep points failed; the first (point 0): " + failure in err
+        assert not out.exists()
+
+    def test_sweep_with_some_points_failed_reports_count(self, tmp_path, capsys):
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text("[circuit]\nej0_ratio = 0.35\n")
+        out = tmp_path / "sweep.csv"
+        rc = main(
+            [
+                "sweep", "--config", str(cfg), "--kind", "sa", "--axis", "abar",
+                "--min", "5e18", "--max", "6e19", "--points", "12",
+                "--fd", "14.6e9", "--w", "7e9", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        (ds,) = read_spectrum_datasets(out)
+        failed = int(np.count_nonzero(np.isnan(ds.n_out)))
+        assert 0 < failed < 12
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"mirror-dce: {failed} of 12 points failed (RealizabilityError)"]
+
+    def test_failure_report_reads_messages_containing_pipes(self, capsys):
+        failures = (
+            "0:RealizabilityError: harmonic ratio |c_n|/a0 = 0.6 exceeds|"
+            "2:ConvergenceError: no root|validity:RealizabilityError: |c_n| too big"
+        )
+        ds = SpectrumDataset(
+            axis="abar", x=[1.0, 2.0, 3.0], n_out=[math.nan, 0.5, math.nan],
+            metadata={"failures": failures},
+        )
+        _report_failed_points([ds])
+        err = capsys.readouterr().err
+        assert err == "mirror-dce: 2 of 3 points failed (RealizabilityError, ConvergenceError)\n"
+        ds.n_out[1] = math.nan
+        with pytest.raises(
+            ValueError,
+            match=r"^all 3 sweep points failed; the first \(point 0\): "
+            r"RealizabilityError: harmonic ratio \|c_n\|/a0 = 0\.6 exceeds$",
+        ):
+            _report_failed_points([ds])
 
     def test_params_prints_resolved_table(self, capsys):
         rc = main(["params", "--kind", "sa", "--abar", "20e18"])

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mirror_dce import experiments
-from mirror_dce.circuit import trajectory_to_drive
+from mirror_dce import experiments, numerics
+from mirror_dce.circuit import CircuitParams, _synthesis_grid, trajectory_to_drive
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
     InfeasibleError,
@@ -37,6 +37,16 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestBiasNormalization:
+    def test_waveform_stats_match_the_plain_projection(self, sa_comparison):
+        # The first harmonic comes from the cached Fourier basis; it must
+        # equal the projection on cos/sin(omega_d t) bit for bit.
+        p = sa_comparison
+        t = _synthesis_grid(p)
+        z = experiments.position(p, t)
+        wt = p.omega_d * t
+        z1 = float(np.hypot(2.0 * np.mean(z * np.cos(wt)), 2.0 * np.mean(z * np.sin(wt))))
+        assert experiments._waveform_stats(p, z) == (z1, float(np.max(np.abs(z))))
+
     def test_reference_point_recovers_reference_bias(self, reference_circuit):
         # R = 0.11 mm at 18 GHz with a_1 = a0/8 gives E_J0 = 1.3 E_J
         abar, wd = baseline_point()
@@ -202,6 +212,38 @@ class TestRunSweep:
                     float(spec.omega), d, biased, ThermalInput(ds.temperature)
                 )
                 assert direct == ds.n_out[i]
+
+    @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
+    def test_every_point_at_finite_temperature_matches_direct_api(self, axis):
+        # A curve is evaluated in one batch; each point must still equal the
+        # point-by-point API bit for bit where expm1 enters (T > 0). On these
+        # grids a scalar path on 0-d arrays differs from the batch in the
+        # last bit at some points (AVX-512 vector math), so the two must
+        # share one 1-d evaluation.
+        bias = 0.41888437030500963
+        c = CircuitParams(EJ0_ratio=bias)
+        common = dict(
+            figure_id="t", axis=axis, trajectories=(TrajectoryKind.SA,),
+            temperatures=(0.0379,), omega=TWO_PI * 6516563630.394637,
+            ejo_ratio={TrajectoryKind.SA: bias},
+        )
+        if axis is SweepAxis.ABAR:
+            spec = SweepSpec(
+                x=tuple(np.linspace(1.4002334356065848e18, 1.61e18, 16)),
+                omega_d=TWO_PI * 18270388712.278183, **common,
+            )
+        else:
+            spec = SweepSpec(
+                x=tuple(TWO_PI * np.linspace(17e9, 19e9, 16)), abar=1.5e18, **common
+            )
+        (ds,) = run_sweep(spec, c)
+        assert np.all(np.isfinite(ds.n_out))
+        for xi, got in zip(ds.x, ds.n_out):
+            wd = spec.omega_d if axis is SweepAxis.ABAR else float(xi)
+            abar = float(xi) if axis is SweepAxis.ABAR else spec.abar
+            A = solve_acceleration_parameter(TrajectoryKind.SA, abar, wd, c.v)
+            d = trajectory_to_drive(TrajectoryParams(TrajectoryKind.SA, A, wd, c.v), c)
+            assert output_spectrum(float(spec.omega), d, c, ThermalInput(0.0379)) == got
 
     def test_per_point_failures_recorded_not_dropped(self, reference_circuit):
         # pinning a high bias makes the most relativistic points unrealizable
@@ -473,6 +515,66 @@ class TestReproduce:
             p2 = reproduce(fig, out2, reference_circuit)
             for a, b in zip(p1, p2):
                 assert a.read_bytes() == b.read_bytes(), fig
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig6"])
+    def test_probe_sweeps_share_their_drives(
+        self, reference_circuit, tmp_path, monkeypatch, figure
+    ):
+        # Two probe frequencies x two kinds x 401 grid points: each drive is
+        # synthesized once, not once per probe frequency.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return trajectory_to_drive(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
+        assert len(reproduce(figure, tmp_path, reference_circuit)) == 2
+        assert len(calls) == 802
+        assert calls.count(TrajectoryKind.SA) == calls.count(TrajectoryKind.AUA) == 401
+
+    def test_fixed_drive_frequency_builds_one_basis_per_harmonic_count(
+        self, reference_circuit, tmp_path, monkeypatch
+    ):
+        builds = []
+
+        def counted(*key):
+            builds.append(key)
+            return build(*key)
+
+        build = numerics._build_fourier_basis
+        monkeypatch.setattr(numerics, "_build_fourier_basis", counted)
+        monkeypatch.setattr(numerics, "_basis_cache", type(numerics._basis_cache)())
+        reproduce("fig6", tmp_path, reference_circuit)
+        # n_max = 1 for the bias normalization, n_max = 3 for the drives.
+        assert sorted(builds) == [
+            (relativistic_point()[1], 1, 4096),
+            (relativistic_point()[1], 3, 4096),
+        ]
+
+    def test_sharing_is_scoped_to_one_call(self, tmp_path, monkeypatch):
+        # Small fig6-like preset; each reproduce output must equal sweeps
+        # run from scratch with the same circuit.
+        real = experiments.figure_preset
+
+        def small(figure_id, c=None):
+            return [
+                replace(spec, x=tuple(np.linspace(5e18, 30e18, 9)))
+                for spec in real(figure_id, c)
+            ]
+
+        monkeypatch.setattr(experiments, "figure_preset", small)
+        circuits = (CircuitParams(), CircuitParams(I_c=1.0e-6, EJ0_ratio=0.9))
+        outputs = []
+        for k, c in enumerate(circuits):
+            paths = reproduce("fig6", tmp_path / f"shared{k}", c)
+            for i, spec in enumerate(small("fig6", c)):
+                (fresh,) = write_spectrum_datasets(
+                    run_sweep(spec, c), tmp_path / f"fresh{k}_{i}.csv"
+                )
+                assert paths[i].read_bytes() == fresh.read_bytes()
+            outputs.append([p.read_bytes() for p in paths])
+        assert outputs[0] != outputs[1]
 
     def test_descriptive_names_accepted(self, reference_circuit, tmp_path):
         paths = reproduce("worldlines", tmp_path, reference_circuit)

@@ -1,10 +1,14 @@
-"""Golden values of the sweep presets fig5, fig6 and fig8.
+"""Golden values of the bundled presets fig1..fig8.
 
-tests/golden/presets.json holds every 10th point of each curve plus its
-`failures` and `validity.*` metadata, frozen by scripts/freeze_golden.py
-before the sweep pipeline was restructured. Values must agree at rtol
-1e-12, with an absolute floor of 1e-12 times the curve's peak (round-off
-of the Fourier synthesis sits below it).
+tests/golden/presets.json was frozen by scripts/freeze_golden.py before the
+sweep pipeline was restructured. It holds every 10th point of each
+spectrum curve (fig3..fig8) plus its `failures` and `validity.*` metadata,
+and sampled rows plus the metadata of the table presets fig1 and fig2.
+Values must agree at rtol 1e-12, with an absolute floor of 1e-12 times a
+peak (round-off of the Fourier synthesis sits below it): the curve's peak
+for spectra, the column's peak for fig1, and the largest |c_n| of the
+trajectory kind for the fig2 coefficients, whose zero-by-symmetry entries
+are pure round-off.
 """
 
 import json
@@ -13,13 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirror_dce.experiments import read_spectrum_datasets, reproduce
+from mirror_dce.experiments import read_spectrum_datasets, read_table, reproduce
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "presets.json").read_text(encoding="utf-8")
 )
 RTOL = 1e-12
 FLOOR_OF_PEAK = 1e-12
+# Table column whose per-kind peak floors every other column (default: the
+# column's own peak).
+FLOOR_COLUMN = {"fig2": "magnitude"}
 
 
 @pytest.mark.parametrize("figure", sorted(GOLDEN["figures"]))
@@ -50,3 +57,40 @@ def test_sweep_preset_matches_golden(figure, reference_circuit, tmp_path):
                 if k == "failures" or k.startswith("validity.")
             }
             assert kept == want["metadata"], f"{path.name} {cid}"
+
+
+def _assert_metadata_close(got: dict, want: dict, where: str):
+    assert sorted(got) == sorted(want), where
+    for key, value in want.items():
+        try:
+            ref = float(value)
+        except ValueError:
+            assert got[key] == value, f"{where} {key}"
+            continue
+        np.testing.assert_allclose(float(got[key]), ref, rtol=RTOL, err_msg=f"{where} {key}")
+
+
+@pytest.mark.parametrize("figure", sorted(GOLDEN["tables"]))
+def test_table_preset_matches_golden(figure, reference_circuit, tmp_path):
+    step = GOLDEN["table_step"][figure]
+    expected_files = GOLDEN["tables"][figure]
+    paths = reproduce(figure, tmp_path, reference_circuit)
+    assert sorted(p.name for p in paths) == sorted(expected_files)
+    for path in paths:
+        expected = expected_files[path.name]
+        meta, columns = read_table(path)
+        _assert_metadata_close(meta, expected["metadata"], path.name)
+        kinds = columns.pop("trajectory")
+        assert list(dict.fromkeys(kinds)) == list(expected["rows"])
+        for kind, want in expected["rows"].items():
+            picks = [i for i, k in enumerate(kinds) if k == kind][::step]
+            assert sorted(columns) == sorted(want)
+            floor_column = FLOOR_COLUMN.get(figure)
+            for name, ref in want.items():
+                got = np.array([columns[name][i] for i in picks])
+                ref = np.asarray(ref, dtype=float)
+                peak_of = np.asarray(want[floor_column or name], dtype=float)
+                np.testing.assert_allclose(
+                    got, ref, rtol=RTOL, atol=FLOOR_OF_PEAK * float(np.max(np.abs(peak_of))),
+                    err_msg=f"{path.name} {kind} {name}",
+                )
