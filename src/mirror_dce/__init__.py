@@ -28,12 +28,10 @@ from .experiments import (
 )
 from .numerics import (
     FourierSeries,
-    Quadrature,
     ellip_e,
     ellip_f,
     find_root,
     fourier_decompose,
-    integrate,
 )
 from .scattering import (
     ScatterAmplitudes,
@@ -47,14 +45,12 @@ from .scattering import (
 from .trajectories import (
     TrajectoryKind,
     TrajectoryParams,
-    WorldlineSample,
     average_acceleration,
     directional_acceleration,
     position,
     proper_time,
     relativity_estimator,
     solve_acceleration_parameter,
-    worldline_sample,
 )
 
 __version__ = "0.1.0"

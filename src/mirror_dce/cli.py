@@ -14,10 +14,11 @@ reproduce  run a bundled preset (fig1..fig8 or their descriptive names)
 Config files use INI syntax with sections [run], [trajectory], [circuit],
 [physics], [output]; all frequencies in config files and flags are LINEAR
 (Hz) and converted to angular internally. Unknown sections or keys are
-rejected. Command-line flags override config values. Set MIRROR_DCE_THREADS
-to a positive integer to parallelize sweep evaluation (results are identical
-for any value). A `sweep` whose points all fail exits 1 and writes nothing;
-when only some fail, their count goes to stderr and the exit status is 0.
+rejected. Command-line flags override config values and get the same checks
+(a number must be finite, --nmax must be >= 0); a bad value exits 1 before
+anything is written. Sweeps run serially in the calling thread. A `sweep`
+whose points all fail exits 1 and writes nothing; when only some fail, their
+count goes to stderr and the exit status is 0.
 """
 
 from __future__ import annotations
@@ -101,20 +102,32 @@ class RunConfig:
     probe_omega: float | None = None      # angular [rad/s]
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+# `where` names the value in messages: "[section] key" for a config value,
+# "--flag" for a command-line flag; both get the same checks.
+def _parse_float(where: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        raise ConfigError(f"{where}: not a number: {raw!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+        raise ConfigError(f"{where}: must be finite, got {raw!r}")
     return value
 
 
-def _parse_positive(section: str, key: str, raw: str) -> float:
-    value = _parse_float(section, key, raw)
+def _parse_positive(where: str, raw: str) -> float:
+    value = _parse_float(where, raw)
     if value <= 0.0:
-        raise ConfigError(f"[{section}] {key}: must be positive, got {raw!r}")
+        raise ConfigError(f"{where}: must be positive, got {raw!r}")
+    return value
+
+
+def _parse_n_max(where: str, raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: not an integer: {raw!r}") from exc
+    if value < 0:
+        raise ConfigError(f"{where}: must be >= 0")
     return value
 
 
@@ -163,32 +176,32 @@ def parse_config(text: str) -> RunConfig:
                 "[trajectory]: give exactly one of 'a' and 'abar_target'"
             )
         if "a" in sec:
-            cfg.A = _parse_positive("trajectory", "a", sec["a"])
+            cfg.A = _parse_positive("[trajectory] a", sec["a"])
         if "abar_target" in sec:
             cfg.abar_target = _parse_positive(
-                "trajectory", "abar_target", sec["abar_target"]
+                "[trajectory] abar_target", sec["abar_target"]
             )
         if "fd" in sec:
-            cfg.omega_d = 2.0 * math.pi * _parse_positive("trajectory", "fd", sec["fd"])
+            cfg.omega_d = 2.0 * math.pi * _parse_positive("[trajectory] fd", sec["fd"])
 
     if parser.has_section("circuit"):
         sec = parser["circuit"]
         updates = {}
         if "ic" in sec:
-            updates["I_c"] = _parse_positive("circuit", "ic", sec["ic"])
+            updates["I_c"] = _parse_positive("[circuit] ic", sec["ic"])
         if "cj" in sec:
-            updates["C_J"] = _parse_positive("circuit", "cj", sec["cj"])
+            updates["C_J"] = _parse_positive("[circuit] cj", sec["cj"])
         if "z0" in sec:
-            updates["Z0"] = _parse_positive("circuit", "z0", sec["z0"])
+            updates["Z0"] = _parse_positive("[circuit] z0", sec["z0"])
         if "v" in sec:
-            updates["v"] = _parse_positive("circuit", "v", sec["v"])
+            updates["v"] = _parse_positive("[circuit] v", sec["v"])
         if "fs" in sec:
             updates["omega_s"] = 2.0 * math.pi * _parse_positive(
-                "circuit", "fs", sec["fs"]
+                "[circuit] fs", sec["fs"]
             )
         if "ej0_ratio" in sec:
             updates["EJ0_ratio"] = _parse_positive(
-                "circuit", "ej0_ratio", sec["ej0_ratio"]
+                "[circuit] ej0_ratio", sec["ej0_ratio"]
             )
         try:
             cfg.circuit = replace(cfg.circuit, **updates)
@@ -198,16 +211,11 @@ def parse_config(text: str) -> RunConfig:
     if parser.has_section("physics"):
         sec = parser["physics"]
         if "t" in sec:
-            cfg.temperature = _parse_float("physics", "t", sec["t"])
+            cfg.temperature = _parse_float("[physics] t", sec["t"])
             if cfg.temperature < 0.0:
                 raise ConfigError("[physics] t: temperature must be >= 0")
         if "nmax" in sec:
-            try:
-                cfg.n_max = int(sec["nmax"])
-            except ValueError as exc:
-                raise ConfigError(f"[physics] nmax: not an integer: {sec['nmax']!r}") from exc
-            if cfg.n_max < 0:
-                raise ConfigError("[physics] nmax: must be >= 0")
+            cfg.n_max = _parse_n_max("[physics] nmax", sec["nmax"])
 
     if parser.has_section("output"):
         sec = parser["output"]
@@ -480,41 +488,44 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="INI run configuration")
         p.add_argument("--out", help="output file (or directory for reproduce)")
         p.add_argument("--kind", choices=[k.value for k in TrajectoryKind])
-        p.add_argument("--abar", type=float, help="target average acceleration [m/s^2]")
-        p.add_argument("--A", type=float, help="acceleration parameter [m/s^2]")
-        p.add_argument("--fd", type=float, help="drive frequency [Hz, linear]")
+        p.add_argument("--abar", help="target average acceleration [m/s^2]")
+        p.add_argument("--A", help="acceleration parameter [m/s^2]")
+        p.add_argument("--fd", help="drive frequency [Hz, linear]")
         p.add_argument("--T", type=float, help="bath temperature [K]")
-        p.add_argument("--nmax", type=int, help="drive harmonic truncation")
+        p.add_argument("--nmax", help="drive harmonic truncation")
         p.add_argument("--points", type=int, help="grid/sample point count")
         p.add_argument("--split", action="store_true", help="one CSV per curve")
         if name == "flux":
             p.add_argument("--periods", type=int, help="number of drive periods")
         if name == "sweep":
             p.add_argument("--axis", choices=[a.value for a in SweepAxis])
-            p.add_argument("--min", type=float, help="axis start (Hz or m/s^2)")
-            p.add_argument("--max", type=float, help="axis end (Hz or m/s^2)")
-            p.add_argument("--w", type=float, help="fixed probe frequency [Hz]")
+            p.add_argument("--min", help="axis start (Hz or m/s^2)")
+            p.add_argument("--max", help="axis end (Hz or m/s^2)")
+            p.add_argument("--w", help="fixed probe frequency [Hz]")
         if name == "reproduce":
             p.add_argument("figure", nargs="?", help="fig1..fig8 or preset name")
     return parser
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """Apply the flags over cfg. Number flags must be finite, like config
+    values; --abar, --A, --fd and --nmax get the checks of their config
+    keys. The range of --T is checked in `main`, as for the config's t."""
     cfg.command = args.command or cfg.command
     if getattr(args, "kind", None):
         cfg.kind = TrajectoryKind(args.kind)
     if getattr(args, "abar", None) is not None:
-        cfg.abar_target = args.abar
+        cfg.abar_target = _parse_positive("--abar", args.abar)
         cfg.A = None
     if getattr(args, "A", None) is not None:
-        cfg.A = args.A
+        cfg.A = _parse_positive("--A", args.A)
         cfg.abar_target = None
     if getattr(args, "fd", None) is not None:
-        cfg.omega_d = 2.0 * math.pi * args.fd
+        cfg.omega_d = 2.0 * math.pi * _parse_positive("--fd", args.fd)
     if getattr(args, "T", None) is not None:
         cfg.temperature = args.T
     if getattr(args, "nmax", None) is not None:
-        cfg.n_max = args.nmax
+        cfg.n_max = _parse_n_max("--nmax", args.nmax)
     if getattr(args, "points", None) is not None:
         cfg.points = args.points
     if getattr(args, "periods", None) is not None:
@@ -528,11 +539,11 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "axis", None):
         cfg.sweep_axis = args.axis
     if getattr(args, "min", None) is not None:
-        cfg.sweep_min = args.min
+        cfg.sweep_min = _parse_float("--min", args.min)
     if getattr(args, "max", None) is not None:
-        cfg.sweep_max = args.max
+        cfg.sweep_max = _parse_float("--max", args.max)
     if getattr(args, "w", None) is not None:
-        cfg.probe_omega = 2.0 * math.pi * args.w
+        cfg.probe_omega = 2.0 * math.pi * _parse_float("--w", args.w)
     return cfg
 
 

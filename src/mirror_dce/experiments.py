@@ -29,16 +29,13 @@ Sweep evaluation computes each shared quantity once:
   synthesized drives, through the array core of `output_spectrum`, so a
   batched point is bitwise equal to the point-by-point API.
 
-Grid points are pure function evaluations placed by index, so results are
-bitwise identical across runs and across any thread count (set
-MIRROR_DCE_THREADS to parallelize the synthesis).
+Grid points are pure function evaluations in one serial loop, placed by
+index, so results are bitwise identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -415,28 +412,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MIRROR_DCE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"MIRROR_DCE_THREADS must be an integer, got {raw!r}"
-        ) from None
-
-
-def _map_indexed(fn, n: int) -> list:
-    """Evaluate fn(0..n-1) with indexed result placement (order-independent)."""
-    workers = _thread_count()
-    if workers == 1 or n < 4:
-        return [fn(i) for i in range(n)]
-    out = [None] * n
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, res in enumerate(pool.map(fn, range(n))):
-            out[i] = res
-    return out
-
-
 def _circuit_metadata(c: CircuitParams) -> dict[str, str]:
     return {
         "circuit.C_J": _fmt(c.C_J),
@@ -515,12 +490,15 @@ def _synthesize_sweep(spec: SweepSpec, c: CircuitParams) -> dict:
     kinds = spec.trajectories
     if spec.axis is SweepAxis.OMEGA:
         return {kind: _synthesize(kind, spec, c, spec.omega_d) for kind in kinds}
-    k = len(kinds)
-    flat = _map_indexed(
-        _guard(lambda i: _synthesize(kinds[i % k], spec, c, spec.x[i // k])),
-        len(spec.x) * k,
-    )
-    return {kind: flat[j::k] for j, kind in enumerate(kinds)}
+    points: dict[TrajectoryKind, list] = {kind: [] for kind in kinds}
+    for xi in spec.x:
+        for kind in kinds:
+            try:
+                point = _synthesize(kind, spec, c, xi)
+            except _POINT_ERRORS as exc:
+                point = _PointFailure(f"{type(exc).__name__}: {exc}")
+            points[kind].append(point)
+    return points
 
 
 def _grid_values(omega: float, points: list, T: float) -> tuple[np.ndarray, list[str]]:
@@ -636,17 +614,6 @@ _POINT_ERRORS = (ValueError, ConvergenceError)
 class _PointFailure:
     def __init__(self, message: str):
         self.message = message
-
-
-def _guard(fn):
-    """fn, returning a _PointFailure in place of a per-point domain error."""
-    def wrapped(*args):
-        try:
-            return fn(*args)
-        except _POINT_ERRORS as exc:
-            return _PointFailure(f"{type(exc).__name__}: {exc}")
-
-    return wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Shared numeric kernels: elliptic integrals, adaptive quadrature, bracketed
-root finding, and Fourier-coefficient extraction for periodic signals.
+"""Shared numeric kernels: elliptic integrals, bracketed root finding, and
+Fourier-coefficient extraction for periodic signals.
 
 Conventions
 -----------
 - Elliptic integrals take the *parameter* m (not the modulus k), so the
   incomplete second kind is E(phi, m) = int_0^phi sqrt(1 - m sin^2(t)) dt.
-  Negative m is fully supported, and phi may exceed pi/2; the periodic
-  extension E(phi + pi, m) = E(phi, m) + 2 E(pi/2, m) holds (likewise for F).
-- `integrate` interprets its tolerance relative to the magnitude of the
-  integral, floored at 1, so the default 1e-12 behaves as a relative target
-  for O(1) integrals and an absolute one for tiny ones.
+  Any m <= 1 is supported (negative m too; the worldlines only reach
+  m < 1), and phi may exceed pi/2; the periodic extension
+  E(phi + pi, m) = E(phi, m) + 2 E(pi/2, m) holds (likewise for F).
 
 All functions are pure and safe to call concurrently. The only shared state
 is a small byte-bounded, lock-guarded cache of the read-only cos/sin
@@ -33,12 +31,10 @@ __all__ = [
     "AliasingWarning",
     "ConvergenceError",
     "FourierSeries",
-    "Quadrature",
     "ellip_e",
     "ellip_f",
     "find_root",
     "fourier_decompose",
-    "integrate",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -52,29 +48,12 @@ class AliasingWarning(UserWarning):
     """The highest extracted Fourier harmonic still carries significant power."""
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Adaptive-quadrature settings.
-
-    abs_tol is the tolerance on the integral estimate (scaled by the
-    integral's own magnitude, floored at 1); max_subdivisions bounds the
-    interval-halving depth.
-    """
-
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 48
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-
-
 def _is_scalar(phi, m) -> bool:
     return isinstance(phi, (int, float)) and isinstance(m, (int, float))
+
+
+def _parameter_error(m: float) -> ValueError:
+    return ValueError(f"elliptic parameter m = {m:.6g} lies outside the domain m <= 1")
 
 
 def _domain_error(worst: float) -> ValueError:
@@ -92,6 +71,8 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
         # exactly as the array path below.
         if not m > 0.0:
             return
+        if m > 1.0:
+            raise _parameter_error(m)
         sin_sq_peak = 1.0
         if not abs(phi) >= np.pi / 2.0:
             sin_phi = float(np.sin(phi))
@@ -103,6 +84,8 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
     m_arr = np.asarray(m, dtype=float)
     if not np.any(m_arr > 0.0):
         return
+    if np.any(m_arr > 1.0):
+        raise _parameter_error(float(np.nanmax(m_arr)))
     phi_arr = np.asarray(phi, dtype=float)
     sin_sq_peak = np.where(
         np.abs(phi_arr) >= np.pi / 2.0, 1.0, np.sin(phi_arr) ** 2
@@ -114,44 +97,19 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
         raise _domain_error(float(np.max(np.where(bad, peak, -np.inf))))
 
 
-def _elliptic_integrand_quad(phi: float, m: float, second_kind: bool) -> float:
-    q = Quadrature(abs_tol=1e-13, max_subdivisions=48)
-    if second_kind:
-        return integrate(
-            lambda th: np.sqrt(1.0 - m * np.sin(th) ** 2), 0.0, phi, q
-        )
-    return integrate(
-        lambda th: 1.0 / np.sqrt(1.0 - m * np.sin(th) ** 2), 0.0, phi, q
-    )
-
-
 def _eval_elliptic(phi, m, second_kind: bool):
     fn = special.ellipeinc if second_kind else special.ellipkinc
     out = fn(phi, m)
-    if _is_scalar(phi, m) and not m > 1.0:
-        return float(out)
-    scalar = np.isscalar(phi) and np.isscalar(m)
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr > 1.0):
-        # scipy yields nan for m > 1 even where the integrand stays real;
-        # integrate those entries directly.
-        phi_b, m_b = np.broadcast_arrays(np.asarray(phi, dtype=float), m_arr)
-        patched = np.array(np.broadcast_to(out, phi_b.shape), dtype=float)
-        for idx in np.argwhere(m_b > 1.0):
-            i = tuple(idx)
-            patched[i] = _elliptic_integrand_quad(
-                float(phi_b[i]), float(m_b[i]), second_kind
-            )
-        out = patched
-    return float(out) if scalar else out
+    return float(out) if np.isscalar(phi) and np.isscalar(m) else out
 
 
 def ellip_e(phi, m):
     """Incomplete elliptic integral of the second kind, parameter convention.
 
     E(phi, m) = int_0^phi sqrt(1 - m sin^2 theta) dtheta. The complete
-    integral is phi = pi/2. Accepts scalars or arrays (broadcast), any real
-    m with m sin^2(theta) <= 1 on the range (negative m always valid).
+    integral is phi = pi/2. Accepts scalars or arrays (broadcast) with
+    m <= 1 (negative m always valid); any m > 1 raises ValueError, for
+    scalar and array input alike.
     """
     _check_elliptic_domain(phi, m, strict=False)
     return _eval_elliptic(phi, m, second_kind=True)
@@ -162,81 +120,11 @@ def ellip_f(phi, m):
 
     F(phi, m) = int_0^phi dtheta / sqrt(1 - m sin^2 theta). Requires
     1 - m sin^2(theta) > 0 on the whole range (strict, the integrand is
-    singular at equality). Negative m always valid.
+    singular at equality) and m <= 1: any m > 1 raises ValueError, for
+    scalar and array input alike. Negative m always valid.
     """
     _check_elliptic_domain(phi, m, strict=True)
     return _eval_elliptic(phi, m, second_kind=False)
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    q: Quadrature | None = None,
-) -> float:
-    """Adaptive Simpson quadrature of f over [a, b].
-
-    The tolerance scales with the magnitude of the integral (estimated from
-    the first subdivision level, so cancellation in the total does not mask
-    large contributions); splits until the local Richardson error estimate
-    meets it, raising ConvergenceError if the halving depth exceeds
-    q.max_subdivisions anywhere.
-    """
-    if q is None:
-        q = Quadrature()
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-
-    def eval_at(x: float) -> float:
-        y = float(f(x))
-        if not np.isfinite(y):
-            raise ValueError(f"integrand is not finite at x={x!r}: {y!r}")
-        return y
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = eval_at(a), eval_at(mid), eval_at(b)
-    f_lq = eval_at(0.5 * (a + mid))
-    f_rq = eval_at(0.5 * (mid + b))
-    whole = simpson(a, b, fa, fm, fb)
-    s_left = simpson(a, mid, fa, f_lq, fm)
-    s_right = simpson(mid, b, fm, f_rq, fb)
-    scale = max(abs(whole), abs(s_left) + abs(s_right))
-    if scale == 0.0:
-        return 0.0
-    tol = q.abs_tol * scale
-
-    def recurse(x0, x2, f0, f1, f2, s, fl, fr, s_l, s_r, tol, depth):
-        s2 = s_l + s_r
-        err = s2 - s
-        if abs(err) <= 15.0 * tol:
-            return s2 + err / 15.0
-        if depth <= 0:
-            raise ConvergenceError(
-                f"quadrature did not converge on [{x0}, {x2}] "
-                f"after {q.max_subdivisions} subdivisions"
-            )
-        x1 = 0.5 * (x0 + x2)
-        half = 0.5 * tol
-        return expand(x0, x1, f0, fl, f1, s_l, half, depth - 1) + expand(
-            x1, x2, f1, fr, f2, s_r, half, depth - 1
-        )
-
-    def expand(x0, x2, f0, f1, f2, s, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        fl = eval_at(0.5 * (x0 + x1))
-        fr = eval_at(0.5 * (x1 + x2))
-        s_l = simpson(x0, x1, f0, fl, f1)
-        s_r = simpson(x1, x2, f1, fr, f2)
-        return recurse(x0, x2, f0, f1, f2, s, fl, fr, s_l, s_r, tol, depth)
-
-    return recurse(
-        a, b, fa, fm, fb, whole, f_lq, f_rq, s_left, s_right, tol, q.max_subdivisions
-    )
 
 
 def find_root(
@@ -312,22 +200,22 @@ class FourierSeries:
 
 
 def _sample_periodic(z, t: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(z(t), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != t.shape:
-        vals = np.array([float(z(ti)) for ti in t])
+    vals = np.asarray(z(t), dtype=float)
+    if vals.shape != t.shape:
+        raise ValueError(
+            f"periodic signal must map the time array of shape {t.shape} to "
+            f"an array of the same shape, got shape {vals.shape}"
+        )
     if not np.all(np.isfinite(vals)):
         raise ValueError("periodic signal returned non-finite samples")
     return vals
 
 
 # Byte budget of the Fourier-basis cache: two n_max = 3 bases at 4096
-# samples (224 KiB each), enough for the kinds of a grid-major sweep and a
-# second sweep thread to share theirs. A basis larger than the budget is
-# built and not kept. Each cached byte stays resident, so the budget is
-# kept small.
+# samples (224 KiB each), enough for the kinds of a grid-major sweep to
+# share the basis at one grid value and the next. A basis larger than the
+# budget is built and not kept. Each cached byte stays resident, so the
+# budget is kept small.
 BASIS_CACHE_BYTES = 512 * 1024
 
 
@@ -385,7 +273,9 @@ def fourier_decompose(
 ) -> FourierSeries:
     """Extract the trigonometric coefficients of a 2*pi/omega_d-periodic z(t).
 
-    Uses the composite trapezoid rule on a uniform grid over one period,
+    z is called once with the array of sample times and must return an
+    array of the same shape; a result of any other shape raises ValueError,
+    and so do non-finite samples. Uses the composite trapezoid rule on a uniform grid over one period,
     which is spectrally accurate for smooth periodic signals. Emits
     AliasingWarning when the top requested harmonic still carries more than
     1% of the total harmonic power.

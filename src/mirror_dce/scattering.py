@@ -114,19 +114,13 @@ def reflection(omega, L_eff0: float, v: float):
 
 
 def scatter_amplitudes(
-    omega: float,
-    d: DriveSpectrum,
-    c: CircuitParams,
-    *,
-    symmetrized_up: bool = False,
+    omega: float, d: DriveSpectrum, c: CircuitParams
 ) -> ScatterAmplitudes:
     """First-order output amplitudes at probe frequency omega.
 
-    Harmonics with zero coefficients are skipped. `symmetrized_up` switches
-    the sine-quadrature factor of the up-conversion line from P to P*
-    (matching the pattern of the other two lines); the default keeps the
-    literal asymmetric form. The choice never affects n_out, which drops the
-    up-conversion sideband.
+    Harmonics with zero coefficients are skipped. The up-conversion line
+    keeps the literal form with P in both quadratures; n_out drops that
+    sideband, so it never depends on it.
     """
     w = float(omega)
     if not w > 0.0:
@@ -160,8 +154,7 @@ def scatter_amplitudes(
             1j * (k_w - abs(w_conj) / v) * leff0
         )
         p_up = p_factor(w, w_up)
-        p_up_b = p_up.conjugate() if symmetrized_up else p_up
-        up = (an * p_up - 1j * bn * p_up_b) * np.exp(1j * (k_w + w_up / v) * leff0)
+        up = (an * p_up - 1j * bn * p_up) * np.exp(1j * (k_w + w_up / v) * leff0)
         conv.append(
             ConversionAmplitude(n=n, down=complex(down), conj=complex(conj), up=complex(up))
         )
@@ -215,8 +208,10 @@ def _n_out(w, T: float, leff0, v, prefactor, wd, c_sq) -> np.ndarray:
     arrays: numpy's vector transcendentals can differ in the last bit
     between 0-d and 1-d inputs, so a single shared path keeps a batched
     curve bitwise equal to the point-by-point API."""
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):  # NaN too
         raise ValueError("output_spectrum requires omega > 0")
+    if np.any(w == math.inf):
+        raise ValueError("output_spectrum requires a finite omega")
     # |R|^2 is identically 1; keep the factor explicit so the stimulated
     # term is implemented exactly as written.
     r_sq = np.abs(reflection(w, leff0, v)) ** 2

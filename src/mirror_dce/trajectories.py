@@ -31,7 +31,6 @@ __all__ = [
     "SUBLUMINAL_MARGIN",
     "TrajectoryKind",
     "TrajectoryParams",
-    "WorldlineSample",
     "average_acceleration",
     "coordinate_period",
     "directional_acceleration",
@@ -40,7 +39,6 @@ __all__ = [
     "proper_time",
     "relativity_estimator",
     "solve_acceleration_parameter",
-    "worldline_sample",
 ]
 
 # Reject SM wall speeds within this margin of v to stay clear of the
@@ -68,10 +66,10 @@ class TrajectoryParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TrajectoryKind(self.kind))
-        if not self.A > 0.0:
-            raise ValueError(f"A must be positive, got {self.A}")
-        if not self.omega_d > 0.0:
-            raise ValueError(f"omega_d must be positive, got {self.omega_d}")
+        if not 0.0 < self.A < math.inf:
+            raise ValueError(f"A must be positive and finite, got {self.A}")
+        if not 0.0 < self.omega_d < math.inf:
+            raise ValueError(f"omega_d must be positive and finite, got {self.omega_d}")
         if not 0.0 < self.v <= C_LIGHT:
             raise ValueError(f"v must lie in (0, c], got {self.v}")
         if self.kind is TrajectoryKind.SM:
@@ -88,17 +86,6 @@ class TrajectoryParams:
         if self.kind is not TrajectoryKind.SM:
             raise ValueError(f"R is only defined for SM, not {self.kind.value}")
         return self.A / self.omega_d**2
-
-
-@dataclass(frozen=True)
-class WorldlineSample:
-    """One point on a worldline: coordinate time, proper time, centered
-    position, and directional proper acceleration."""
-
-    t: float
-    tau: float
-    z: float
-    alpha_dir: float
 
 
 def coordinate_period(p: TrajectoryParams) -> float:
@@ -202,15 +189,6 @@ def proper_time(p: TrajectoryParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def worldline_sample(p: TrajectoryParams, t: float) -> WorldlineSample:
-    return WorldlineSample(
-        t=float(t),
-        tau=proper_time(p, float(t)),
-        z=position(p, float(t)),
-        alpha_dir=directional_acceleration(p, float(t)),
-    )
-
-
 def average_acceleration(p: TrajectoryParams) -> float:
     """Proper-time average of the proper acceleration over one period [m/s^2].
 
@@ -240,8 +218,8 @@ def solve_acceleration_parameter(
     (the average diverges as R*omega_d approaches v, so any positive target
     is reachable)."""
     kind = TrajectoryKind(kind)
-    if not abar_target > 0.0:
-        raise ValueError(f"abar_target must be positive, got {abar_target}")
+    if not 0.0 < abar_target < math.inf:
+        raise ValueError(f"abar_target must be positive and finite, got {abar_target}")
     if not omega_d > 0.0 or not 0.0 < v <= C_LIGHT:
         raise ValueError("omega_d must be positive and v in (0, c]")
 

@@ -4,17 +4,117 @@ Everything here deliberately avoids the closed forms under test: averages
 come from adaptive quadrature with finite-difference velocities, elliptic
 values from direct integration of the defining integrands, and the
 negative-parameter route from the imaginary-modulus transformation.
+
+`integrate` (adaptive Simpson) interprets its tolerance relative to the
+magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
+relative target for O(1) integrals and an absolute one for tiny ones.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
-from mirror_dce.numerics import Quadrature, ellip_e, ellip_f, integrate
+import numpy as np
+
+from mirror_dce.numerics import ConvergenceError, ellip_e, ellip_f
 from mirror_dce.trajectories import (
     TrajectoryParams,
     coordinate_period,
     directional_acceleration,
     position,
 )
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """Adaptive-quadrature settings.
+
+    abs_tol is the tolerance on the integral estimate (scaled by the
+    integral's own magnitude, floored at 1); max_subdivisions bounds the
+    interval-halving depth.
+    """
+
+    abs_tol: float = 1e-12
+    max_subdivisions: int = 48
+
+    def __post_init__(self):
+        if not self.abs_tol > 0.0:
+            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if self.max_subdivisions < 1:
+            raise ValueError(
+                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
+            )
+
+
+def integrate(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    q: Quadrature | None = None,
+) -> float:
+    """Adaptive Simpson quadrature of f over [a, b].
+
+    The tolerance scales with the magnitude of the integral (estimated from
+    the first subdivision level, so cancellation in the total does not mask
+    large contributions); splits until the local Richardson error estimate
+    meets it, raising ConvergenceError if the halving depth exceeds
+    q.max_subdivisions anywhere.
+    """
+    if q is None:
+        q = Quadrature()
+    a = float(a)
+    b = float(b)
+    if a == b:
+        return 0.0
+
+    def eval_at(x: float) -> float:
+        y = float(f(x))
+        if not np.isfinite(y):
+            raise ValueError(f"integrand is not finite at x={x!r}: {y!r}")
+        return y
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    mid = 0.5 * (a + b)
+    fa, fm, fb = eval_at(a), eval_at(mid), eval_at(b)
+    f_lq = eval_at(0.5 * (a + mid))
+    f_rq = eval_at(0.5 * (mid + b))
+    whole = simpson(a, b, fa, fm, fb)
+    s_left = simpson(a, mid, fa, f_lq, fm)
+    s_right = simpson(mid, b, fm, f_rq, fb)
+    scale = max(abs(whole), abs(s_left) + abs(s_right))
+    if scale == 0.0:
+        return 0.0
+    tol = q.abs_tol * scale
+
+    def recurse(x0, x2, f0, f1, f2, s, fl, fr, s_l, s_r, tol, depth):
+        s2 = s_l + s_r
+        err = s2 - s
+        if abs(err) <= 15.0 * tol:
+            return s2 + err / 15.0
+        if depth <= 0:
+            raise ConvergenceError(
+                f"quadrature did not converge on [{x0}, {x2}] "
+                f"after {q.max_subdivisions} subdivisions"
+            )
+        x1 = 0.5 * (x0 + x2)
+        half = 0.5 * tol
+        return expand(x0, x1, f0, fl, f1, s_l, half, depth - 1) + expand(
+            x1, x2, f1, fr, f2, s_r, half, depth - 1
+        )
+
+    def expand(x0, x2, f0, f1, f2, s, tol, depth):
+        x1 = 0.5 * (x0 + x2)
+        fl = eval_at(0.5 * (x0 + x1))
+        fr = eval_at(0.5 * (x1 + x2))
+        s_l = simpson(x0, x1, f0, fl, f1)
+        s_r = simpson(x1, x2, f1, fr, f2)
+        return recurse(x0, x2, f0, f1, f2, s, fl, fr, s_l, s_r, tol, depth)
+
+    return recurse(
+        a, b, fa, fm, fb, whole, f_lq, f_rq, s_left, s_right, tol, q.max_subdivisions
+    )
 
 
 def velocity_fd(p: TrajectoryParams, t: float, rel_step: float = 1e-7) -> float:

@@ -333,6 +333,43 @@ class TestCommands:
         assert "temperature must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["traj", "--kind", "aua", "--A", "inf", "--fd", "14.6e9"], "--A: must be finite"),
+            (["spectrum", "--kind", "sa", "--abar", "inf", "--fd", "14.6e9"],
+             "--abar: must be finite"),
+            (["params", "--kind", "sa", "--abar", "inf"], "--abar: must be finite"),
+            (["sweep", "--kind", "sa", "--axis", "abar", "--min", "1e18", "--max", "inf",
+              "--fd", "14.6e9", "--w", "7e9"], "--max: must be finite"),
+            (["sweep", "--kind", "sa", "--axis", "omega_d", "--min", "14e9", "--max", "20e9",
+              "--abar", "3e17", "--w", "inf"], "--w: must be finite"),
+            (["sweep", "--kind", "sa", "--axis", "omega_d", "--min", "14e9", "--max", "20e9",
+              "--abar", "3e17", "--w", "nan"], "--w: must be finite"),
+            (["sweep", "--kind", "sa", "--axis", "omega", "--min", "1e9", "--max", "inf",
+              "--fd", "14.6e9", "--abar", "3e17"], "--max: must be finite"),
+            (["drive", "--kind", "sa", "--abar", "9.054e17", "--fd", "18e9", "--nmax", "-1"],
+             "--nmax: must be >= 0"),
+            (["drive", "--kind", "sa", "--abar=-9e17", "--fd", "18e9"],
+             "--abar: must be positive"),
+            (["spectrum", "--kind", "sm", "--A", "abc", "--fd", "18e9"], "--A: not a number"),
+        ],
+    )
+    def test_bad_flag_values_exit_nonzero_and_write_nothing(
+        self, tmp_path, capsys, argv, message
+    ):
+        # Flags get the checks their config values get: no NaN/inf rows, no
+        # traceback, no silently truncated drive.
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text("[circuit]\nej0_ratio = 0.35\n")
+        out = tmp_path / "out.csv"
+        extra = [] if argv[0] == "params" else ["--out", str(out)]
+        rc = main(argv + ["--config", str(cfg), "--points", "8"] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mirror-dce: error: " + message)
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
     def test_negative_zero_temperature_writes_zero_curve_id(self, tmp_path):
         cfg = tmp_path / "bias.ini"
         cfg.write_text("[circuit]\nej0_ratio = 0.1002\n")

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -187,12 +188,27 @@ class TestRunSweep:
             assert da.metadata == db.metadata
 
     def test_thread_count_does_not_change_results(self, reference_circuit, monkeypatch):
-        spec = self.small_spec(SweepAxis.OMEGA_D)
+        # Sweeps run in the calling thread: the variable that once sized a
+        # thread pool is ignored, and no thread is started.
+        abar, _ = relativistic_point()
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA_D,
+            x=tuple(TWO_PI * np.linspace(12e9, 28e9, 5)),
+            trajectories=(TrajectoryKind.SA, TrajectoryKind.AUA),
+            temperatures=(0.0, 0.025), omega=TWO_PI * 7.3e9, abar=abar,
+        )
         serial = run_sweep(spec, reference_circuit)
+
+        def no_threads(self):
+            raise AssertionError("a sweep started a thread")
+
         monkeypatch.setenv("MIRROR_DCE_THREADS", "4")
-        threaded = run_sweep(spec, reference_circuit)
-        for da, db in zip(serial, threaded):
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        again = run_sweep(spec, reference_circuit)
+        assert len(again) == len(serial) == 4
+        for da, db in zip(serial, again):
             assert np.array_equal(da.n_out, db.n_out)
+            assert da.metadata == db.metadata
 
     def test_subsample_reproduces_through_direct_apis(self, reference_circuit):
         spec = self.small_spec(SweepAxis.ABAR)
@@ -314,6 +330,15 @@ class TestRunSweep:
         )
         assert "circuit.EJ0_ratio" in ds.metadata  # the mid point itself synthesized
 
+    def test_infinite_probe_becomes_listed_failure(self, reference_circuit):
+        spec = replace(self.small_spec(SweepAxis.OMEGA_D), omega=math.inf)
+        (ds,) = run_sweep(spec, reference_circuit)
+        assert np.all(np.isnan(ds.n_out))
+        assert ds.metadata["failures"] == "|".join(
+            f"{i}:ValueError: output_spectrum requires a finite omega"
+            for i in range(len(ds.x))
+        )
+
     def test_failed_mid_point_reported_as_validity_failure(self, reference_circuit):
         abar, wd = relativistic_point()
         spec = SweepSpec(
@@ -333,11 +358,6 @@ class TestRunSweep:
             assert entries[-1] == "validity:" + mid[2:]
             assert "circuit.EJ0_ratio" not in ds.metadata
             assert np.isnan(ds.n_out[2]) and np.isfinite(ds.n_out[-1])
-
-    def test_invalid_thread_count_names_the_variable(self, reference_circuit, monkeypatch):
-        monkeypatch.setenv("MIRROR_DCE_THREADS", "abc")
-        with pytest.raises(ValueError, match="MIRROR_DCE_THREADS"):
-            run_sweep(self.small_spec(SweepAxis.ABAR), reference_circuit)
 
     def test_negative_zero_temperature_normalized(self, reference_circuit):
         spec = replace(self.small_spec(), temperatures=(-0.0,))

@@ -112,20 +112,17 @@ class TestScatterAmplitudes:
         (entry,) = scatter_amplitudes(w, d, c).conv
         assert abs(entry.conj) == pytest.approx(expected, rel=1e-12)
 
-    def test_up_conversion_switch_does_not_touch_spectrum(self, reference_circuit):
+    def test_up_conversion_does_not_touch_spectrum(self, reference_circuit):
         c = reference_circuit
         a0 = 2.0 * c.E_J0
         d = DriveSpectrum(
             a0=a0, a=[0.1 * a0], b=[0.05 * a0], omega_d=TWO_PI * 18e9
         )
         w = 0.6 * d.omega_d
-        lit = scatter_amplitudes(w, d, c, symmetrized_up=False).conv[0]
-        sym = scatter_amplitudes(w, d, c, symmetrized_up=True).conv[0]
-        assert lit.up != sym.up
-        assert lit.conj == sym.conj and lit.down == sym.down
+        entry = scatter_amplitudes(w, d, c).conv[0]
         # n_out never references the up-conversion sideband
         assert output_spectrum(w, d, c) == pytest.approx(
-            abs(lit.conj) ** 2, rel=1e-12
+            abs(entry.conj) ** 2, rel=1e-12
         )
 
 

@@ -16,7 +16,6 @@ from mirror_dce.trajectories import (
     proper_time,
     relativity_estimator,
     solve_acceleration_parameter,
-    worldline_sample,
 )
 from mirror_dce.trajectories import _period_mean, _raw_position
 from oracles import abar_quadrature, period_mean_quadrature, velocity_fd
@@ -37,6 +36,10 @@ class TestParamsValidation:
             TrajectoryParams(TrajectoryKind.SA, 1e18, -1.0, V)
         with pytest.raises(ValueError):
             TrajectoryParams(TrajectoryKind.SA, 1e18, 1e10, 2.0 * 2.99792458e8)
+        with pytest.raises(ValueError, match="A must be positive and finite"):
+            params("aua", math.inf, 10e9)
+        with pytest.raises(ValueError, match="omega_d must be positive and finite"):
+            TrajectoryParams(TrajectoryKind.AUA, 1e18, math.inf, V)
 
     def test_sm_superluminal_rejected(self):
         wd = TWO_PI * 18e9
@@ -260,6 +263,11 @@ class TestSolveAccelerationParameter:
         p = TrajectoryParams(TrajectoryKind(kind), A, wd, V)
         assert average_acceleration(p) == pytest.approx(target, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["sm", "sa", "aua"])
+    def test_infinite_target_rejected(self, kind):
+        with pytest.raises(ValueError, match="abar_target must be positive and finite"):
+            solve_acceleration_parameter(TrajectoryKind(kind), math.inf, TWO_PI * 14.6e9, V)
+
     def test_sm_unreachable_target_raises(self):
         # the subluminal margin caps atanh(x); far beyond it must fail loudly
         with pytest.raises(ValueError, match="ceiling"):
@@ -301,13 +309,3 @@ class TestLimitsAndEstimators:
         expected = 20e18 * (1.0 / 14.6e9) / V
         assert relativity_estimator(aua_comparison) == pytest.approx(expected, rel=1e-12)
         assert relativity_estimator(aua_comparison) == pytest.approx(11.42, rel=1e-3)
-
-
-class TestWorldlineSample:
-    def test_fields_are_consistent(self, sa_comparison):
-        t = 0.23 * coordinate_period(sa_comparison)
-        s = worldline_sample(sa_comparison, t)
-        assert s.t == t
-        assert s.tau == proper_time(sa_comparison, t)
-        assert s.z == position(sa_comparison, t)
-        assert s.alpha_dir == directional_acceleration(sa_comparison, t)
