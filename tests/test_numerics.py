@@ -101,11 +101,20 @@ class TestEllipticIntegrals:
             ellip_f(1.0, 2.0)
 
     @pytest.mark.parametrize(
-        "phi, m", [(math.pi / 2, 0.64), (2.0 * math.pi, -3.0), (-0.4, 0.3)]
+        "phi, m", [(math.pi / 2, 0.64), (2.0 * math.pi, -3.0), (0.7, 1.5), (-0.4, 0.3)]
     )
     def test_scalar_and_array_paths_agree(self, phi, m):
+        # (0.7, 1.5) keeps m sin^2(phi) < 1, but m > 1 lies outside the
+        # supported domain: there the two paths must raise the same error.
         for fn in (ellip_e, ellip_f):
-            assert fn(phi, m) == fn(np.array(phi), np.array(m))[()]
+            if m > 1.0:
+                with pytest.raises(ValueError) as scalar:
+                    fn(phi, m)
+                with pytest.raises(ValueError) as array:
+                    fn(np.array(phi), np.array(m))
+                assert str(scalar.value) == str(array.value)
+            else:
+                assert fn(phi, m) == fn(np.array(phi), np.array(m))[()]
 
     def test_scalar_and_array_domain_errors_agree(self):
         # The last two cases keep m sin^2(theta) < 1, but any m > 1 is
