@@ -99,6 +99,10 @@ class TestEllipticIntegrals:
             ellip_f(math.pi / 2, 1.0)  # singular endpoint
         with pytest.raises(ValueError, match="domain"):
             ellip_f(1.0, 2.0)
+        with pytest.raises(ValueError, match="domain"):
+            ellip_f(math.pi / 2 - 1e-9, 1.0)  # sin^2 rounds to 1
+        assert math.isfinite(ellip_f(1.2, 1.0))
+        assert ellip_e(math.pi / 2, 1.0) == 1.0
 
     @pytest.mark.parametrize(
         "phi, m", [(math.pi / 2, 0.64), (2.0 * math.pi, -3.0), (0.7, 1.5), (-0.4, 0.3)]
@@ -122,6 +126,7 @@ class TestEllipticIntegrals:
         for fn, phi, m in (
             (ellip_e, math.pi / 2, 1.5), (ellip_f, 1.2, 1.25),
             (ellip_e, 0.7, 1.5), (ellip_f, 0.3, 2.0),
+            (ellip_f, math.pi / 2 - 1e-9, 1.0),
         ):
             with pytest.raises(ValueError) as scalar:
                 fn(phi, m)
@@ -130,6 +135,8 @@ class TestEllipticIntegrals:
             assert str(scalar.value) == str(array.value)
         with pytest.raises(ValueError, match=r"^elliptic parameter m = 2 lies outside"):
             ellip_f(np.array([0.3, 0.3]), np.array([0.5, 2.0]))
+        assert np.all(np.isfinite(ellip_f(np.array([1.2, 0.3]), np.array([1.0, 1.0]))))
+        assert ellip_e(np.array([math.pi / 2]), np.array([1.0]))[0] == 1.0
 
 
 class TestIntegrate:
