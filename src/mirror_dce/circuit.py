@@ -57,6 +57,9 @@ EJ0_RATIO_FLOOR = 0.1
 # the round-off of the sampled series, so the decision never differs.
 POSITIVITY_BOUND_MARGIN = 1e-9
 
+# Samples of z(t) per period on the grid of `_synthesis_grid`.
+SYNTHESIS_SAMPLES = 4096
+
 
 class RealizabilityError(ValueError):
     """The requested drive cannot be produced by the flux-tuned SQUID."""
@@ -189,17 +192,16 @@ class DriveSpectrum:
         return ej - 0.5 * self.a0
 
 
-def _synthesis_grid(p: TrajectoryParams, samples: int = 4096) -> np.ndarray:
+def _synthesis_grid(p: TrajectoryParams) -> np.ndarray:
     """Uniform times over one coordinate period: the grid on which drive
     synthesis, its depth check and bias normalization sample z(t)."""
-    return np.arange(samples) * (coordinate_period(p) / samples)
+    return np.arange(SYNTHESIS_SAMPLES) * (coordinate_period(p) / SYNTHESIS_SAMPLES)
 
 
 def trajectory_to_drive(
     p: TrajectoryParams,
     c: CircuitParams,
     n_max: int = 3,
-    samples: int = 4096,
     *,
     _z: np.ndarray | None = None,
 ) -> DriveSpectrum:
@@ -210,16 +212,16 @@ def trajectory_to_drive(
     no DC term is generated). Raises RealizabilityError when the modulation
     depth exceeds the hard margin or E_J(t) would leave (0, 2 E_J].
 
-    `_z` is internal: position(p, _synthesis_grid(p, samples)) when the
-    caller has sampled it already, so a sweep point samples z(t) once."""
+    `_z` is internal: position(p, _synthesis_grid(p)) when the caller has
+    sampled it already, so a sweep point samples z(t) once."""
     if p.omega_d <= 0.0:
         raise ValueError("trajectory must have a positive drive frequency")
     leff0 = effective_length(c)
     scale = c.E_J0 / leff0
 
-    z = position(p, _synthesis_grid(p, samples)) if _z is None else _z
+    z = position(p, _synthesis_grid(p)) if _z is None else _z
     # fourier_decompose samples the same grid, so it can take z as is.
-    series = fourier_decompose(lambda t: z, p.omega_d, n_max=n_max, samples=samples)
+    series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
 
     # Depth check against the full (untruncated) waveform, not the series.
     z_peak = float(np.max(np.abs(z)))

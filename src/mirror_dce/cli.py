@@ -33,19 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (
-    CircuitParams,
-    _atomic_write,
-    export_flux_waveform,
-    trajectory_to_drive,
-)
+from .circuit import CircuitParams, export_flux_waveform, trajectory_to_drive
 from .experiments import (
     FIGURE_ALIASES,
     SelectionCriteria,
     SweepAxis,
     SweepSpec,
     _fmt,
-    _meta_block,
+    _write_table,
     drive_coefficient_dataset,
     reproduce,
     run_sweep,
@@ -261,17 +256,8 @@ def _cmd_traj(cfg: RunConfig, written: list[Path]) -> int:
         "abar": _fmt(average_acceleration(p)),
         "points": _fmt(cfg.points),
     }
-    lines = _meta_block(meta)
-    lines.append("t,tau,z,alpha_dir")
-    tau = proper_time(p, t)
-    z = position(p, t)
-    alpha = directional_acceleration(p, t)
-    lines.extend(
-        f"{a:.17g},{b:.17g},{c_:.17g},{d:.17g}"
-        for a, b, c_, d in zip(t, tau, z, alpha)
-    )
-    _atomic_write(out, "\n".join(lines) + "\n")
-    written.append(out)
+    columns = (t, proper_time(p, t), position(p, t), directional_acceleration(p, t))
+    written.append(_write_table(out, meta, ("t", "tau", "z", "alpha_dir"), columns))
     print(out)
     return 0
 
@@ -421,7 +407,7 @@ _PARAM_ROWS = (
 def _cmd_params(cfg: RunConfig, written: list[Path]) -> int:
     kind = _require(cfg.kind, "trajectory kind (--kind)")
     abar = _require(cfg.abar_target, "target acceleration (--abar)")
-    crit = SelectionCriteria(abar_target=abar, n_max=cfg.n_max)
+    crit = SelectionCriteria(abar_target=abar)
     sel = select_parameters(kind, crit, cfg.circuit)
     width = max(len(r[0]) for r in _PARAM_ROWS)
     print(f"{'quantity':<{width}}  {kind.value}")

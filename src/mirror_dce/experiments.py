@@ -126,7 +126,7 @@ def relativistic_point() -> tuple[float, float]:
 
 def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
     """(|z_1|, max|z|) [m] of the centered trajectory from its samples
-    z = position(p, _synthesis_grid(p, z.size)) over one period."""
+    z = position(p, _synthesis_grid(p)) over one period."""
     # Row 0 of the n_max = 1 basis is cos/sin(omega_d t) on that grid.
     basis = _fourier_basis(p.omega_d, 1, z.size)
     z1 = float(
@@ -135,34 +135,28 @@ def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
     return z1, float(np.max(np.abs(z)))
 
 
-def first_harmonic_amplitude(p: TrajectoryParams, samples: int = 4096) -> float:
+def first_harmonic_amplitude(p: TrajectoryParams) -> float:
     """|z_1|: magnitude of the fundamental Fourier component of z(t) [m]."""
-    return _waveform_stats(p, position(p, _synthesis_grid(p, samples)))[0]
+    return _waveform_stats(p, position(p, _synthesis_grid(p)))[0]
 
 
 def drive_normalized_bias(
-    p: TrajectoryParams,
-    c: CircuitParams,
-    tone_ratio: float = NORMALIZED_TONE_RATIO,
-    *,
-    _z: np.ndarray | None = None,
+    p: TrajectoryParams, c: CircuitParams, *, _z: np.ndarray | None = None
 ) -> CircuitParams:
     """Circuit with E_J^0 set so the synthesized first harmonic has
-    |a_1 + i b_1| = tone_ratio * a0 (default 1/8).
+    |a_1 + i b_1| = NORMALIZED_TONE_RATIO * a0 = a0/8.
 
-    Since a_1/a0 = z_1 / (2 L_eff^0), this fixes L_eff^0 = z_1 / (2 * ratio)
-    and thereby the bias ratio. Small-amplitude trajectories would push the
+    Since a_1/a0 = z_1 / (2 L_eff^0), this fixes L_eff^0 = 4 z_1 and
+    thereby the bias ratio. Small-amplitude trajectories would push the
     bias past the flux-tuning ceiling E_J(t) <= 2 E_J; the bias then
     saturates just below the ceiling (the realized tone ratio drops, which
     leaves the output spectrum unchanged).
 
     `_z` is internal: position(p, _synthesis_grid(p)) when the caller has
     sampled it already (a sweep point shares it with drive synthesis)."""
-    if not 0.0 < tone_ratio < 0.5:
-        raise ValueError(f"tone_ratio must lie in (0, 0.5), got {tone_ratio}")
     z = position(p, _synthesis_grid(p)) if _z is None else _z
     z1, z_peak = _waveform_stats(p, z)
-    leff0 = z1 / (2.0 * tone_ratio)
+    leff0 = z1 / (2.0 * NORMALIZED_TONE_RATIO)
     leff_unit = (c.phi0 / (2.0 * math.pi)) ** 2 / (c.L0 * c.E_J)  # L_eff at E_J^0 = E_J
     ratio = leff_unit / leff0
     # ceiling: E_J^0 * (1 + z_peak / L_eff^0) <= 2 E_J, i.e.
@@ -195,7 +189,6 @@ class SelectionCriteria:
         TrajectoryKind.SA,
         TrajectoryKind.AUA,
     )
-    n_max: int = 3
 
     def __post_init__(self):
         if not self.abar_target > 0.0:
@@ -240,9 +233,7 @@ def _feasible(
         p_cap = TrajectoryParams(TrajectoryKind.SM, cap * omega_d**2, omega_d, c.v)
         if average_acceleration(p_cap) < crit.abar_target:
             return False
-        A = solve_acceleration_parameter(kind, crit.abar_target, omega_d, c.v)
-    else:
-        A = solve_acceleration_parameter(kind, crit.abar_target, omega_d, c.v)
+    A = solve_acceleration_parameter(kind, crit.abar_target, omega_d, c.v)
     p = TrajectoryParams(kind, A, omega_d, c.v)
     biased = drive_normalized_bias(p, c)
     return biased.EJ0_ratio >= crit.ejo_ratio_min
@@ -386,10 +377,6 @@ class SpectrumDataset:
         finite = self.n_out[np.isfinite(self.n_out)]
         if finite.size and float(np.min(finite)) < 0.0:
             raise ValueError("n_out must be nonnegative")
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.x.tolist(), self.n_out.tolist()))
 
     @property
     def trajectory(self) -> TrajectoryKind:
@@ -634,11 +621,6 @@ def worldline_dataset(
     abar: float,
     omega_d: float,
     v: float,
-    kinds: Sequence[TrajectoryKind] = (
-        TrajectoryKind.SM,
-        TrajectoryKind.SA,
-        TrajectoryKind.AUA,
-    ),
     points: int = 1024,
 ) -> WorldlineDataset:
     """One coordinate period of z(t) and alpha(t) at matched abar, omega_d."""
@@ -652,8 +634,7 @@ def worldline_dataset(
         "v": _fmt(v),
         "points": _fmt(points),
     }
-    for kind in kinds:
-        kind = TrajectoryKind(kind)
+    for kind in TrajectoryKind:
         A = solve_acceleration_parameter(kind, abar, omega_d, v)
         p = TrajectoryParams(kind, A, omega_d, v)
         z[kind] = position(p, t)
@@ -697,11 +678,30 @@ def drive_coefficient_dataset(
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def _meta_block(meta: Mapping[str, str]) -> list[str]:
-    lines = [FORMAT_HEADER]
-    for key, value in meta.items():
-        lines.append(f"# {key}={value}")
-    return lines
+# printf format of one cell by numpy dtype kind; anything else is text.
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _write_table(
+    path, meta: Mapping[str, str], names: Sequence[str], columns: Sequence[np.ndarray]
+) -> Path:
+    """Write one `# mirror-dce v1` table: the header, one `# key=value` line
+    per metadata entry, the column names, then one row per index of the
+    equal-length columns. Floats carry 17 significant digits, so reading
+    the file back reproduces them exactly."""
+    path = Path(path)
+    row = ",".join(_CELL_FORMATS.get(col.dtype.kind, "%s") for col in columns)
+    lines = [FORMAT_HEADER, *(f"# {key}={value}" for key, value in meta.items())]
+    lines.append(",".join(names))
+    lines.extend(row % cells for cells in zip(*columns))
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return path
+
+
+def _text_column(values: Sequence[str], counts) -> np.ndarray:
+    """values[i] repeated counts[i] times, as references to the str objects
+    rather than fixed-width numpy strings."""
+    return np.repeat(np.array(values, dtype=object), counts)
 
 
 def _curve_id(ds: SpectrumDataset) -> str:
@@ -730,13 +730,7 @@ def write_spectrum_datasets(
         for ds in datasets:
             suffix = f"_{ds.metadata['trajectory']}_T{ds.metadata['temperature']}"
             target = path.with_name(path.stem + suffix + path.suffix)
-            lines = _meta_block(ds.metadata)
-            lines.append("x,n_out")
-            lines.extend(
-                f"{xi:.17g},{ni:.17g}" for xi, ni in zip(ds.x, ds.n_out)
-            )
-            _atomic_write(target, "\n".join(lines) + "\n")
-            paths.append(target)
+            paths.append(_write_table(target, ds.metadata, ("x", "n_out"), (ds.x, ds.n_out)))
         return paths
 
     shared: dict[str, str] = {}
@@ -744,22 +738,19 @@ def write_spectrum_datasets(
         values = {ds.metadata.get(key) for ds in datasets}
         if len(values) == 1 and None not in values:
             shared[key] = datasets[0].metadata[key]
-    lines = _meta_block(shared)
+    meta = dict(shared)
     for ds in datasets:
-        prefix = _curve_id(ds)
         for key, value in ds.metadata.items():
-            if shared.get(key) == value:
-                continue
-            lines.append(f"# {prefix}:{key}={value}")
-    lines.append("x,n_out,trajectory,temperature")
-    for ds in datasets:
-        traj = ds.metadata["trajectory"]
-        temp = ds.metadata["temperature"]
-        lines.extend(
-            f"{xi:.17g},{ni:.17g},{traj},{temp}" for xi, ni in zip(ds.x, ds.n_out)
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return [path]
+            if shared.get(key) != value:
+                meta[f"{_curve_id(ds)}:{key}"] = value
+    sizes = [ds.x.size for ds in datasets]
+    columns = (
+        np.concatenate([ds.x for ds in datasets]),
+        np.concatenate([ds.n_out for ds in datasets]),
+        _text_column([ds.metadata["trajectory"] for ds in datasets], sizes),
+        _text_column([ds.metadata["temperature"] for ds in datasets], sizes),
+    )
+    return [_write_table(path, meta, ("x", "n_out", "trajectory", "temperature"), columns)]
 
 
 def _read_table(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -852,30 +843,24 @@ def read_spectrum_datasets(path) -> list[SpectrumDataset]:
 
 
 def write_worldlines(ds: WorldlineDataset, path) -> Path:
-    path = Path(path)
-    lines = _meta_block(ds.metadata)
-    lines.append("t,z,alpha_dir,trajectory")
-    for kind in ds.z:
-        lines.extend(
-            f"{ti:.17g},{zi:.17g},{ai:.17g},{kind.value}"
-            for ti, zi, ai in zip(ds.t, ds.z[kind], ds.alpha[kind])
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    kinds = list(ds.z)
+    columns = (
+        np.tile(ds.t, len(kinds)),
+        np.ravel([ds.z[kind] for kind in kinds]),
+        np.ravel([ds.alpha[kind] for kind in kinds]),
+        _text_column([kind.value for kind in kinds], ds.t.size),
+    )
+    return _write_table(path, ds.metadata, ("t", "z", "alpha_dir", "trajectory"), columns)
 
 
 def write_drive_coefficients(ds: DriveCoefficientDataset, path) -> Path:
-    path = Path(path)
-    lines = _meta_block(ds.metadata)
-    lines.append("n,a_n,b_n,magnitude,trajectory")
-    for kind in ds.a:
-        mags = np.hypot(ds.a[kind], ds.b[kind])
-        lines.extend(
-            f"{int(n)},{an:.17g},{bn:.17g},{mn:.17g},{kind.value}"
-            for n, an, bn, mn in zip(ds.n, ds.a[kind], ds.b[kind], mags)
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    kinds = list(ds.a)
+    n = np.tile(ds.n, len(kinds))
+    a = np.ravel([ds.a[kind] for kind in kinds])
+    b = np.ravel([ds.b[kind] for kind in kinds])
+    trajectory = _text_column([kind.value for kind in kinds], ds.n.size)
+    names = ("n", "a_n", "b_n", "magnitude", "trajectory")
+    return _write_table(path, ds.metadata, names, (n, a, b, np.hypot(a, b), trajectory))
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TestSelectParameters:
 
         c = dataclasses.replace(reference_circuit, EJ0_ratio=sel.ejo_ratio)
         p = TrajectoryParams(TrajectoryKind.SA, sel.A, sel.omega_d, c.v)
-        d = trajectory_to_drive(p, c, n_max=crit.n_max)
+        d = trajectory_to_drive(p, c, n_max=3)
         report = validate(d, p, c, omega_probe=np.array([0.5 * sel.omega_d]))
         assert report.ok, str(report)
 
