@@ -265,7 +265,7 @@ def _cmd_traj(cfg: RunConfig, written: list[Path]) -> int:
 def _cmd_drive(cfg: RunConfig, written: list[Path]) -> int:
     p = _resolve_trajectory(cfg)
     out = Path(_require(cfg.out_path, "output path (--out)"))
-    ds = drive_coefficient_dataset({p.kind: (p, cfg.circuit)}, n_max=max(cfg.n_max, 1))
+    ds = drive_coefficient_dataset({p.kind: (p, cfg.circuit)}, n_max=cfg.n_max)
     written.append(write_drive_coefficients(ds, out))
     print(out)
     return 0

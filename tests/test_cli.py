@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mirror_dce.cli import (
     parse_config,
 )
 from mirror_dce.constants import C_LIGHT
-from mirror_dce.experiments import SpectrumDataset, read_spectrum_datasets
+from mirror_dce.experiments import SpectrumDataset, read_spectrum_datasets, read_table
 from mirror_dce.trajectories import TrajectoryKind
 
 TWO_PI = 2.0 * math.pi
@@ -146,6 +147,21 @@ class TestCommands:
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert rows[0] == "n,a_n,b_n,magnitude,trajectory"
         assert len(rows) == 4
+
+    def test_drive_with_no_harmonics_writes_an_empty_table(self, tmp_path):
+        out = tmp_path / "drive0.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                [
+                    "drive", "--kind", "sa", "--abar", "9.054e17", "--fd", "18e9",
+                    "--nmax", "0", "--out", str(out),
+                ]
+            )
+        assert rc == 0
+        meta, columns = read_table(out)
+        assert meta["n_max"] == "0"
+        assert columns == {"n": [], "a_n": [], "b_n": [], "magnitude": [], "trajectory": []}
 
     def test_flux_two_column_waveform(self, tmp_path):
         out = tmp_path / "flux.csv"
