@@ -56,45 +56,35 @@ def _parameter_error(m: float) -> ValueError:
     return ValueError(f"elliptic parameter m = {m:.6g} lies outside the domain m <= 1")
 
 
-def _domain_error(worst: float) -> ValueError:
+def _domain_error() -> ValueError:
     return ValueError(
         "elliptic integrand leaves the real domain: "
-        f"m*sin^2(theta) reaches {worst:.6g} on the integration range"
+        "m*sin^2(theta) reaches 1 on the integration range"
     )
 
 
 def _check_elliptic_domain(phi, m, strict: bool) -> None:
-    # The integrands contain sqrt(1 - m sin^2 theta); for m > 0 the argument
-    # can cross zero once |sin theta| reaches 1/sqrt(m).
+    # The integrands contain sqrt(1 - m sin^2 theta). With m <= 1 the float
+    # product reaches 1 only where m and |sin theta| are exactly 1; F's
+    # integrand is singular there, E's is 0.
     if _is_scalar(phi, m):
         # Plain floats for the scalar calls of the A inversion; decides
         # exactly as the array path below.
-        if not m > 0.0:
-            return
         if m > 1.0:
             raise _parameter_error(m)
-        sin_sq_peak = 1.0
-        if not abs(phi) >= np.pi / 2.0:
-            sin_phi = float(np.sin(phi))
-            sin_sq_peak = sin_phi * sin_phi
-        peak = m * sin_sq_peak
-        if (peak >= 1.0) if strict else (peak > 1.0):
-            raise _domain_error(peak)
+        if strict and m == 1.0 and (
+            abs(phi) >= np.pi / 2.0 or abs(float(np.sin(phi))) == 1.0
+        ):
+            raise _domain_error()
         return
     m_arr = np.asarray(m, dtype=float)
-    if not np.any(m_arr > 0.0):
-        return
     if np.any(m_arr > 1.0):
         raise _parameter_error(float(np.nanmax(m_arr)))
-    phi_arr = np.asarray(phi, dtype=float)
-    sin_sq_peak = np.where(
-        np.abs(phi_arr) >= np.pi / 2.0, 1.0, np.sin(phi_arr) ** 2
-    )
-    peak = m_arr * sin_sq_peak
-    bad = (peak >= 1.0) if strict else (peak > 1.0)
-    bad &= m_arr > 0.0
-    if np.any(bad):
-        raise _domain_error(float(np.max(np.where(bad, peak, -np.inf))))
+    if strict and np.any(m_arr == 1.0):
+        phi_arr = np.asarray(phi, dtype=float)
+        peak = (np.abs(phi_arr) >= np.pi / 2.0) | (np.abs(np.sin(phi_arr)) == 1.0)
+        if np.any(peak & (m_arr == 1.0)):
+            raise _domain_error()
 
 
 def _eval_elliptic(phi, m, second_kind: bool):
