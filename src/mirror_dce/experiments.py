@@ -718,12 +718,16 @@ def write_spectrum_datasets(
     """Serialize sweep curves to CSV.
 
     long_format=True writes one file with columns x,n_out,trajectory,
-    temperature (per-curve metadata gets a `<trajectory>@<T>.` prefix);
+    temperature (per-curve metadata gets a `<trajectory>@<T>:` prefix);
     otherwise one file per (trajectory, temperature) combination with plain
     x,n_out columns. Floats carry 17 significant digits, so parsing the file
-    back reproduces the dataset exactly."""
+    back reproduces the dataset exactly. Curves that share a
+    (trajectory, temperature) pair would merge on reading and are rejected."""
     if not datasets:
         raise ValueError("no datasets to write")
+    ids = [_curve_id(ds) for ds in datasets]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"curves must differ in trajectory@temperature, got {ids}")
     path = Path(path)
     if not long_format:
         paths = []
@@ -739,10 +743,10 @@ def write_spectrum_datasets(
         if len(values) == 1 and None not in values:
             shared[key] = datasets[0].metadata[key]
     meta = dict(shared)
-    for ds in datasets:
+    for cid, ds in zip(ids, datasets):
         for key, value in ds.metadata.items():
             if shared.get(key) != value:
-                meta[f"{_curve_id(ds)}:{key}"] = value
+                meta[f"{cid}:{key}"] = value
     sizes = [ds.x.size for ds in datasets]
     columns = (
         np.concatenate([ds.x for ds in datasets]),

@@ -193,3 +193,13 @@ def test_traj_command_table(tmp_path, monkeypatch):
 def test_no_datasets_rejected(tmp_path, long_format):
     with pytest.raises(ValueError, match="no datasets"):
         write_spectrum_datasets([], tmp_path / "none.csv", long_format=long_format)
+
+
+@pytest.mark.parametrize("long_format", [True, False])
+def test_curves_sharing_an_id_rejected(tmp_path, long_format):
+    # One file (or one split file name) could not tell the two curves apart.
+    sa, aua = _curves()
+    aua.metadata.update(trajectory="sa", temperature="0")
+    with pytest.raises(ValueError, match="sa@0"):
+        write_spectrum_datasets([sa, aua], tmp_path / "dup.csv", long_format=long_format)
+    assert list(tmp_path.iterdir()) == []
