@@ -699,8 +699,8 @@ def _write_table(
 
 
 def _text_column(values: Sequence[str], counts) -> np.ndarray:
-    """values[i] repeated counts[i] times, as references to the str objects
-    rather than fixed-width numpy strings."""
+    """values[i] repeated counts[i] times. Object dtype holds one reference
+    per row where fixed-width numpy strings would copy every cell."""
     return np.repeat(np.array(values, dtype=object), counts)
 
 
