@@ -82,8 +82,8 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
         raise _parameter_error(float(np.nanmax(m_arr)))
     if strict and np.any(m_arr == 1.0):
         phi_arr = np.asarray(phi, dtype=float)
-        peak = (np.abs(phi_arr) >= np.pi / 2.0) | (np.abs(np.sin(phi_arr)) == 1.0)
-        if np.any(peak & (m_arr == 1.0)):
+        sin_sq_one = (np.abs(phi_arr) >= np.pi / 2.0) | (np.abs(np.sin(phi_arr)) == 1.0)
+        if np.any(sin_sq_one & (m_arr == 1.0)):
             raise _domain_error()
 
 
