@@ -166,9 +166,10 @@ class DriveSpectrum:
         self.a.setflags(write=False)
         self.b.setflags(write=False)
 
-    def _probe_times(self, samples: int = 4096) -> np.ndarray:
+    def _probe_times(self) -> np.ndarray:
+        """The synthesis grid's times, where an inconclusive bound probes E_J."""
         period = 2.0 * math.pi / self.omega_d
-        return np.arange(samples) * (period / samples)
+        return np.arange(SYNTHESIS_SAMPLES) * (period / SYNTHESIS_SAMPLES)
 
     @property
     def n_max(self) -> int:
@@ -186,11 +187,6 @@ class DriveSpectrum:
         """Reconstruct E_J(t) [J] at scalar or array t."""
         return self.series().evaluate(t)
 
-    def delta_e_j(self, t):
-        """Oscillating part E_J(t) - a0/2 [J]."""
-        ej = self.e_j(t)
-        return ej - 0.5 * self.a0
-
 
 def _synthesis_grid(p: TrajectoryParams) -> np.ndarray:
     """Uniform times over one coordinate period: the grid on which drive
@@ -199,27 +195,20 @@ def _synthesis_grid(p: TrajectoryParams) -> np.ndarray:
 
 
 def trajectory_to_drive(
-    p: TrajectoryParams,
-    c: CircuitParams,
-    n_max: int = 3,
-    *,
-    _z: np.ndarray | None = None,
+    p: TrajectoryParams, c: CircuitParams, n_max: int = 3
 ) -> DriveSpectrum:
     """Synthesize the Josephson drive realizing the centered trajectory z(t).
 
     The mapping is linear: a_n, b_n are (E_J^0 / L_eff^0) times the Fourier
     coefficients of z(t), and a0 = 2 E_J^0 (the trajectory is centered, so
     no DC term is generated). Raises RealizabilityError when the modulation
-    depth exceeds the hard margin or E_J(t) would leave (0, 2 E_J].
-
-    `_z` is internal: position(p, _synthesis_grid(p)) when the caller has
-    sampled it already, so a sweep point samples z(t) once."""
+    depth exceeds the hard margin or E_J(t) would leave (0, 2 E_J]."""
     if p.omega_d <= 0.0:
         raise ValueError("trajectory must have a positive drive frequency")
     leff0 = effective_length(c)
     scale = c.E_J0 / leff0
 
-    z = position(p, _synthesis_grid(p)) if _z is None else _z
+    z = position(p, _synthesis_grid(p))
     # fourier_decompose samples the same grid, so it can take z as is.
     series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
 

@@ -16,7 +16,7 @@ Config files use INI syntax with sections [run], [trajectory], [circuit],
 (Hz) and converted to angular internally. Unknown sections or keys are
 rejected. Command-line flags override config values and get the same checks
 (a number must be finite, --nmax must be >= 0); a bad value exits 1 before
-anything is written. Sweeps run serially in the calling thread. A `sweep`
+anything is written, a flag the command does not read exits 2. A `sweep`
 whose points all fail exits 1 and writes nothing; when only some fail, their
 count goes to stderr and the exit status is 0.
 """
@@ -116,6 +116,15 @@ def _parse_positive(where: str, raw: str) -> float:
     return value
 
 
+def _parse_angular(where: str, raw: str) -> float:
+    """A positive linear frequency [Hz] as angular [rad/s]."""
+    return 2.0 * math.pi * _parse_positive(where, raw)
+
+
+def _parse_probe(where: str, raw: str) -> float:
+    return 2.0 * math.pi * _parse_float(where, raw)
+
+
 def _parse_n_max(where: str, raw: str) -> int:
     try:
         value = int(raw)
@@ -177,7 +186,7 @@ def parse_config(text: str) -> RunConfig:
                 "[trajectory] abar_target", sec["abar_target"]
             )
         if "fd" in sec:
-            cfg.omega_d = 2.0 * math.pi * _parse_positive("[trajectory] fd", sec["fd"])
+            cfg.omega_d = _parse_angular("[trajectory] fd", sec["fd"])
 
     if parser.has_section("circuit"):
         sec = parser["circuit"]
@@ -191,9 +200,7 @@ def parse_config(text: str) -> RunConfig:
         if "v" in sec:
             updates["v"] = _parse_positive("[circuit] v", sec["v"])
         if "fs" in sec:
-            updates["omega_s"] = 2.0 * math.pi * _parse_positive(
-                "[circuit] fs", sec["fs"]
-            )
+            updates["omega_s"] = _parse_angular("[circuit] fs", sec["fs"])
         if "ej0_ratio" in sec:
             updates["EJ0_ratio"] = _parse_positive(
                 "[circuit] ej0_ratio", sec["ej0_ratio"]
@@ -462,6 +469,35 @@ def dispatch(cfg: RunConfig) -> int:
         raise
 
 
+# Each flag: the commands that read it (the others reject it), the RunConfig
+# field it sets, the parser of its text (with the checks of the config key)
+# and its argparse options.
+_TRAJ = "traj drive flux spectrum sweep"  # the commands that resolve a worldline
+_FLAGS = (
+    ("--out", f"{_TRAJ} reproduce", "out_path", None,
+     dict(help="output file (or directory for reproduce)")),
+    ("--kind", f"{_TRAJ} params", "kind", lambda where, raw: TrajectoryKind(raw),
+     dict(choices=[k.value for k in TrajectoryKind])),
+    ("--abar", f"{_TRAJ} params", "abar_target", _parse_positive,
+     dict(help="target average acceleration [m/s^2]")),
+    ("--A", _TRAJ, "A", _parse_positive, dict(help="acceleration parameter [m/s^2]")),
+    ("--fd", _TRAJ, "omega_d", _parse_angular, dict(help="drive frequency [Hz, linear]")),
+    ("--T", "spectrum sweep", "temperature", None,
+     dict(type=float, help="bath temperature [K]")),
+    ("--nmax", "drive flux spectrum sweep", "n_max", _parse_n_max,
+     dict(help="drive harmonic truncation")),
+    ("--points", "traj flux spectrum sweep", "points", None,
+     dict(type=int, help="grid/sample point count")),
+    ("--split", "spectrum sweep reproduce", "out_format", None,
+     dict(action="store_const", const="split", help="one CSV per curve")),
+    ("--periods", "flux", "periods", None, dict(type=int, help="number of drive periods")),
+    ("--axis", "sweep", "sweep_axis", None, dict(choices=[a.value for a in SweepAxis])),
+    ("--min", "sweep", "sweep_min", _parse_float, dict(help="axis start (Hz or m/s^2)")),
+    ("--max", "sweep", "sweep_max", _parse_float, dict(help="axis end (Hz or m/s^2)")),
+    ("--w", "sweep", "probe_omega", _parse_probe, dict(help="fixed probe frequency [Hz]")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirror-dce",
@@ -472,22 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="INI run configuration")
-        p.add_argument("--out", help="output file (or directory for reproduce)")
-        p.add_argument("--kind", choices=[k.value for k in TrajectoryKind])
-        p.add_argument("--abar", help="target average acceleration [m/s^2]")
-        p.add_argument("--A", help="acceleration parameter [m/s^2]")
-        p.add_argument("--fd", help="drive frequency [Hz, linear]")
-        p.add_argument("--T", type=float, help="bath temperature [K]")
-        p.add_argument("--nmax", help="drive harmonic truncation")
-        p.add_argument("--points", type=int, help="grid/sample point count")
-        p.add_argument("--split", action="store_true", help="one CSV per curve")
-        if name == "flux":
-            p.add_argument("--periods", type=int, help="number of drive periods")
-        if name == "sweep":
-            p.add_argument("--axis", choices=[a.value for a in SweepAxis])
-            p.add_argument("--min", help="axis start (Hz or m/s^2)")
-            p.add_argument("--max", help="axis end (Hz or m/s^2)")
-            p.add_argument("--w", help="fixed probe frequency [Hz]")
+        for flag, readers, _, _, options in _FLAGS:
+            if name in readers.split():
+                p.add_argument(flag, **options)
         if name == "reproduce":
             p.add_argument("figure", nargs="?", help="fig1..fig8 or preset name")
     return parser
@@ -498,38 +521,15 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     values; --abar, --A, --fd and --nmax get the checks of their config
     keys. The range of --T is checked in `main`, as for the config's t."""
     cfg.command = args.command or cfg.command
-    if getattr(args, "kind", None):
-        cfg.kind = TrajectoryKind(args.kind)
-    if getattr(args, "abar", None) is not None:
-        cfg.abar_target = _parse_positive("--abar", args.abar)
-        cfg.A = None
-    if getattr(args, "A", None) is not None:
-        cfg.A = _parse_positive("--A", args.A)
-        cfg.abar_target = None
-    if getattr(args, "fd", None) is not None:
-        cfg.omega_d = 2.0 * math.pi * _parse_positive("--fd", args.fd)
-    if getattr(args, "T", None) is not None:
-        cfg.temperature = args.T
-    if getattr(args, "nmax", None) is not None:
-        cfg.n_max = _parse_n_max("--nmax", args.nmax)
-    if getattr(args, "points", None) is not None:
-        cfg.points = args.points
-    if getattr(args, "periods", None) is not None:
-        cfg.periods = args.periods
-    if getattr(args, "out", None):
-        cfg.out_path = args.out
-    if getattr(args, "split", False):
-        cfg.out_format = "split"
+    for flag, _, field, parse, _ in _FLAGS:
+        raw = getattr(args, flag[2:], None)
+        if raw is None or (raw == "" and field == "out_path"):
+            continue
+        setattr(cfg, field, raw if parse is None else parse(flag, raw))
+        if field in ("A", "abar_target"):  # the other one is dropped
+            setattr(cfg, "abar_target" if field == "A" else "A", None)
     if getattr(args, "figure", None):
         cfg.figure = args.figure
-    if getattr(args, "axis", None):
-        cfg.sweep_axis = args.axis
-    if getattr(args, "min", None) is not None:
-        cfg.sweep_min = _parse_float("--min", args.min)
-    if getattr(args, "max", None) is not None:
-        cfg.sweep_max = _parse_float("--max", args.max)
-    if getattr(args, "w", None) is not None:
-        cfg.probe_omega = 2.0 * math.pi * _parse_float("--w", args.w)
     return cfg
 
 

@@ -16,18 +16,17 @@ same relative tone strength as the baseline experiment. The output spectrum
 is independent of this choice (the bias cancels from the first-order
 amplitudes); it only affects experimental feasibility flags.
 
-Sweep evaluation computes each shared quantity once:
-
-- each grid point's drive is synthesized once per worldline kind: A is
-  resolved, z(t) sampled once (shared by bias normalization, Fourier
-  synthesis and the depth check), and the drive built;
-- the kinds at one grid value are synthesized together, so on the omega_d
-  axis they share that frequency's cached Fourier basis;
-- `reproduce` shares the synthesized points between the sweeps of one
-  preset that differ only in probe frequency or temperatures (fig5, fig6);
-- each (kind, temperature) curve is evaluated in one batch over the
-  synthesized drives, through the array core of `output_spectrum`, so a
-  batched point is bitwise equal to the point-by-point API.
+Sweeps along the abar and omega_d axes evaluate each curve as arrays. The
+first-order spectrum depends on the drive only through |z_n|/v, and
+realizability only through max|z|, sum|z_n| and L_eff^0, so a grid point
+needs no DriveSpectrum: A is inverted for the whole grid at once, the odd
+harmonics come from a quarter period of z(t), and a closed-form gate
+clears every point that the scalar path would accept without a warning.
+Each other point, and the mid point that carries the validity report, goes
+through the scalar path, which keeps its drive, warnings and failure text.
+`reproduce` shares this work between the sweeps of one preset that differ
+only in probe frequency or temperatures (fig5, fig6). Values agree with
+the point-by-point API to rtol 1e-12 above a floor of 1e-12 of the peak.
 
 Grid points are pure function evaluations in one serial loop, placed by
 index, so results are bitwise identical across runs.
@@ -44,6 +43,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import (
+    MAX_DRIVE_DEPTH,
+    POSITIVITY_BOUND_MARGIN,
+    SOFT_HARMONIC_RATIO,
+    SYNTHESIS_SAMPLES,
     CircuitParams,
     DriveSpectrum,
     ValidityReport,
@@ -53,7 +56,7 @@ from .circuit import (
     trajectory_to_drive,
     validate,
 )
-from .numerics import ConvergenceError, _fourier_basis
+from .numerics import ALIASING_POWER_SHARE, ConvergenceError, _fourier_basis
 from .scattering import ThermalInput, _drive_terms, _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
@@ -62,6 +65,8 @@ from .trajectories import (
     average_acceleration,
     directional_acceleration,
     position,
+    _grid_acceleration_parameter,
+    _grid_harmonics,
     solve_acceleration_parameter,
 )
 
@@ -80,7 +85,6 @@ __all__ = [
     "drive_coefficient_dataset",
     "drive_normalized_bias",
     "figure_preset",
-    "first_harmonic_amplitude",
     "read_spectrum_datasets",
     "read_table",
     "relativistic_point",
@@ -135,14 +139,19 @@ def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
     return z1, float(np.max(np.abs(z)))
 
 
-def first_harmonic_amplitude(p: TrajectoryParams) -> float:
-    """|z_1|: magnitude of the fundamental Fourier component of z(t) [m]."""
-    return _waveform_stats(p, position(p, _synthesis_grid(p)))[0]
+def _normalized_bias_ratio(z1, z_peak, c: CircuitParams):
+    """The E_J^0/E_J of `drive_normalized_bias` from |z_1| and max|z| [m];
+    elementwise over arrays."""
+    leff_unit = effective_length(replace(c, EJ0_ratio=1.0))  # at E_J^0 = E_J
+    ratio = leff_unit / (z1 / (2.0 * NORMALIZED_TONE_RATIO))
+    # ceiling: E_J^0 * (1 + z_peak / L_eff^0) <= 2 E_J, i.e.
+    # eta r^2 + r - 2 <= 0 with eta = z_peak / leff_unit
+    eta = z_peak / leff_unit
+    cap = (np.sqrt(1.0 + 8.0 * eta * (1.0 - 1e-9)) - 1.0) / (2.0 * eta)
+    return np.minimum(ratio, cap)
 
 
-def drive_normalized_bias(
-    p: TrajectoryParams, c: CircuitParams, *, _z: np.ndarray | None = None
-) -> CircuitParams:
+def drive_normalized_bias(p: TrajectoryParams, c: CircuitParams) -> CircuitParams:
     """Circuit with E_J^0 set so the synthesized first harmonic has
     |a_1 + i b_1| = NORMALIZED_TONE_RATIO * a0 = a0/8.
 
@@ -150,22 +159,9 @@ def drive_normalized_bias(
     thereby the bias ratio. Small-amplitude trajectories would push the
     bias past the flux-tuning ceiling E_J(t) <= 2 E_J; the bias then
     saturates just below the ceiling (the realized tone ratio drops, which
-    leaves the output spectrum unchanged).
-
-    `_z` is internal: position(p, _synthesis_grid(p)) when the caller has
-    sampled it already (a sweep point shares it with drive synthesis)."""
-    z = position(p, _synthesis_grid(p)) if _z is None else _z
-    z1, z_peak = _waveform_stats(p, z)
-    leff0 = z1 / (2.0 * NORMALIZED_TONE_RATIO)
-    leff_unit = (c.phi0 / (2.0 * math.pi)) ** 2 / (c.L0 * c.E_J)  # L_eff at E_J^0 = E_J
-    ratio = leff_unit / leff0
-    # ceiling: E_J^0 * (1 + z_peak / L_eff^0) <= 2 E_J, i.e.
-    # eta r^2 + r - 2 <= 0 with eta = z_peak / leff_unit
-    eta = z_peak / leff_unit
-    if eta > 0.0:
-        cap = (math.sqrt(1.0 + 8.0 * eta * (1.0 - 1e-9)) - 1.0) / (2.0 * eta)
-        ratio = min(ratio, cap)
-    return replace(c, EJ0_ratio=ratio)
+    leaves the output spectrum unchanged)."""
+    z1, z_peak = _waveform_stats(p, position(p, _synthesis_grid(p)))
+    return replace(c, EJ0_ratio=float(_normalized_bias_ratio(z1, z_peak, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +431,7 @@ def _synthesize(
     kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, xi: float
 ) -> _Point:
     """Resolve A, the bias and the drive at grid value xi: abar on the abar
-    axis, otherwise omega_d (the spec's fixed one on the omega axis).
-    Samples z(t) once."""
+    axis, otherwise omega_d (the spec's fixed one on the omega axis)."""
     omega_d = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
     if spec.axis is SweepAxis.ABAR:
         A = solve_acceleration_parameter(kind, xi, omega_d, c.v)
@@ -445,13 +440,24 @@ def _synthesize(
     else:
         A = solve_acceleration_parameter(kind, float(spec.abar), omega_d, c.v)
     p = TrajectoryParams(kind, A, omega_d, c.v)
-    z = position(p, _synthesis_grid(p))
-    if spec.ejo_ratio is not None and kind in spec.ejo_ratio:
-        biased = replace(c, EJ0_ratio=float(spec.ejo_ratio[kind]))
-    else:
-        biased = drive_normalized_bias(p, c, _z=z)
-    drive = trajectory_to_drive(p, biased, n_max=spec.n_max, _z=z)
+    ratio = _pinned_ratio(kind, spec)
+    biased = drive_normalized_bias(p, c) if ratio is None else replace(c, EJ0_ratio=ratio)
+    drive = trajectory_to_drive(p, biased, n_max=spec.n_max)
     return _Point(p, biased, drive)
+
+
+def _pinned_ratio(kind: TrajectoryKind, spec: SweepSpec) -> float | None:
+    """The bias ratio the spec pins for kind, if any."""
+    if spec.ejo_ratio is not None and kind in spec.ejo_ratio:
+        return float(spec.ejo_ratio[kind])
+    return None
+
+
+def _synthesize_or_fail(kind, spec, c, xi) -> _Point | _PointFailure:
+    try:
+        return _synthesize(kind, spec, c, xi)
+    except _POINT_ERRORS as exc:
+        return _PointFailure(f"{type(exc).__name__}: {exc}")
 
 
 def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
@@ -468,44 +474,118 @@ def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
     )
 
 
+# Relative margin by which a grid point must clear each closed-form bound
+# of the sweep gate: over 100 times the largest difference between the grid
+# kernels and the scalar path (6e-13, the SM A inversion), and below the
+# 1e-9 slack that bias normalization leaves at the flux-tuning ceiling.
+_GATE_MARGIN = 1e-10
+
+# Grid points per block of z(t) samples, rows x (SYNTHESIS_SAMPLES/4 + 1).
+_BLOCK_ROWS = 16
+
+
+@dataclass(frozen=True)
+class _Curve:
+    """One kind's grid: the `_n_out` inputs of the points that synthesized
+    (indices `ok`), the other points' failure messages and the mid point."""
+
+    ok: np.ndarray
+    terms: tuple
+    failures: dict[int, str]
+    mid: _Point | _PointFailure
+
+
+def _gate(
+    kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, A: np.ndarray, wd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cleared, L_eff^0, |z_n|^2 with shape (n_max, rows)) of the grid
+    points with parameters A (NaN where the inversion failed) and wd.
+
+    Cleared means that `_synthesize` would accept the point without a
+    warning, with `_GATE_MARGIN` to spare on each bound: a valid worldline,
+    depth max|z|/L_eff^0, ratios |z_n|/(2 L_eff^0) (as a_n = (E_J^0/L_eff^0)
+    z_n and a0 = 2 E_J^0), positivity sum|z_n| < L_eff^0, the flux-tuning
+    ceiling and no aliasing."""
+    n_max = spec.n_max
+    keep = 1.0 - _GATE_MARGIN
+    a, z_peak = _grid_harmonics(kind, A, wd, c.v, max(n_max, 1), SYNTHESIS_SAMPLES)
+    ratio = _pinned_ratio(kind, spec)
+    if ratio is None:
+        ratio = _normalized_bias_ratio(np.abs(a[:, 0]), z_peak, c)
+    leff = effective_length(replace(c, EJ0_ratio=1.0)) / ratio
+    depth = z_peak / leff
+    mag = np.abs(a[:, :n_max])
+    ok = (A > 0.0) & (A < math.inf) & (wd > 0.0) & (wd < math.inf)
+    if kind is TrajectoryKind.SM:
+        ok &= A / wd < c.v * (1.0 - SUBLUMINAL_MARGIN) * keep
+    ok &= (depth <= MAX_DRIVE_DEPTH * keep) & (ratio * (1.0 + depth) <= 2.0 * keep)
+    if n_max:
+        ok &= np.max(mag, axis=1) / (2.0 * leff) <= SOFT_HARMONIC_RATIO * keep
+        ok &= np.sum(mag, axis=1) / leff < (1.0 - POSITIVITY_BOUND_MARGIN) * keep
+        ok &= mag[:, -1] ** 2 < ALIASING_POWER_SHARE * np.sum(mag**2, axis=1) * keep
+    return ok, leff, (mag**2).T
+
+
+def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Curve:
+    """Synthesize one kind over an abar- or omega_d-axis grid.
+
+    A is inverted for the whole grid at once and z(t) sampled in blocks of
+    `_BLOCK_ROWS` points. Points that `_gate` clears enter n_out through
+    |z_n|^2 / v^2 (the prefactor 4 L_eff^0^2/(v^2 a0^2) times |c_n|^2);
+    every other point goes through `_synthesize`, which keeps the drive,
+    warnings and failure text of the scalar path."""
+    x = np.asarray(spec.x, dtype=float)
+    mid_index = x.size // 2
+    mid = _synthesize_or_fail(kind, spec, c, float(x[mid_index]))
+    wd = np.full(x.size, float(spec.omega_d)) if spec.axis is SweepAxis.ABAR else x
+    abar = x if spec.axis is SweepAxis.ABAR else spec.abar
+    cleared = np.zeros(x.size, dtype=bool)
+    leff0 = np.full(x.size, np.nan)
+    c_sq = np.zeros((spec.n_max, x.size))
+    if 8 * spec.n_max <= SYNTHESIS_SAMPLES:  # else fourier_decompose raises
+        with np.errstate(all="ignore"):  # the points the gate rejects fall back
+            if spec.A is not None and kind in spec.A:
+                A = np.full(x.size, float(spec.A[kind]))
+            else:
+                A = _grid_acceleration_parameter(kind, abar, wd, c.v, _GATE_MARGIN)
+            for start in range(0, x.size, _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                cleared[rows], leff0[rows], c_sq[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])
+    failures: dict[int, str] = {}
+    for i in np.flatnonzero(~cleared):
+        point = mid if i == mid_index else _synthesize_or_fail(kind, spec, c, float(x[i]))
+        if isinstance(point, _PointFailure):
+            failures[int(i)] = point.message
+        else:  # the prefactor times |c_n|^2 is |z_n|^2 / v^2
+            leff, v, prefactor, _, cn_sq = _drive_terms(point.drive, point.biased)
+            leff0[i], c_sq[:, i] = leff, cn_sq[:, 0] * (prefactor * v**2)
+    ok = np.array([i for i in range(x.size) if i not in failures], dtype=int)
+    return _Curve(ok, (leff0[ok], c.v, 1.0 / c.v**2, wd[ok], c_sq[:, ok]), failures, mid)
+
+
 def _synthesize_sweep(spec: SweepSpec, c: CircuitParams) -> dict:
-    """Per kind: the one point of an omega-axis sweep, otherwise the list of
-    grid points (a _PointFailure where synthesis hit a domain error).
-
-    Grid points are evaluated grid-major, every kind at one grid value
-    before the next, so the kinds at one omega_d share its Fourier basis."""
-    kinds = spec.trajectories
+    """Per kind: the one point of an omega-axis sweep, otherwise its
+    `_Curve`."""
     if spec.axis is SweepAxis.OMEGA:
-        return {kind: _synthesize(kind, spec, c, spec.omega_d) for kind in kinds}
-    points: dict[TrajectoryKind, list] = {kind: [] for kind in kinds}
-    for xi in spec.x:
-        for kind in kinds:
-            try:
-                point = _synthesize(kind, spec, c, xi)
-            except _POINT_ERRORS as exc:
-                point = _PointFailure(f"{type(exc).__name__}: {exc}")
-            points[kind].append(point)
-    return points
+        return {kind: _synthesize(kind, spec, c, spec.omega_d) for kind in spec.trajectories}
+    return {kind: _grid_curve(kind, spec, c) for kind in spec.trajectories}
 
 
-def _grid_values(omega: float, points: list, T: float) -> tuple[np.ndarray, list[str]]:
-    """n_out at the fixed probe omega for every grid point, evaluated in one
-    batch over the synthesized points, and the `i:<message>` failures.
-
-    A spectrum domain error fails every synthesized point."""
-    vals = np.full(len(points), np.nan)
-    ok = [i for i, pt in enumerate(points) if not isinstance(pt, _PointFailure)]
+def _grid_values(omega: float, curve: _Curve, size: int, T: float) -> tuple[np.ndarray, list[str]]:
+    """n_out at the fixed probe omega for every grid point, in one batch over
+    the synthesized points, and the `i:<message>` failures. A spectrum
+    domain error fails every synthesized point."""
+    vals = np.full(size, np.nan)
     spectrum_error = None
-    if ok:
-        terms = _drive_terms([(points[i].drive, points[i].biased) for i in ok])
+    if curve.ok.size:
         try:
-            vals[ok] = _n_out(np.full(len(ok), omega), T, *terms)
+            vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, *curve.terms)
         except _POINT_ERRORS as exc:
             spectrum_error = f"{type(exc).__name__}: {exc}"
     failures = []
-    for i, pt in enumerate(points):
-        if isinstance(pt, _PointFailure):
-            failures.append(f"{i}:{pt.message}")
+    for i in range(size):
+        if i in curve.failures:
+            failures.append(f"{i}:{curve.failures[i]}")
         elif spectrum_error is not None:
             failures.append(f"{i}:{spectrum_error}")
     return vals, failures
@@ -516,10 +596,11 @@ def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]
     datasets: list[SpectrumDataset] = []
     x = np.asarray(spec.x, dtype=float)
     for kind in spec.trajectories:
-        points = synthesized[kind]
         # Omega axis: the one point; otherwise the representative validity
         # report comes from the middle of the grid.
-        point = points if spec.axis is SweepAxis.OMEGA else points[x.size // 2]
+        point = synthesized[kind]
+        if spec.axis is not SweepAxis.OMEGA:
+            point = synthesized[kind].mid
 
         for T in spec.temperatures:
             failures: list[str] = []
@@ -546,18 +627,15 @@ def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]
                 meta.update(_circuit_metadata(point.biased))
                 meta.update(_report_metadata(report))
             else:
-                vals, failures = _grid_values(float(spec.omega), points, T)
+                vals, failures = _grid_values(float(spec.omega), synthesized[kind], x.size, T)
                 if spec.axis is SweepAxis.ABAR:
                     meta["omega_d"] = _fmt(spec.omega_d)
                 if isinstance(point, _PointFailure):
                     failures.append(f"validity:{point.message}")
                 else:
+                    probe = np.array([float(spec.omega)])
                     report = validate(
-                        point.drive,
-                        point.p,
-                        point.biased,
-                        omega_probe=np.array([float(spec.omega)]),
-                        temperature=T,
+                        point.drive, point.p, point.biased, omega_probe=probe, temperature=T
                     )
                     meta.update(_circuit_metadata(point.biased))
                     meta.update(_report_metadata(report))
@@ -575,10 +653,8 @@ def run_sweep(
 ) -> list[SpectrumDataset]:
     """Evaluate the sweep: one dataset per (trajectory, temperature).
 
-    Each grid point is synthesized once per trajectory kind (A re-solved
-    whenever the axis or the spec demands it, the drive built); each curve
-    is then evaluated from those drives in one batch per temperature.
-    Per-point domain errors (ValueError, which includes RealizabilityError,
+    Each kind's grid is synthesized once (see `_grid_curve`) and each curve
+    evaluated from it in one batch per temperature. Per-point domain errors (ValueError, which includes RealizabilityError,
     and ConvergenceError) are recorded in the metadata under `failures` and
     leave NaN in the curve; points are never dropped. Any other exception
     propagates.
@@ -813,15 +889,17 @@ def read_spectrum_datasets(path) -> list[SpectrumDataset]:
             )
         ]
 
+    # Curves in the order written: every curve has prefixed metadata (its
+    # trajectory and temperature), so a curve without rows is kept too.
     shared = {k: v for k, v in meta.items() if ":" not in k}
     curves: dict[str, dict[str, str]] = {}
+    grouped: dict[str, tuple[list[float], list[float]]] = {}
     for key, value in meta.items():
         if ":" not in key:
             continue
         prefix, _, name = key.partition(":")
         curves.setdefault(prefix, {})[name] = value
-
-    grouped: dict[str, tuple[list[float], list[float]]] = {}
+        grouped.setdefault(prefix, ([], []))
     for r in rows:
         cid = f"{r[2]}@{r[3]}"
         xs, ns = grouped.setdefault(cid, ([], []))

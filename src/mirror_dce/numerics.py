@@ -12,7 +12,8 @@ Conventions
 All functions are pure and safe to call concurrently. The only shared state
 is a small byte-bounded, lock-guarded cache of the read-only cos/sin
 matrices that `fourier_decompose` projects onto (one per drive frequency,
-harmonic count and sample count), so a sweep builds each basis once.
+harmonic count and sample count), so repeated syntheses at one drive
+frequency, such as the fallback points of an abar sweep, build it once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+# `fourier_decompose` warns when the top harmonic carries more than this
+# share of the harmonic power.
+ALIASING_POWER_SHARE = 0.01
 
 
 class ConvergenceError(RuntimeError):
@@ -175,11 +180,6 @@ class FourierSeries:
     def n_max(self) -> int:
         return int(self.a.size)
 
-    @property
-    def harmonic_power(self) -> float:
-        """Sum over harmonics of a_n^2 + b_n^2 (DC excluded)."""
-        return float(np.sum(self.a**2 + self.b**2))
-
     def evaluate(self, t):
         """Evaluate the series at time(s) t."""
         t = np.asarray(t, dtype=float)
@@ -202,9 +202,9 @@ def _sample_periodic(z, t: np.ndarray) -> np.ndarray:
 
 
 # Byte budget of the Fourier-basis cache: two n_max = 3 bases at 4096
-# samples (224 KiB each), enough for the kinds of a grid-major sweep to
-# share the basis at one grid value and the next. A basis larger than the
-# budget is built and not kept. Each cached byte stays resident, so the
+# samples (224 KiB each), enough for a drive's basis and the n_max = 1
+# basis of bias normalization at one drive frequency. A basis larger than
+# the budget is built and not kept. Each cached byte stays resident, so the
 # budget is kept small.
 BASIS_CACHE_BYTES = 512 * 1024
 
@@ -290,7 +290,7 @@ def fourier_decompose(
 
     power = a**2 + b**2
     total = float(np.sum(power))
-    if total > 0.0 and power[-1] > 0.01 * total:
+    if total > 0.0 and power[-1] > ALIASING_POWER_SHARE * total:
         warnings.warn(
             f"harmonic n={n_max} still carries "
             f"{100.0 * power[-1] / total:.2f}% of the harmonic power; "

@@ -31,13 +31,9 @@ from .circuit import CircuitParams, DriveSpectrum, effective_length
 from .constants import HBAR, K_B
 
 __all__ = [
-    "ConversionAmplitude",
-    "ScatterAmplitudes",
     "ThermalInput",
     "output_spectrum",
     "reflection",
-    "scatter_amplitudes",
-    "temperature_estimator",
     "thermal_occupation",
 ]
 
@@ -51,25 +47,6 @@ class ThermalInput:
     def __post_init__(self):
         if not 0.0 <= self.T < math.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.T}")
-
-
-@dataclass(frozen=True)
-class ConversionAmplitude:
-    """First-order sideband amplitudes for one drive harmonic n."""
-
-    n: int
-    down: complex   # coefficient of a_in(omega - n*omega_d)
-    conj: complex   # coefficient of a_in(n*omega_d - omega)^dagger
-    up: complex     # coefficient of a_in(omega + n*omega_d)
-
-
-@dataclass(frozen=True)
-class ScatterAmplitudes:
-    """Output-mode decomposition at one probe frequency."""
-
-    omega: float
-    r: complex
-    conv: tuple[ConversionAmplitude, ...]
 
 
 def thermal_occupation(omega, T: float):
@@ -113,57 +90,6 @@ def reflection(omega, L_eff0: float, v: float):
     return complex(out) if np.ndim(omega) == 0 else out
 
 
-def scatter_amplitudes(
-    omega: float, d: DriveSpectrum, c: CircuitParams
-) -> ScatterAmplitudes:
-    """First-order output amplitudes at probe frequency omega.
-
-    Harmonics with zero coefficients are skipped. The up-conversion line
-    keeps the literal form with P in both quadratures; n_out drops that
-    sideband, so it never depends on it.
-    """
-    w = float(omega)
-    if not w > 0.0:
-        raise ValueError("scatter_amplitudes requires omega > 0")
-    leff0 = effective_length(c)
-    v = c.v
-    wd = d.omega_d
-
-    def p_factor(w1: float, w2: float) -> complex:
-        if w1 <= 0.0 or w2 <= 0.0:
-            return 0.0 + 0.0j
-        return 2j * leff0 / v * math.sqrt(w1) * math.sqrt(w2)
-
-    k_w = w / v
-    conv = []
-    for n in range(1, d.n_max + 1):
-        an = float(d.a[n - 1]) / d.a0
-        bn = float(d.b[n - 1]) / d.a0
-        if an == 0.0 and bn == 0.0:
-            continue
-        w_down = w - n * wd
-        w_conj = n * wd - w
-        w_up = w + n * wd
-
-        p_down = p_factor(w, w_down)
-        down = (an * p_down - 1j * bn * p_down.conjugate()) * np.exp(
-            1j * (k_w + abs(w_down) / v) * leff0
-        )
-        p_conj = p_factor(w, w_conj)
-        conj = (an * p_conj.conjugate() - 1j * bn * p_conj) * np.exp(
-            1j * (k_w - abs(w_conj) / v) * leff0
-        )
-        p_up = p_factor(w, w_up)
-        up = (an * p_up - 1j * bn * p_up) * np.exp(1j * (k_w + w_up / v) * leff0)
-        conv.append(
-            ConversionAmplitude(n=n, down=complex(down), conj=complex(conj), up=complex(up))
-        )
-
-    return ScatterAmplitudes(
-        omega=w, r=reflection(w, leff0, v), conv=tuple(conv)
-    )
-
-
 def output_spectrum(
     omega,
     d: DriveSpectrum,
@@ -176,38 +102,23 @@ def output_spectrum(
     The stimulated factor is continuous across omega = n*omega_d.
     """
     w = np.asarray(omega, dtype=float)
-    out = _n_out(np.atleast_1d(w), th.T, *_drive_terms([(d, c)]))
+    out = _n_out(np.atleast_1d(w), th.T, *_drive_terms(d, c))
     return float(out[0]) if w.ndim == 0 else out
 
 
-def _drive_terms(drives) -> tuple[np.ndarray, ...]:
-    """The per-drive inputs of `_n_out` for a sequence of (DriveSpectrum,
-    CircuitParams) pairs sharing one n_max: arrays L_eff^0, v, the prefactor
-    4 L_eff^0^2 / (v^2 a0^2) and omega_d with one entry per drive, and
-    |a_n + i b_n|^2 as an (n_max, drives) array."""
-    rows = []
-    for d, c in drives:
-        leff0 = effective_length(c)
-        c_sq = [float(d.a[n]) ** 2 + float(d.b[n]) ** 2 for n in range(d.n_max)]
-        rows.append((leff0, c.v, 4.0 * leff0**2 / (c.v**2 * d.a0**2), d.omega_d, c_sq))
-    leff0, v, prefactor, wd, c_sq = zip(*rows)
-    return (
-        np.array(leff0),
-        np.array(v),
-        np.array(prefactor),
-        np.array(wd),
-        np.array(c_sq, dtype=float).T,
-    )
+def _drive_terms(d: DriveSpectrum, c: CircuitParams) -> tuple:
+    """The drive inputs of `_n_out`: L_eff^0, v, the prefactor
+    4 L_eff^0^2 / (v^2 a0^2), omega_d, and |a_n + i b_n|^2 as an (n_max, 1)
+    array."""
+    leff0 = effective_length(c)
+    c_sq = [float(d.a[n]) ** 2 + float(d.b[n]) ** 2 for n in range(d.n_max)]
+    prefactor = 4.0 * leff0**2 / (c.v**2 * d.a0**2)
+    return leff0, c.v, prefactor, d.omega_d, np.array(c_sq, dtype=float).reshape(-1, 1)
 
 
 def _n_out(w, T: float, leff0, v, prefactor, wd, c_sq) -> np.ndarray:
-    """The n_out formula on 1-d arrays: probe frequencies w, each against
-    its drive (the `_drive_terms` arrays broadcast against w).
-
-    `output_spectrum` and batched sweep curves both evaluate here on 1-d
-    arrays: numpy's vector transcendentals can differ in the last bit
-    between 0-d and 1-d inputs, so a single shared path keeps a batched
-    curve bitwise equal to the point-by-point API."""
+    """The n_out formula on 1-d arrays of probe frequencies w; the drive
+    inputs are those of `_drive_terms` or arrays that broadcast against w."""
     if not np.all(w > 0.0):  # NaN too
         raise ValueError("output_spectrum requires omega > 0")
     if np.any(w == math.inf):
@@ -224,15 +135,3 @@ def _n_out(w, T: float, leff0, v, prefactor, wd, c_sq) -> np.ndarray:
         spontaneous = w * np.maximum(-detune, 0.0)
         out = out + prefactor * cn_sq * (stimulated + spontaneous)
     return out
-
-
-def temperature_estimator(omega: float, n_out) -> float:
-    """Temperature-scale reading of a photon number: hbar*omega*n_out/k_B [K].
-
-    Linear in n_out at fixed omega; a comparison scale, not a fitted
-    equilibrium temperature."""
-    n = np.asarray(n_out, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("n_out must be >= 0")
-    out = HBAR * float(omega) * n / K_B
-    return float(out) if np.ndim(n_out) == 0 else out

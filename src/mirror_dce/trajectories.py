@@ -21,8 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
+from scipy import special
+from scipy.optimize.elementwise import find_root as find_roots
 
 from .constants import C_LIGHT
 from .numerics import ellip_e, ellip_f, find_root
@@ -118,15 +121,17 @@ def _aua_segment_index(p: TrajectoryParams, t):
     return np.floor(2.0 * np.asarray(t, dtype=float) / coordinate_period(p) + 0.5)
 
 
+# `_raw_position` also takes SM and SA parameters as arrays that broadcast
+# against t (see `_grid_harmonics`).
 def _raw_position(p: TrajectoryParams, t):
     t = np.asarray(t, dtype=float)
     w = p.omega_d
     if p.kind is TrajectoryKind.SM:
-        return -p.R * np.cos(w * t)
+        return -(p.A / w**2) * np.cos(w * t)
     if p.kind is TrajectoryKind.SA:
         beta = _sa_velocity_ratio(p)
         return -(p.v / w) * np.arcsin(
-            beta * np.cos(w * t) / math.sqrt(1.0 + beta**2)
+            beta * np.cos(w * t) / np.sqrt(1.0 + beta**2)
         )
     # AUA: per segment n, sinh((A/v)(tau - n tau_p/2)) = A t / v - 2 n s,
     # so the position is closed-form in coordinate time.
@@ -254,6 +259,69 @@ def solve_acceleration_parameter(
     else:
         raise ValueError(f"could not bracket abar_target={abar_target!r}")
     return find_root(lambda a: abar_of(a) - abar_target, lo, hi, tol=1e-13)
+
+
+def _grid_acceleration_parameter(kind, abar, omega_d, v: float, margin: float):
+    """`solve_acceleration_parameter` over arrays abar, omega_d (broadcast).
+
+    Solves the closed-form average in one variable: x = R omega_d / v
+    (abar = v omega_d atanh(x) / E(x^2)) for SM and beta = 2 A / (v omega_d)
+    (abar = v omega_d asinh(beta) / K(-beta^2)) for SA; AUA has A = abar.
+    NaN where the scalar solver raises, and for SM within the relative
+    `margin` of its bracket ends."""
+    kind = TrajectoryKind(kind)
+    abar, omega_d = np.broadcast_arrays(
+        np.asarray(abar, dtype=float), np.asarray(omega_d, dtype=float)
+    )
+    out = np.full(abar.shape, np.nan)
+    ok = (abar > 0.0) & (abar < math.inf) & (omega_d > 0.0) & (omega_d < math.inf)
+    if kind is TrajectoryKind.AUA:
+        out[ok] = abar[ok]
+        return out
+    r = abar[ok] / (v * omega_d[ok])
+    if kind is TrajectoryKind.SA:
+        # abar / A lies in (4/pi, 2), so beta lies in (r, (pi/2) r).
+        f = lambda b: np.arcsinh(b) / special.ellipk(-(b**2))
+        lo, hi, scale = r, 1.6 * r, 0.5
+    else:  # on the scalar solver's bracket
+        f = lambda x: np.arctanh(x) / special.ellipe(x**2)
+        lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
+        r = np.where((r > f(lo) * (1.0 + margin)) & (r < f(hi) * (1.0 - margin)), r, np.nan)
+    bracket = np.broadcast_arrays(lo, hi, r)[:2]
+    out[ok] = scale * find_roots(lambda y, r: f(y) - r, bracket, args=(r,)).x * v * omega_d[ok]
+    return out
+
+
+def _grid_harmonics(kind, A, omega_d, v: float, n_max: int, samples: int):
+    """Cosine coefficients z_n (rows, n_max) and peaks max|z| (rows,) of
+    the worldlines of one kind at parameter arrays A, omega_d, sampled as
+    `position` is on `samples` (a multiple of 4) uniform times per period.
+
+    Each worldline is even in t and flips sign over half a period: the sine
+    and even cosine coefficients vanish (returned as 0), and for the odd
+    a_n the trapezoid rule over the first quarter period (samples/4 + 1
+    points) equals the full-period rule."""
+    # The fields of TrajectoryParams, one worldline per row, for `_raw_position`.
+    p = SimpleNamespace(
+        kind=TrajectoryKind(kind), A=np.asarray(A, dtype=float)[:, None],
+        omega_d=np.asarray(omega_d, dtype=float)[:, None], v=v,
+    )
+    k = np.arange(samples // 4 + 1)
+    t = k * (coordinate_period(p) / samples)
+    if p.kind is TrajectoryKind.AUA:
+        # The first quarter period lies in segment 0, where the centered
+        # z = (v^2/A) (hypot(1, xi) - hypot(1, s)); written without that
+        # difference, slow worldlines keep their digits.
+        s = _aua_segment_sinh(p)
+        xi = p.A * t / p.v
+        z = (p.v**2 / p.A) * (xi - s) * (xi + s) / (np.hypot(1.0, xi) + np.hypot(1.0, s))
+    else:
+        z = _raw_position(p, t)  # centered already
+    basis = np.cos(np.multiply.outer(k, np.arange(1, n_max + 1, 2)) * (2.0 * math.pi / samples))
+    basis[[0, -1]] *= 0.5  # the trapezoid rule's end weights
+    a = np.zeros((z.shape[0], n_max))
+    a[:, ::2] = (8.0 / samples) * (z @ basis)
+    return a, np.max(np.abs(z), axis=1)
 
 
 def relativity_estimator(p: TrajectoryParams) -> float:

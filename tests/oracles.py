@@ -5,6 +5,10 @@ come from adaptive quadrature with finite-difference velocities, elliptic
 values from direct integration of the defining integrands, and the
 negative-parameter route from the imaginary-modulus transformation.
 
+`scatter_amplitudes` spells out the first-order sideband amplitudes one
+by one; `output_spectrum` sums their squares in closed form.
+`temperature_estimator` reads a photon number as a temperature scale.
+
 `integrate` (adaptive Simpson) interprets its tolerance relative to the
 magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
 relative target for O(1) integrals and an absolute one for tiny ones.
@@ -16,7 +20,10 @@ from typing import Callable
 
 import numpy as np
 
+from mirror_dce.circuit import CircuitParams, DriveSpectrum, effective_length
+from mirror_dce.constants import HBAR, K_B
 from mirror_dce.numerics import ConvergenceError, ellip_e, ellip_f
+from mirror_dce.scattering import reflection
 from mirror_dce.trajectories import (
     TrajectoryParams,
     coordinate_period,
@@ -183,3 +190,104 @@ def ellip_e_imag_modulus(phi: float, mu: float) -> float:
         / math.sqrt(1.0 - m1 * math.sin(theta) ** 2)
     )
     return math.sqrt(1.0 + mu) * (ellip_e(theta, m1) - correction)
+
+
+@dataclass(frozen=True)
+class ConversionAmplitude:
+    """First-order sideband amplitudes for one drive harmonic n."""
+
+    n: int
+    down: complex   # coefficient of a_in(omega - n*omega_d)
+    conj: complex   # coefficient of a_in(n*omega_d - omega)^dagger
+    up: complex     # coefficient of a_in(omega + n*omega_d)
+
+
+@dataclass(frozen=True)
+class ScatterAmplitudes:
+    """Output-mode decomposition at one probe frequency."""
+
+    omega: float
+    r: complex
+    conv: tuple[ConversionAmplitude, ...]
+
+
+def scatter_amplitudes(
+    omega: float, d: DriveSpectrum, c: CircuitParams
+) -> ScatterAmplitudes:
+    """First-order output amplitudes at probe frequency omega.
+
+    Harmonics with zero coefficients are skipped. The up-conversion line
+    keeps the literal form with P in both quadratures; n_out drops that
+    sideband, so it never depends on it.
+    """
+    w = float(omega)
+    if not w > 0.0:
+        raise ValueError("scatter_amplitudes requires omega > 0")
+    leff0 = effective_length(c)
+    v = c.v
+    wd = d.omega_d
+
+    def p_factor(w1: float, w2: float) -> complex:
+        if w1 <= 0.0 or w2 <= 0.0:
+            return 0.0 + 0.0j
+        return 2j * leff0 / v * math.sqrt(w1) * math.sqrt(w2)
+
+    k_w = w / v
+    conv = []
+    for n in range(1, d.n_max + 1):
+        an = float(d.a[n - 1]) / d.a0
+        bn = float(d.b[n - 1]) / d.a0
+        if an == 0.0 and bn == 0.0:
+            continue
+        w_down = w - n * wd
+        w_conj = n * wd - w
+        w_up = w + n * wd
+
+        p_down = p_factor(w, w_down)
+        down = (an * p_down - 1j * bn * p_down.conjugate()) * np.exp(
+            1j * (k_w + abs(w_down) / v) * leff0
+        )
+        p_conj = p_factor(w, w_conj)
+        conj = (an * p_conj.conjugate() - 1j * bn * p_conj) * np.exp(
+            1j * (k_w - abs(w_conj) / v) * leff0
+        )
+        p_up = p_factor(w, w_up)
+        up = (an * p_up - 1j * bn * p_up) * np.exp(1j * (k_w + w_up / v) * leff0)
+        conv.append(
+            ConversionAmplitude(n=n, down=complex(down), conj=complex(conj), up=complex(up))
+        )
+
+    return ScatterAmplitudes(
+        omega=w, r=reflection(w, leff0, v), conv=tuple(conv)
+    )
+
+
+def temperature_estimator(omega: float, n_out) -> float:
+    """Temperature-scale reading of a photon number: hbar*omega*n_out/k_B [K].
+
+    Linear in n_out at fixed omega; a comparison scale, not a fitted
+    equilibrium temperature."""
+    n = np.asarray(n_out, dtype=float)
+    if np.any(n < 0.0):
+        raise ValueError("n_out must be >= 0")
+    out = HBAR * float(omega) * n / K_B
+    return float(out) if np.ndim(n_out) == 0 else out
+
+
+def first_harmonic_amplitude(p: TrajectoryParams, samples: int = 4096) -> float:
+    """|z_1|: magnitude of the fundamental Fourier component of z(t) [m],
+    projected on a uniform grid over one period."""
+    t = np.arange(samples) * (coordinate_period(p) / samples)
+    z = position(p, t)
+    wt = p.omega_d * t
+    return float(np.hypot(2.0 * np.mean(z * np.cos(wt)), 2.0 * np.mean(z * np.sin(wt))))
+
+
+def harmonic_power(series) -> float:
+    """Sum over harmonics of a_n^2 + b_n^2 (DC excluded) of a FourierSeries."""
+    return float(np.sum(series.a**2 + series.b**2))
+
+
+def delta_e_j(d: DriveSpectrum, t):
+    """Oscillating part E_J(t) - a0/2 [J] of a drive."""
+    return d.e_j(t) - 0.5 * d.a0

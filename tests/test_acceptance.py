@@ -30,7 +30,6 @@ from mirror_dce.scattering import (
     ThermalInput,
     output_spectrum,
     reflection,
-    scatter_amplitudes,
 )
 from mirror_dce.trajectories import (
     TrajectoryKind,
@@ -41,7 +40,7 @@ from mirror_dce.trajectories import (
     relativity_estimator,
     solve_acceleration_parameter,
 )
-from oracles import abar_quadrature
+from oracles import abar_quadrature, scatter_amplitudes
 
 TWO_PI = 2.0 * math.pi
 V = CircuitParams().v

@@ -1,13 +1,17 @@
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirror_dce.circuit import CircuitParams
 from mirror_dce.cli import (
+    COMMANDS,
     ConfigError,
     RunConfig,
+    _build_parser,
     _report_failed_points,
     _resolve_trajectory,
     dispatch,
@@ -380,11 +384,43 @@ class TestCommands:
         cfg.write_text("[circuit]\nej0_ratio = 0.35\n")
         out = tmp_path / "out.csv"
         extra = [] if argv[0] == "params" else ["--out", str(out)]
-        rc = main(argv + ["--config", str(cfg), "--points", "8"] + extra)
+        if argv[0] not in ("params", "drive"):  # the commands that read --points
+            extra += ["--points", "8"]
+        rc = main(argv + ["--config", str(cfg)] + extra)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("mirror-dce: error: " + message)
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traj", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--T", "5",
+             "--nmax", "7", "--split", "--points", "8"],
+            ["params", "--kind", "sa", "--abar", "20e18", "--nmax", "3"],
+            ["reproduce", "fig1", "--kind", "sa"],
+            ["flux", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--T", "0.1"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_exit_nonzero(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ([] if argv[0] == "params" else ["--out", str(out)]))
+        assert exc.value.code != 0
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_examples_parse(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = text.replace("\\\n", " ").splitlines()
+        examples = [
+            shlex.split(line.split("#")[0])[1:]
+            for line in lines
+            if line.split(" ")[0] == "mirror-dce" and line.split(" ")[1] in COMMANDS
+        ]
+        assert len(examples) >= 4
+        for argv in examples:
+            _build_parser().parse_args(argv)
 
     def test_negative_zero_temperature_writes_zero_curve_id(self, tmp_path):
         cfg = tmp_path / "bias.ini"

@@ -1,12 +1,19 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mirror_dce import experiments, numerics
-from mirror_dce.circuit import CircuitParams, _synthesis_grid, trajectory_to_drive
+from mirror_dce.numerics import AliasingWarning
+from mirror_dce.circuit import (
+    CircuitParams,
+    DriveWarning,
+    _synthesis_grid,
+    trajectory_to_drive,
+)
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
     InfeasibleError,
@@ -16,7 +23,6 @@ from mirror_dce.experiments import (
     baseline_point,
     drive_normalized_bias,
     figure_preset,
-    first_harmonic_amplitude,
     read_spectrum_datasets,
     relativistic_point,
     reproduce,
@@ -33,6 +39,7 @@ from mirror_dce.trajectories import (
     coordinate_period,
     solve_acceleration_parameter,
 )
+from oracles import first_harmonic_amplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,11 +218,14 @@ class TestRunSweep:
             assert da.metadata == db.metadata
 
     def test_subsample_reproduces_through_direct_apis(self, reference_circuit):
+        # The grid path agrees with the point-by-point API at the tolerance
+        # of the golden values: rtol 1e-12 with a floor of 1e-12 x the peak.
         spec = self.small_spec(SweepAxis.ABAR)
         datasets = run_sweep(spec, reference_circuit)
         rng = np.random.default_rng(42)
         for ds in datasets:
             kind = ds.trajectory
+            peak = float(np.max(ds.n_out))
             picks = rng.choice(len(ds.x), size=max(1, len(ds.x) // 20), replace=False)
             for i in picks:
                 A = solve_acceleration_parameter(
@@ -227,15 +237,13 @@ class TestRunSweep:
                 direct = output_spectrum(
                     float(spec.omega), d, biased, ThermalInput(ds.temperature)
                 )
-                assert direct == ds.n_out[i]
+                assert ds.n_out[i] == pytest.approx(direct, rel=1e-12, abs=1e-12 * peak)
 
     @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
     def test_every_point_at_finite_temperature_matches_direct_api(self, axis):
-        # A curve is evaluated in one batch; each point must still equal the
-        # point-by-point API bit for bit where expm1 enters (T > 0). On these
-        # grids a scalar path on 0-d arrays differs from the batch in the
-        # last bit at some points (AVX-512 vector math), so the two must
-        # share one 1-d evaluation.
+        # A curve is evaluated in one batch from the grid harmonics; each
+        # point must agree with the point-by-point API where expm1 enters
+        # (T > 0), at rtol 1e-12 with a floor of 1e-12 x the curve's peak.
         bias = 0.41888437030500963
         c = CircuitParams(EJ0_ratio=bias)
         common = dict(
@@ -254,12 +262,14 @@ class TestRunSweep:
             )
         (ds,) = run_sweep(spec, c)
         assert np.all(np.isfinite(ds.n_out))
+        peak = float(np.max(ds.n_out))
         for xi, got in zip(ds.x, ds.n_out):
             wd = spec.omega_d if axis is SweepAxis.ABAR else float(xi)
             abar = float(xi) if axis is SweepAxis.ABAR else spec.abar
             A = solve_acceleration_parameter(TrajectoryKind.SA, abar, wd, c.v)
             d = trajectory_to_drive(TrajectoryParams(TrajectoryKind.SA, A, wd, c.v), c)
-            assert output_spectrum(float(spec.omega), d, c, ThermalInput(0.0379)) == got
+            direct = output_spectrum(float(spec.omega), d, c, ThermalInput(0.0379))
+            assert got == pytest.approx(direct, rel=1e-12, abs=1e-12 * peak)
 
     def test_per_point_failures_recorded_not_dropped(self, reference_circuit):
         # pinning a high bias makes the most relativistic points unrealizable
@@ -281,10 +291,107 @@ class TestRunSweep:
         assert np.any(np.isfinite(ds.n_out))
         assert len(ds.x) == 12
 
+    @staticmethod
+    def scalar_failures(spec, c, kind):
+        """The `failures` entries the point-by-point APIs give for spec."""
+        entries = []
+        for i, xi in enumerate(spec.x):
+            wd = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
+            abar = xi if spec.axis is SweepAxis.ABAR else spec.abar
+            try:
+                A = solve_acceleration_parameter(kind, abar, wd, c.v)
+                p = TrajectoryParams(kind, A, wd, c.v)
+                biased = c if spec.ejo_ratio else drive_normalized_bias(p, c)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DriveWarning)
+                    trajectory_to_drive(p, biased, n_max=spec.n_max)
+            except ValueError as exc:
+                entries.append((i, f"{type(exc).__name__}: {exc}"))
+        return entries
+
+    def assert_failures_match_scalar_apis(self, spec, c):
+        (ds,) = run_sweep(spec, c)
+        kind = spec.trajectories[0]
+        entries = self.scalar_failures(spec, c, kind)
+        expected = [f"{i}:{message}" for i, message in entries]
+        mid = dict(entries).get(len(spec.x) // 2)
+        if mid is not None:
+            expected.append(f"validity:{mid}")
+        assert ds.metadata.get("failures", "") == "|".join(expected)
+        assert np.flatnonzero(np.isnan(ds.n_out)).tolist() == [i for i, _ in entries]
+        return ds, entries
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
+    @pytest.mark.parametrize("bias", [0.35, 1.9])
+    def test_pinned_bias_edge_fails_like_the_scalar_apis(self, kind, axis, bias):
+        # Bias 0.35 crosses the depth bound, 1.9 the flux-tuning ceiling.
+        c = CircuitParams(EJ0_ratio=bias)
+        common = dict(
+            figure_id="t", axis=axis, trajectories=(kind,), temperatures=(0.0,),
+            ejo_ratio={kind: bias},
+        )
+        wd = TWO_PI * 14.6e9
+        if axis is SweepAxis.ABAR:
+            top = 1.2e19 if bias < 1.0 else 4e17
+            spec = SweepSpec(
+                x=tuple(np.linspace(top / 12, top, 24)), omega_d=wd, omega=0.5 * wd, **common
+            )
+        else:
+            lo, hi = (15e9, 30e9) if bias < 1.0 else (10e9, 60e9)
+            spec = SweepSpec(
+                x=tuple(TWO_PI * np.linspace(lo, hi, 24)), abar=2e19 if bias < 1.0 else 1e18,
+                omega=TWO_PI * 7.3e9, **common,
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DriveWarning)
+            ds, entries = self.assert_failures_match_scalar_apis(spec, c)
+        assert 0 < len(entries) < len(spec.x)
+        wanted = "trajectory amplitude" if bias < 1.0 else "flux-tuning ceiling"
+        assert any(wanted in message for _, message in entries)
+
+    def test_soft_ratio_point_still_warns(self):
+        # Point 16 has 0.25 < |c_n|/a0 <= 0.5: its drive is realizable and
+        # warns; the mid point (20) fails.
+        c = CircuitParams(EJ0_ratio=0.35)
+        wd = TWO_PI * 14.6e9
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.ABAR, x=tuple(np.linspace(5e18, 9e18, 41)),
+            trajectories=(TrajectoryKind.AUA,), omega_d=wd, omega=0.5 * wd,
+            ejo_ratio={TrajectoryKind.AUA: 0.35},
+        )
+        with pytest.warns(DriveWarning, match="exceeds 0.25"):
+            (ds,) = run_sweep(spec, c)
+        assert np.isfinite(ds.n_out[16]) and np.isnan(ds.n_out[20])
+
+    def test_every_aliasing_point_still_warns(self, reference_circuit):
+        # With n_max = 1 the top harmonic holds all the power: each point's
+        # drive synthesis warns once, the mid point included.
+        spec = replace(self.small_spec(SweepAxis.ABAR), n_max=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            datasets = run_sweep(spec, reference_circuit)
+        aliasing = [w for w in caught if issubclass(w.category, AliasingWarning)]
+        assert len(aliasing) == len(spec.x) * len(spec.trajectories)
+        assert all(np.all(np.isfinite(ds.n_out)) for ds in datasets)
+
+    def test_sm_above_the_subluminal_ceiling_fails_with_the_scalar_text(
+        self, reference_circuit
+    ):
+        wd = TWO_PI * 18e9
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.ABAR, x=tuple(np.linspace(1e18, 2e20, 9)),
+            trajectories=(TrajectoryKind.SM,), omega_d=wd, omega=TWO_PI * 9e9,
+        )
+        _, entries = self.assert_failures_match_scalar_apis(spec, reference_circuit)
+        assert any("exceeds the subluminal ceiling" in message for _, message in entries)
+
     @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
     def test_drive_synthesized_once_per_point_and_kind(
         self, reference_circuit, monkeypatch, axis
     ):
+        # Grid points the gate clears need no DriveSpectrum; only the mid
+        # point, which carries the validity report, is synthesized.
         calls = []
 
         def counted(*args, **kwargs):
@@ -299,7 +406,7 @@ class TestRunSweep:
         )
         datasets = run_sweep(spec, reference_circuit)
         assert len(datasets) == 4
-        assert calls.count(TrajectoryKind.SA) == calls.count(TrajectoryKind.AUA) == len(spec.x)
+        assert calls == [TrajectoryKind.SA, TrajectoryKind.AUA]
         for ds in datasets:
             assert np.all(np.isfinite(ds.n_out))
 
@@ -540,8 +647,9 @@ class TestReproduce:
     def test_probe_sweeps_share_their_drives(
         self, reference_circuit, tmp_path, monkeypatch, figure
     ):
-        # Two probe frequencies x two kinds x 401 grid points: each drive is
-        # synthesized once, not once per probe frequency.
+        # Two probe frequencies x two kinds: each kind's mid-point drive is
+        # synthesized once, not once per probe frequency, and no other drive
+        # is built.
         calls = []
 
         def counted(*args, **kwargs):
@@ -550,8 +658,7 @@ class TestReproduce:
 
         monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
         assert len(reproduce(figure, tmp_path, reference_circuit)) == 2
-        assert len(calls) == 802
-        assert calls.count(TrajectoryKind.SA) == calls.count(TrajectoryKind.AUA) == 401
+        assert calls == [TrajectoryKind.SA, TrajectoryKind.AUA]
 
     def test_fixed_drive_frequency_builds_one_basis_per_harmonic_count(
         self, reference_circuit, tmp_path, monkeypatch
@@ -566,7 +673,8 @@ class TestReproduce:
         monkeypatch.setattr(numerics, "_build_fourier_basis", counted)
         monkeypatch.setattr(numerics, "_basis_cache", type(numerics._basis_cache)())
         reproduce("fig6", tmp_path, reference_circuit)
-        # n_max = 1 for the bias normalization, n_max = 3 for the drives.
+        # n_max = 1 for the preset's bias normalization, n_max = 3 for the
+        # drives of the SA and AUA mid points, which share it.
         assert sorted(builds) == [
             (relativistic_point()[1], 1, 4096),
             (relativistic_point()[1], 3, 4096),

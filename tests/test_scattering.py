@@ -11,10 +11,9 @@ from mirror_dce.scattering import (
     ThermalInput,
     output_spectrum,
     reflection,
-    scatter_amplitudes,
-    temperature_estimator,
     thermal_occupation,
 )
+from oracles import scatter_amplitudes, temperature_estimator
 
 TWO_PI = 2.0 * math.pi
 

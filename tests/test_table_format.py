@@ -12,6 +12,7 @@ from mirror_dce.experiments import (
     DriveCoefficientDataset,
     SpectrumDataset,
     WorldlineDataset,
+    read_spectrum_datasets,
     read_table,
     write_drive_coefficients,
     write_spectrum_datasets,
@@ -64,6 +65,25 @@ def test_long_layout_prefixes_per_curve_metadata(tmp_path):
         "1,0,aua,0.025\n"
         "2.5,3.0000000000000003e-20,aua,0.025\n"
     )
+
+
+def test_long_layout_keeps_curves_without_points(tmp_path):
+    meta = {"figure": "pin", "axis": "abar", "n_max": "3", "omega": "7"}
+    sa = SpectrumDataset(
+        axis="abar", x=[], n_out=[],
+        metadata={**meta, "trajectory": "sa", "temperature": "0"},
+    )
+    aua = SpectrumDataset(
+        axis="abar", x=[2.0], n_out=[0.5],
+        metadata={**meta, "trajectory": "aua", "temperature": "0.025"},
+    )
+    (path,) = write_spectrum_datasets([sa, aua], tmp_path / "long.csv")
+    back = read_spectrum_datasets(path)
+    assert [ds.metadata for ds in back] == [sa.metadata, aua.metadata]
+    assert [ds.x.tolist() for ds in back] == [[], [2.0]]
+    assert [ds.n_out.tolist() for ds in back] == [[], [0.5]]
+    (alone,) = write_spectrum_datasets([sa], tmp_path / "empty.csv")
+    assert [ds.metadata for ds in read_spectrum_datasets(alone)] == [sa.metadata]
 
 
 def test_split_layout_names_one_file_per_curve(tmp_path):

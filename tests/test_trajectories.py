@@ -1,10 +1,12 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirror_dce.numerics import find_root
+from mirror_dce.numerics import find_root, fourier_decompose
 from mirror_dce.trajectories import (
     TrajectoryKind,
     TrajectoryParams,
@@ -17,7 +19,12 @@ from mirror_dce.trajectories import (
     relativity_estimator,
     solve_acceleration_parameter,
 )
-from mirror_dce.trajectories import _period_mean, _raw_position
+from mirror_dce.trajectories import (
+    _grid_acceleration_parameter,
+    _grid_harmonics,
+    _period_mean,
+    _raw_position,
+)
 from oracles import abar_quadrature, period_mean_quadrature, velocity_fd
 
 TWO_PI = 2.0 * math.pi
@@ -309,3 +316,86 @@ class TestLimitsAndEstimators:
         expected = 20e18 * (1.0 / 14.6e9) / V
         assert relativity_estimator(aua_comparison) == pytest.approx(expected, rel=1e-12)
         assert relativity_estimator(aua_comparison) == pytest.approx(11.42, rel=1e-3)
+
+
+def _aua_trapezoid_a1(A, omega_d, v, samples):
+    """a_1 of the centered AUA worldline by the full-period trapezoid rule,
+    from samples of the raw position computed with 40 significant digits
+    (the float `position` loses digits to the centering of slow
+    worldlines)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        A, w, v = Decimal(A), Decimal(omega_d), Decimal(v)
+        period = 2 * pi / w
+        s = A * pi / (2 * v * w)
+        mean = (v * v / A) * (1 + s * s).sqrt()
+        total = Decimal(0)
+        for k in range(samples):
+            t = k * period / samples
+            n = int((2 * t / period + Decimal("0.5")).to_integral_value(rounding="ROUND_FLOOR"))
+            xi = A * t / v - 2 * n * s
+            sign = 1 if n % 2 == 0 else -1
+            raw = sign * (v * v / A) * ((1 + xi * xi).sqrt() + (sign - 1) * (1 + s * s).sqrt())
+            total += (raw - mean) * Decimal(math.cos(TWO_PI * k / samples))
+        return float(2 * total / samples)
+
+
+class TestGridKernels:
+    """The array kernels of whole-grid sweeps against the scalar APIs."""
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    def test_grid_harmonics_match_the_dense_projection(self, kind):
+        # Odd a_n within a few ulps of the dense projection's 4096-term sums
+        # (which differ from exactly summed ones by up to 2e-15 max|a_n|);
+        # the sine and even cosine coefficients vanish by symmetry.
+        omega_d = TWO_PI * 14.6e9
+        A = np.array([
+            solve_acceleration_parameter(kind, abar, omega_d, V)
+            for abar in np.linspace(5e18, 30e18, 6)
+        ])
+        a, peaks = _grid_harmonics(kind, A, np.full(A.size, omega_d), V, 6, 4096)
+        assert a.shape == (A.size, 6) and np.all(a[:, 1::2] == 0.0)
+        for row, peak, A_i in zip(a, peaks, A):
+            p = TrajectoryParams(kind, A_i, omega_d, V)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dense = fourier_decompose(lambda t: position(p, t), omega_d, 6, 4096)
+            scale = float(np.max(np.abs(dense.a)))
+            np.testing.assert_allclose(row[::2], dense.a[::2], rtol=0, atol=4e-15 * scale)
+            assert np.max(np.abs(dense.b)) <= 1e-15 * scale
+            assert np.max(np.abs(dense.a[1::2])) <= 1e-15 * scale
+            z = position(p, np.arange(4096) * (coordinate_period(p) / 4096))
+            assert peak == pytest.approx(float(np.max(np.abs(z))), rel=1e-15)
+
+    def test_slow_aua_harmonics_keep_their_digits(self):
+        omega_d = TWO_PI * 18e9
+        (a,), _ = _grid_harmonics("aua", [1e17], [omega_d], V, 1, 4096)
+        assert a[0] == pytest.approx(_aua_trapezoid_a1(1e17, omega_d, V, 4096), rel=4e-15)
+
+    @pytest.mark.parametrize(
+        "kind, axis, rtol",
+        [("sa", "abar", 1e-13), ("sa", "omega_d", 1e-13),
+         ("sm", "abar", 1e-12), ("sm", "omega_d", 1e-12), ("aua", "abar", 0.0)],
+    )
+    def test_grid_inversion_matches_the_scalar_solver(self, kind, axis, rtol):
+        # brentq's SM x-tolerance is absolute (1e-13), so SM differs by up to
+        # 5.8e-13 where x = R omega_d / v is small.
+        if axis == "abar":
+            abar = np.linspace(1e17, 30e18, 201)
+            omega_d = np.full(abar.size, TWO_PI * 18e9)
+        else:
+            omega_d = TWO_PI * np.linspace(10e9, 30e9, 201)
+            abar = np.full(omega_d.size, 2e19)
+        got = _grid_acceleration_parameter(kind, abar, omega_d, V, 1e-10)
+        want = [solve_acceleration_parameter(kind, a, w, V) for a, w in zip(abar, omega_d)]
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    def test_grid_inversion_marks_what_the_scalar_solver_rejects(self):
+        omega_d = TWO_PI * 18e9
+        abar = np.array([1e18, 2e20, -1.0, math.inf])
+        got = _grid_acceleration_parameter("sm", abar, omega_d, V, 1e-10)
+        assert np.isfinite(got[0]) and np.all(np.isnan(got[1:]))
+        for bad in abar[1:]:
+            with pytest.raises(ValueError):
+                solve_acceleration_parameter("sm", float(bad), omega_d, V)
