@@ -13,8 +13,9 @@ both copies, BASE first in even pairs and HEAD first in odd ones; the seed
 S is ``i * seed-step`` (0 for every pair by default: the seed-0 inputs are
 the checked reference inputs).
 
-Writes ``BENCH_<n>.json`` in the current directory: per workload the runs
-of every pair, then per end-to-end metric of BENCHMARK.json the median and
+Both commits come from the git checkout that holds this script, and
+``BENCH_<n>.json`` is written at its root: per workload the runs of every
+pair, then per end-to-end metric of BENCHMARK.json the median and
 quartiles of each commit, the relative change of the medians, and in how
 many pairs HEAD did better. The record also holds the machine's CPU count,
 the thread-count variables of the environment and the OS threads each run
@@ -36,6 +37,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "MIRROR_DCE_THREADS")
 
@@ -56,9 +58,9 @@ def _parse_args(argv):
 
 def _export(rev: str, target: Path) -> str:
     """Extract the tree of rev into target; return the full commit id."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                          check=True, capture_output=True, text=True).stdout.strip()
-    data = subprocess.run(["git", "archive", "--format=tar", sha],
+    data = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                           check=True, capture_output=True).stdout
     target.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
@@ -159,7 +161,7 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    path = Path(f"BENCH_{args.n}.json")
+    path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(path)
     return 0
