@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mirror_dce import experiments, numerics
-from mirror_dce.numerics import AliasingWarning
 from mirror_dce.circuit import (
     CircuitParams,
     DriveWarning,
@@ -31,6 +30,7 @@ from mirror_dce.experiments import (
     worldline_dataset,
     write_spectrum_datasets,
 )
+from mirror_dce.numerics import AliasingWarning
 from mirror_dce.scattering import ThermalInput, output_spectrum
 from mirror_dce.trajectories import (
     TrajectoryKind,
