@@ -122,6 +122,7 @@ def _parse_angular(where: str, raw: str) -> float:
 
 
 def _parse_probe(where: str, raw: str) -> float:
+    """A finite linear frequency [Hz] as angular [rad/s]."""
     return 2.0 * math.pi * _parse_float(where, raw)
 
 

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,11 +62,11 @@ from .trajectories import (
     SUBLUMINAL_MARGIN,
     TrajectoryKind,
     TrajectoryParams,
+    _grid_acceleration_parameter,
+    _grid_harmonics,
     average_acceleration,
     directional_acceleration,
     position,
-    _grid_acceleration_parameter,
-    _grid_harmonics,
     solve_acceleration_parameter,
 )
 
@@ -484,8 +484,7 @@ _GATE_MARGIN = 1e-10
 _BLOCK_ROWS = 16
 
 
-@dataclass(frozen=True)
-class _Curve:
+class _Curve(NamedTuple):
     """One kind's grid: the `_n_out` inputs of the points that synthesized
     (indices `ok`), the other points' failure messages and the mid point."""
 

@@ -25,7 +25,6 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
-from scipy.optimize.elementwise import find_root as find_roots
 
 from .constants import C_LIGHT
 from .numerics import ellip_e, ellip_f, find_root
@@ -121,8 +120,7 @@ def _aua_segment_index(p: TrajectoryParams, t):
     return np.floor(2.0 * np.asarray(t, dtype=float) / coordinate_period(p) + 0.5)
 
 
-# `_raw_position` also takes SM and SA parameters as arrays that broadcast
-# against t (see `_grid_harmonics`).
+# Also takes SM and SA parameters as arrays that broadcast against t.
 def _raw_position(p: TrajectoryParams, t):
     t = np.asarray(t, dtype=float)
     w = p.omega_d
@@ -261,10 +259,22 @@ def solve_acceleration_parameter(
     return find_root(lambda a: abar_of(a) - abar_target, lo, hi, tol=1e-13)
 
 
+def _bisect(f, target, lo, hi):
+    """Elementwise root of the increasing f(x) = target in [lo, hi], bisected
+    down to adjacent floats; NaN where target is NaN."""
+    lo, hi = np.broadcast_arrays(np.where(np.isnan(target), np.nan, lo), hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi) | np.isnan(mid)):
+            return mid
+        below = f(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+
+
 def _grid_acceleration_parameter(kind, abar, omega_d, v: float, margin: float):
     """`solve_acceleration_parameter` over arrays abar, omega_d (broadcast).
 
-    Solves the closed-form average in one variable: x = R omega_d / v
+    Bisects the closed-form average in one variable: x = R omega_d / v
     (abar = v omega_d atanh(x) / E(x^2)) for SM and beta = 2 A / (v omega_d)
     (abar = v omega_d asinh(beta) / K(-beta^2)) for SA; AUA has A = abar.
     NaN where the scalar solver raises, and for SM within the relative
@@ -287,8 +297,7 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float, margin: float):
         f = lambda x: np.arctanh(x) / special.ellipe(x**2)
         lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
         r = np.where((r > f(lo) * (1.0 + margin)) & (r < f(hi) * (1.0 - margin)), r, np.nan)
-    bracket = np.broadcast_arrays(lo, hi, r)[:2]
-    out[ok] = scale * find_roots(lambda y, r: f(y) - r, bracket, args=(r,)).x * v * omega_d[ok]
+    out[ok] = scale * _bisect(f, r, lo, hi) * v * omega_d[ok]
     return out
 
 
