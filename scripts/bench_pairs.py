@@ -3,15 +3,13 @@
 
 Usage:
     python3 scripts/bench_pairs.py BASE HEAD --n 6 [--workload presets ...]
-        [--pairs 10] [--seconds 20] [--seed-step 0|1] [--work DIR]
 
-Each commit is exported with ``git archive`` into its own directory under
-``--work`` (a fresh temporary directory by default, removed at the end), so
-neither run sees uncommitted files. For every workload, pair i runs
-``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
-both copies, BASE first in even pairs and HEAD first in odd ones; the seed
-S is ``i * seed-step`` (0 for every pair by default: the seed-0 inputs are
-the checked reference inputs).
+Each commit is exported with ``git archive`` into its own directory in a
+fresh temporary directory, removed at the end, so neither run sees
+uncommitted files. For every workload, each of 10 pairs runs
+``python3 perfbench/run.py --workload W --seed 0 --seconds 20 --trace 0``
+in both copies, BASE first in even pairs and HEAD first in odd ones (the
+seed-0 inputs are the checked reference inputs).
 
 Both commits come from the git checkout that holds this script, and
 ``BENCH_<n>.json`` is written at its root: per workload the runs of every
@@ -40,6 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "MIRROR_DCE_THREADS")
+PAIRS = 10
+SECONDS = 20
+SEED = 0
 
 
 def _parse_args(argv):
@@ -49,10 +50,6 @@ def _parse_args(argv):
     parser.add_argument("--n", required=True, type=int, help="writes BENCH_<n>.json")
     parser.add_argument("--workload", action="append",
                         help="workload to compare (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed-step", type=int, default=0)
-    parser.add_argument("--work", type=Path, help="directory for the two copies")
     return parser.parse_args(argv)
 
 
@@ -68,22 +65,22 @@ def _export(rev: str, target: Path) -> str:
     return sha
 
 
-def _run(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(copy: Path, workload: str) -> dict:
     """One benchmark run in copy: its printed metrics and recorded env."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=copy, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{copy.name} {workload}: {proc.stderr.strip()[-800:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads(
-        (copy / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text()
+        (copy / ".perfbench_out" / f"{workload}-seed{SEED}-trace0.json").read_text()
     )
     env = record.get("env", {})
     return {
-        "seed": seed,
+        "seed": SEED,
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
@@ -121,10 +118,7 @@ def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.pairs < 2:
-        print("bench_pairs: need at least 2 pairs for quartiles", file=sys.stderr)
-        return 2
-    work = args.work or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     copies = {"base": work / "base", "head": work / "head"}
     try:
         shas = {side: _export(getattr(args, side), path) for side, path in copies.items()}
@@ -133,8 +127,8 @@ def main(argv=None) -> int:
         report = {
             "base": {"rev": args.base, "commit": shas["base"]},
             "head": {"rev": args.head, "commit": shas["head"]},
-            "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+            "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                       f"--seconds {SECONDS} --trace 0",
             "machine": {
                 "nproc": len(os.sched_getaffinity(0)),
                 "cpu_count": os.cpu_count(),
@@ -146,21 +140,19 @@ def main(argv=None) -> int:
         }
         for workload in workloads:
             pairs = []
-            for i in range(args.pairs):
-                seed = i * args.seed_step
+            for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                runs = {side: _run(copies[side], workload, seed, args.seconds) for side in order}
+                runs = {side: _run(copies[side], workload) for side in order}
                 pairs.append({"first": order[0], **runs})
                 wall = {side: round(runs[side]["metrics"]["wall_s"], 3) for side in order}
-                print(f"bench_pairs: {workload} pair {i + 1}/{args.pairs} wall_s {wall}",
+                print(f"bench_pairs: {workload} pair {i + 1}/{PAIRS} wall_s {wall}",
                       file=sys.stderr)
             report["workloads"][workload] = {
                 "summary": _summary(pairs, spec["end_to_end"]),
                 "pairs": pairs,
             }
     finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(path)

@@ -29,7 +29,13 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B, PHI0
 from .numerics import FourierSeries, fourier_decompose
-from .trajectories import TrajectoryKind, TrajectoryParams, coordinate_period, position
+from .trajectories import (
+    SYNTHESIS_SAMPLES,
+    TrajectoryKind,
+    TrajectoryParams,
+    coordinate_period,
+    position,
+)
 
 __all__ = [
     "CheckResult",
@@ -56,9 +62,6 @@ EJ0_RATIO_FLOOR = 0.1
 # triangle-inequality bound to settle E_J(t) > 0 without sampling; far above
 # the round-off of the sampled series, so the decision never differs.
 POSITIVITY_BOUND_MARGIN = 1e-9
-
-# Samples of z(t) per period on the grid of `_synthesis_grid`.
-SYNTHESIS_SAMPLES = 4096
 
 
 class RealizabilityError(ValueError):
@@ -186,6 +189,11 @@ class DriveSpectrum:
     def e_j(self, t):
         """Reconstruct E_J(t) [J] at scalar or array t."""
         return self.series().evaluate(t)
+
+    def delta_e_j(self, t):
+        """Oscillating part E_J(t) - a0/2 [J]."""
+        ej = self.e_j(t)
+        return ej - 0.5 * self.a0
 
 
 def _synthesis_grid(p: TrajectoryParams) -> np.ndarray:

@@ -46,7 +46,6 @@ from .circuit import (
     MAX_DRIVE_DEPTH,
     POSITIVITY_BOUND_MARGIN,
     SOFT_HARMONIC_RATIO,
-    SYNTHESIS_SAMPLES,
     CircuitParams,
     DriveSpectrum,
     ValidityReport,
@@ -60,8 +59,10 @@ from .numerics import ALIASING_POWER_SHARE, ConvergenceError, _fourier_basis
 from .scattering import ThermalInput, _drive_terms, _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
+    SYNTHESIS_SAMPLES,
     TrajectoryKind,
     TrajectoryParams,
+    _GATE_MARGIN,
     _grid_acceleration_parameter,
     _grid_harmonics,
     average_acceleration,
@@ -85,6 +86,7 @@ __all__ = [
     "drive_coefficient_dataset",
     "drive_normalized_bias",
     "figure_preset",
+    "first_harmonic_amplitude",
     "read_spectrum_datasets",
     "read_table",
     "relativistic_point",
@@ -137,6 +139,11 @@ def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
         np.hypot(2.0 * np.mean(z * basis.cos[0]), 2.0 * np.mean(z * basis.sin[0]))
     )
     return z1, float(np.max(np.abs(z)))
+
+
+def first_harmonic_amplitude(p: TrajectoryParams) -> float:
+    """|z_1|: magnitude of the fundamental Fourier component of z(t) [m]."""
+    return _waveform_stats(p, position(p, _synthesis_grid(p)))[0]
 
 
 def _normalized_bias_ratio(z1, z_peak, c: CircuitParams):
@@ -474,12 +481,6 @@ def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
     )
 
 
-# Relative margin by which a grid point must clear each closed-form bound
-# of the sweep gate: over 100 times the largest difference between the grid
-# kernels and the scalar path (6e-13, the SM A inversion), and below the
-# 1e-9 slack that bias normalization leaves at the flux-tuning ceiling.
-_GATE_MARGIN = 1e-10
-
 # Grid points per block of z(t) samples, rows x (SYNTHESIS_SAMPLES/4 + 1).
 _BLOCK_ROWS = 16
 
@@ -507,7 +508,7 @@ def _gate(
     ceiling and no aliasing."""
     n_max = spec.n_max
     keep = 1.0 - _GATE_MARGIN
-    a, z_peak = _grid_harmonics(kind, A, wd, c.v, max(n_max, 1), SYNTHESIS_SAMPLES)
+    a, z_peak = _grid_harmonics(kind, A, wd, c.v, max(n_max, 1))
     ratio = _pinned_ratio(kind, spec)
     if ratio is None:
         ratio = _normalized_bias_ratio(np.abs(a[:, 0]), z_peak, c)
@@ -546,7 +547,7 @@ def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Cur
             if spec.A is not None and kind in spec.A:
                 A = np.full(x.size, float(spec.A[kind]))
             else:
-                A = _grid_acceleration_parameter(kind, abar, wd, c.v, _GATE_MARGIN)
+                A = _grid_acceleration_parameter(kind, abar, wd, c.v)
             for start in range(0, x.size, _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
                 cleared[rows], leff0[rows], c_sq[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])

@@ -47,6 +47,16 @@ __all__ = [
 # elliptic singularity at R*omega_d = v.
 SUBLUMINAL_MARGIN = 1e-9
 
+# Samples of z(t) per period on which drives are synthesized.
+SYNTHESIS_SAMPLES = 4096
+
+# Relative margin by which a grid point must clear each closed-form bound
+# of the sweep gate (`experiments._gate`): over 100 times the largest
+# difference between the grid kernels and the scalar path (6e-13, the SM A
+# inversion), and below the 1e-9 slack that bias normalization leaves at
+# the flux-tuning ceiling.
+_GATE_MARGIN = 1e-10
+
 
 class TrajectoryKind(str, Enum):
     SM = "sm"
@@ -271,14 +281,14 @@ def _bisect(f, target, lo, hi):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
 
 
-def _grid_acceleration_parameter(kind, abar, omega_d, v: float, margin: float):
+def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     """`solve_acceleration_parameter` over arrays abar, omega_d (broadcast).
 
     Bisects the closed-form average in one variable: x = R omega_d / v
     (abar = v omega_d atanh(x) / E(x^2)) for SM and beta = 2 A / (v omega_d)
     (abar = v omega_d asinh(beta) / K(-beta^2)) for SA; AUA has A = abar.
-    NaN where the scalar solver raises, and for SM within the relative
-    `margin` of its bracket ends."""
+    NaN where the scalar solver raises, and for SM within `_GATE_MARGIN`
+    (relative) of its bracket ends."""
     kind = TrajectoryKind(kind)
     abar, omega_d = np.broadcast_arrays(
         np.asarray(abar, dtype=float), np.asarray(omega_d, dtype=float)
@@ -296,20 +306,22 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float, margin: float):
     else:  # on the scalar solver's bracket
         f = lambda x: np.arctanh(x) / special.ellipe(x**2)
         lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
-        r = np.where((r > f(lo) * (1.0 + margin)) & (r < f(hi) * (1.0 - margin)), r, np.nan)
+        inside = (r > f(lo) * (1.0 + _GATE_MARGIN)) & (r < f(hi) * (1.0 - _GATE_MARGIN))
+        r = np.where(inside, r, np.nan)
     out[ok] = scale * _bisect(f, r, lo, hi) * v * omega_d[ok]
     return out
 
 
-def _grid_harmonics(kind, A, omega_d, v: float, n_max: int, samples: int):
+def _grid_harmonics(kind, A, omega_d, v: float, n_max: int):
     """Cosine coefficients z_n (rows, n_max) and peaks max|z| (rows,) of
     the worldlines of one kind at parameter arrays A, omega_d, sampled as
-    `position` is on `samples` (a multiple of 4) uniform times per period.
+    `position` is on the SYNTHESIS_SAMPLES uniform times of a period.
 
     Each worldline is even in t and flips sign over half a period: the sine
     and even cosine coefficients vanish (returned as 0), and for the odd
     a_n the trapezoid rule over the first quarter period (samples/4 + 1
     points) equals the full-period rule."""
+    samples = SYNTHESIS_SAMPLES
     # The fields of TrajectoryParams, one worldline per row, for `_raw_position`.
     p = SimpleNamespace(
         kind=TrajectoryKind(kind), A=np.asarray(A, dtype=float)[:, None],

@@ -7,7 +7,6 @@ negative-parameter route from the imaginary-modulus transformation.
 
 `scatter_amplitudes` spells out the first-order sideband amplitudes one
 by one; `output_spectrum` sums their squares in closed form.
-`temperature_estimator` reads a photon number as a temperature scale.
 
 `integrate` (adaptive Simpson) interprets its tolerance relative to the
 magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
@@ -21,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from mirror_dce.circuit import CircuitParams, DriveSpectrum, effective_length
-from mirror_dce.constants import HBAR, K_B
 from mirror_dce.numerics import ConvergenceError, ellip_e, ellip_f
 from mirror_dce.scattering import reflection
 from mirror_dce.trajectories import (
@@ -261,33 +259,3 @@ def scatter_amplitudes(
         omega=w, r=reflection(w, leff0, v), conv=tuple(conv)
     )
 
-
-def temperature_estimator(omega: float, n_out) -> float:
-    """Temperature-scale reading of a photon number: hbar*omega*n_out/k_B [K].
-
-    Linear in n_out at fixed omega; a comparison scale, not a fitted
-    equilibrium temperature."""
-    n = np.asarray(n_out, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("n_out must be >= 0")
-    out = HBAR * float(omega) * n / K_B
-    return float(out) if np.ndim(n_out) == 0 else out
-
-
-def first_harmonic_amplitude(p: TrajectoryParams, samples: int = 4096) -> float:
-    """|z_1|: magnitude of the fundamental Fourier component of z(t) [m],
-    projected on a uniform grid over one period."""
-    t = np.arange(samples) * (coordinate_period(p) / samples)
-    z = position(p, t)
-    wt = p.omega_d * t
-    return float(np.hypot(2.0 * np.mean(z * np.cos(wt)), 2.0 * np.mean(z * np.sin(wt))))
-
-
-def harmonic_power(series) -> float:
-    """Sum over harmonics of a_n^2 + b_n^2 (DC excluded) of a FourierSeries."""
-    return float(np.sum(series.a**2 + series.b**2))
-
-
-def delta_e_j(d: DriveSpectrum, t):
-    """Oscillating part E_J(t) - a0/2 [J] of a drive."""
-    return d.e_j(t) - 0.5 * d.a0

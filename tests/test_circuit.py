@@ -21,7 +21,6 @@ from mirror_dce.trajectories import (
     TrajectoryParams,
     coordinate_period,
 )
-from oracles import delta_e_j
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,7 +104,7 @@ class TestDriveSpectrum:
         t = np.linspace(0.0, 2.0 * math.pi / d.omega_d, 64)
         expected = 0.5 * d.a0 + d.a[0] * np.cos(d.omega_d * t)
         np.testing.assert_allclose(d.e_j(t), expected, rtol=1e-14)
-        np.testing.assert_allclose(delta_e_j(d, t), expected - 0.5 * d.a0, atol=1e-30)
+        np.testing.assert_allclose(d.delta_e_j(t), expected - 0.5 * d.a0, atol=1e-30)
 
     @staticmethod
     def count_probes(monkeypatch) -> list:
@@ -265,7 +264,7 @@ class TestEffectiveLengthModulation:
             d = single_tone_drive(c, wd, ratio=ratio)
             t = np.linspace(0.0, TWO_PI / wd, 512)
             exact = (c.phi0 / TWO_PI) ** 2 / (c.L0 * d.e_j(t))
-            linear = leff0 * (1.0 - delta_e_j(d, t) / c.E_J0)
+            linear = leff0 * (1.0 - d.delta_e_j(t) / c.E_J0)
             return float(np.max(np.abs(exact - linear)))
 
         dev_full = max_deviation(0.2)

@@ -22,6 +22,7 @@ from mirror_dce.experiments import (
     baseline_point,
     drive_normalized_bias,
     figure_preset,
+    first_harmonic_amplitude,
     read_spectrum_datasets,
     relativistic_point,
     reproduce,
@@ -39,7 +40,6 @@ from mirror_dce.trajectories import (
     coordinate_period,
     solve_acceleration_parameter,
 )
-from oracles import first_harmonic_amplitude
 
 TWO_PI = 2.0 * math.pi
 

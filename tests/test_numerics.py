@@ -22,7 +22,6 @@ from oracles import (
     ellip_e_quad,
     ellip_f_imag_modulus,
     ellip_f_quad,
-    harmonic_power,
     integrate,
 )
 
@@ -290,7 +289,7 @@ class TestFourierDecompose:
         series = fourier_decompose(signal, self.WD, n_max=5, samples=samples)
         t = np.arange(samples) * (2.0 * math.pi / self.WD / samples)
         signal_power = float(np.mean(signal(t) ** 2))
-        series_power = series.a0**2 / 4.0 + harmonic_power(series) / 2.0
+        series_power = series.a0**2 / 4.0 + series.harmonic_power / 2.0
         assert series_power == pytest.approx(signal_power, rel=1e-10)
 
     def test_callable_must_map_the_time_array(self):

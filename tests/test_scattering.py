@@ -11,9 +11,10 @@ from mirror_dce.scattering import (
     ThermalInput,
     output_spectrum,
     reflection,
+    temperature_estimator,
     thermal_occupation,
 )
-from oracles import scatter_amplitudes, temperature_estimator
+from oracles import scatter_amplitudes
 
 TWO_PI = 2.0 * math.pi
 
