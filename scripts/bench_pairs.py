@@ -36,8 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "MIRROR_DCE_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
 SECONDS = 20
 SEED = 0
@@ -86,7 +85,6 @@ def _run(copy: Path, workload: str) -> dict:
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "passes": len(record.get("passes", {}).get("wall_s", [])),
         "os_threads_after_pass": env.get("os_threads_after_pass"),
-        "MIRROR_DCE_THREADS": env.get("MIRROR_DCE_THREADS"),
     }
 
 

@@ -33,7 +33,6 @@ from .trajectories import (
     SYNTHESIS_SAMPLES,
     TrajectoryKind,
     TrajectoryParams,
-    coordinate_period,
     position,
 )
 
@@ -171,8 +170,7 @@ class DriveSpectrum:
 
     def _probe_times(self) -> np.ndarray:
         """The synthesis grid's times, where an inconclusive bound probes E_J."""
-        period = 2.0 * math.pi / self.omega_d
-        return np.arange(SYNTHESIS_SAMPLES) * (period / SYNTHESIS_SAMPLES)
+        return _synthesis_grid(self.omega_d)
 
     @property
     def n_max(self) -> int:
@@ -196,10 +194,11 @@ class DriveSpectrum:
         return ej - 0.5 * self.a0
 
 
-def _synthesis_grid(p: TrajectoryParams) -> np.ndarray:
-    """Uniform times over one coordinate period: the grid on which drive
-    synthesis, its depth check and bias normalization sample z(t)."""
-    return np.arange(SYNTHESIS_SAMPLES) * (coordinate_period(p) / SYNTHESIS_SAMPLES)
+def _synthesis_grid(omega_d: float) -> np.ndarray:
+    """Uniform times over one period 2 pi/omega_d: the grid on which drive
+    synthesis and its depth check sample z(t), and the positivity probe
+    evaluates E_J(t)."""
+    return np.arange(SYNTHESIS_SAMPLES) * ((2.0 * math.pi / omega_d) / SYNTHESIS_SAMPLES)
 
 
 def trajectory_to_drive(
@@ -216,11 +215,8 @@ def trajectory_to_drive(
     leff0 = effective_length(c)
     scale = c.E_J0 / leff0
 
-    z = position(p, _synthesis_grid(p))
-    # fourier_decompose samples the same grid, so it can take z as is.
-    series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
-
-    # Depth check against the full (untruncated) waveform, not the series.
+    z = position(p, _synthesis_grid(p.omega_d))
+    # Depth check against the full (untruncated) waveform, before projecting.
     z_peak = float(np.max(np.abs(z)))
     depth = z_peak / leff0
     if depth > MAX_DRIVE_DEPTH:
@@ -228,6 +224,8 @@ def trajectory_to_drive(
             f"trajectory amplitude {z_peak:.4g} m is {depth:.3g} of the "
             f"effective length {leff0:.4g} m; exceeds the {MAX_DRIVE_DEPTH} margin"
         )
+    # fourier_decompose samples the same grid, so it can take z as is.
+    series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
 
     drive = DriveSpectrum(
         a0=2.0 * c.E_J0,

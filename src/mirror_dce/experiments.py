@@ -12,9 +12,11 @@ Two standard operating points anchor the bundled presets:
 
 Drive normalization: unless a bias ratio is pinned explicitly, presets set
 E_J^0 so that the first drive harmonic satisfies |a_1 + i b_1| = a0/8, the
-same relative tone strength as the baseline experiment. The output spectrum
-is independent of this choice (the bias cancels from the first-order
-amplitudes); it only affects experimental feasibility flags.
+same relative tone strength as the baseline experiment. |z_1| and max|z|
+come from the quarter-period kernel of the sweep grid (`_grid_harmonics`),
+for a single point as for a whole curve. The output spectrum is independent
+of this choice (the bias cancels from the first-order amplitudes); it only
+affects experimental feasibility flags.
 
 Sweeps along the abar and omega_d axes evaluate each curve as arrays. The
 first-order spectrum depends on the drive only through |z_n|/v, and
@@ -50,12 +52,11 @@ from .circuit import (
     DriveSpectrum,
     ValidityReport,
     _atomic_write,
-    _synthesis_grid,
     effective_length,
     trajectory_to_drive,
     validate,
 )
-from .numerics import ALIASING_POWER_SHARE, ConvergenceError, _fourier_basis
+from .numerics import ALIASING_POWER_SHARE, ConvergenceError
 from .scattering import ThermalInput, _drive_terms, _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
@@ -130,20 +131,10 @@ def relativistic_point() -> tuple[float, float]:
     return 20e18, 2.0 * math.pi * 14.6e9
 
 
-def _waveform_stats(p: TrajectoryParams, z: np.ndarray) -> tuple[float, float]:
-    """(|z_1|, max|z|) [m] of the centered trajectory from its samples
-    z = position(p, _synthesis_grid(p)) over one period."""
-    # Row 0 of the n_max = 1 basis is cos/sin(omega_d t) on that grid.
-    basis = _fourier_basis(p.omega_d, 1, z.size)
-    z1 = float(
-        np.hypot(2.0 * np.mean(z * basis.cos[0]), 2.0 * np.mean(z * basis.sin[0]))
-    )
-    return z1, float(np.max(np.abs(z)))
-
-
 def first_harmonic_amplitude(p: TrajectoryParams) -> float:
     """|z_1|: magnitude of the fundamental Fourier component of z(t) [m]."""
-    return _waveform_stats(p, position(p, _synthesis_grid(p)))[0]
+    a, _ = _grid_harmonics(p.kind, [p.A], [p.omega_d], p.v, 1)
+    return float(abs(a[0, 0]))
 
 
 def _normalized_bias_ratio(z1, z_peak, c: CircuitParams):
@@ -166,9 +157,12 @@ def drive_normalized_bias(p: TrajectoryParams, c: CircuitParams) -> CircuitParam
     thereby the bias ratio. Small-amplitude trajectories would push the
     bias past the flux-tuning ceiling E_J(t) <= 2 E_J; the bias then
     saturates just below the ceiling (the realized tone ratio drops, which
-    leaves the output spectrum unchanged)."""
-    z1, z_peak = _waveform_stats(p, position(p, _synthesis_grid(p)))
-    return replace(c, EJ0_ratio=float(_normalized_bias_ratio(z1, z_peak, c)))
+    leaves the output spectrum unchanged). z_1 and max|z| come from the
+    quarter-period kernel of the sweep grid, so every sweep point shares
+    this bias path."""
+    a, z_peak = _grid_harmonics(p.kind, [p.A], [p.omega_d], p.v, 1)
+    ratio = _normalized_bias_ratio(np.abs(a[:, 0]), z_peak, c)
+    return replace(c, EJ0_ratio=float(ratio[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +338,13 @@ class SweepSpec:
         )
         if len(self.x) < 2:
             raise ValueError("sweep grid needs at least 2 points")
+        if not isinstance(self.n_max, (int, np.integer)) or not (
+            0 <= self.n_max <= SYNTHESIS_SAMPLES // 8
+        ):
+            raise ValueError(
+                f"n_max must be an integer in [0, {SYNTHESIS_SAMPLES // 8}], "
+                f"got {self.n_max!r}"
+            )
         if not self.trajectories:
             raise ValueError("sweep needs at least one trajectory kind")
         if not all(0.0 <= t < math.inf for t in self.temperatures):
@@ -542,15 +543,14 @@ def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Cur
     cleared = np.zeros(x.size, dtype=bool)
     leff0 = np.full(x.size, np.nan)
     c_sq = np.zeros((spec.n_max, x.size))
-    if 8 * spec.n_max <= SYNTHESIS_SAMPLES:  # else fourier_decompose raises
-        with np.errstate(all="ignore"):  # the points the gate rejects fall back
-            if spec.A is not None and kind in spec.A:
-                A = np.full(x.size, float(spec.A[kind]))
-            else:
-                A = _grid_acceleration_parameter(kind, abar, wd, c.v)
-            for start in range(0, x.size, _BLOCK_ROWS):
-                rows = slice(start, start + _BLOCK_ROWS)
-                cleared[rows], leff0[rows], c_sq[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])
+    with np.errstate(all="ignore"):  # the points the gate rejects fall back
+        if spec.A is not None and kind in spec.A:
+            A = np.full(x.size, float(spec.A[kind]))
+        else:
+            A = _grid_acceleration_parameter(kind, abar, wd, c.v)
+        for start in range(0, x.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            cleared[rows], leff0[rows], c_sq[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])
     failures: dict[int, str] = {}
     for i in np.flatnonzero(~cleared):
         point = mid if i == mid_index else _synthesize_or_fail(kind, spec, c, float(x[i]))

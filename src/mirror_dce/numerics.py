@@ -9,18 +9,13 @@ Conventions
   m < 1), and phi may exceed pi/2; the periodic extension
   E(phi + pi, m) = E(phi, m) + 2 E(pi/2, m) holds (likewise for F).
 
-All functions are pure and safe to call concurrently. The only shared state
-is a small byte-bounded, lock-guarded cache of the read-only cos/sin
-matrices that `fourier_decompose` projects onto (one per drive frequency,
-harmonic count and sample count), so repeated syntheses at one drive
-frequency, such as the fallback points of an abar sweep, build it once.
+All functions are pure and keep no shared state, so they are safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -206,63 +201,6 @@ def _sample_periodic(z, t: np.ndarray) -> np.ndarray:
     return vals
 
 
-# Byte budget of the Fourier-basis cache: two n_max = 3 bases at 4096
-# samples (224 KiB each), enough for a drive's basis and the n_max = 1
-# basis of bias normalization at one drive frequency. A basis larger than
-# the budget is built and not kept. Each cached byte stays resident, so the
-# budget is kept small.
-BASIS_CACHE_BYTES = 512 * 1024
-
-
-@dataclass(frozen=True)
-class _FourierBasis:
-    """Read-only sample times t over one period and the projection matrices
-    cos(n omega_d t), sin(n omega_d t) for n = 1..n_max (one row each)."""
-
-    t: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.t.nbytes + self.cos.nbytes + self.sin.nbytes
-
-
-_basis_cache: OrderedDict[tuple[float, int, int], _FourierBasis] = OrderedDict()
-_basis_cache_lock = threading.Lock()
-
-
-def _build_fourier_basis(omega_d: float, n_max: int, samples: int) -> _FourierBasis:
-    period = 2.0 * np.pi / omega_d
-    t = np.arange(samples) * (period / samples)
-    phase = np.multiply.outer(np.arange(1, n_max + 1), t) * omega_d
-    basis = _FourierBasis(t=t, cos=np.cos(phase), sin=np.sin(phase))
-    for arr in (basis.t, basis.cos, basis.sin):
-        arr.setflags(write=False)
-    return basis
-
-
-def _fourier_basis(omega_d: float, n_max: int, samples: int) -> _FourierBasis:
-    """The basis of (omega_d, n_max, samples), from the cache when present.
-
-    Least recently used bases are evicted once the cache exceeds
-    BASIS_CACHE_BYTES. Row n - 1 of a basis does not depend on n_max."""
-    key = (float(omega_d), int(n_max), int(samples))
-    with _basis_cache_lock:
-        basis = _basis_cache.get(key)
-        if basis is not None:
-            _basis_cache.move_to_end(key)
-            return basis
-    basis = _build_fourier_basis(*key)
-    if basis.nbytes <= BASIS_CACHE_BYTES:
-        with _basis_cache_lock:
-            _basis_cache[key] = basis
-            total = sum(b.nbytes for b in _basis_cache.values())
-            while total > BASIS_CACHE_BYTES:
-                total -= _basis_cache.popitem(last=False)[1].nbytes
-    return basis
-
-
 def fourier_decompose(
     z: Callable, omega_d: float, n_max: int, samples: int = 4096
 ) -> FourierSeries:
@@ -283,15 +221,16 @@ def fourier_decompose(
         raise ValueError(
             f"samples={samples} too small for n_max={n_max}; need at least {8 * n_max}"
         )
-    basis = _fourier_basis(omega_d, n_max, samples)
-    vals = _sample_periodic(z, basis.t)
+    t = np.arange(samples) * ((2.0 * np.pi / omega_d) / samples)
+    vals = _sample_periodic(z, t)
 
     a0 = 2.0 * float(np.mean(vals))
     if n_max == 0:
         return FourierSeries(a0=a0, a=np.empty(0), b=np.empty(0), omega_d=omega_d)
 
-    a = 2.0 * (basis.cos @ vals) / samples
-    b = 2.0 * (basis.sin @ vals) / samples
+    phase = np.multiply.outer(np.arange(1, n_max + 1), t) * omega_d
+    a = 2.0 * (np.cos(phase) @ vals) / samples
+    b = 2.0 * (np.sin(phase) @ vals) / samples
 
     power = a**2 + b**2
     total = float(np.sum(power))

@@ -373,6 +373,9 @@ class TestCommands:
             (["drive", "--kind", "sa", "--abar=-9e17", "--fd", "18e9"],
              "--abar: must be positive"),
             (["spectrum", "--kind", "sm", "--A", "abc", "--fd", "18e9"], "--A: not a number"),
+            (["sweep", "--kind", "sa", "--axis", "abar", "--min", "1e18", "--max", "2e18",
+              "--fd", "14.6e9", "--w", "7e9", "--nmax", "600"],
+             "n_max must be an integer in [0, 512], got 600"),
         ],
     )
     def test_bad_flag_values_exit_nonzero_and_write_nothing(

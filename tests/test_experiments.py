@@ -6,13 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mirror_dce import experiments, numerics
-from mirror_dce.circuit import (
-    CircuitParams,
-    DriveWarning,
-    _synthesis_grid,
-    trajectory_to_drive,
-)
+from mirror_dce import experiments
+from mirror_dce.circuit import CircuitParams, DriveWarning, trajectory_to_drive
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
     InfeasibleError,
@@ -31,13 +26,14 @@ from mirror_dce.experiments import (
     worldline_dataset,
     write_spectrum_datasets,
 )
-from mirror_dce.numerics import AliasingWarning
+from mirror_dce.numerics import AliasingWarning, fourier_decompose
 from mirror_dce.scattering import ThermalInput, output_spectrum
 from mirror_dce.trajectories import (
     TrajectoryKind,
     TrajectoryParams,
     average_acceleration,
     coordinate_period,
+    position,
     solve_acceleration_parameter,
 )
 
@@ -45,15 +41,42 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestBiasNormalization:
-    def test_waveform_stats_match_the_plain_projection(self, sa_comparison):
-        # The first harmonic comes from the cached Fourier basis; it must
-        # equal the projection on cos/sin(omega_d t) bit for bit.
-        p = sa_comparison
-        t = _synthesis_grid(p)
-        z = experiments.position(p, t)
-        wt = p.omega_d * t
-        z1 = float(np.hypot(2.0 * np.mean(z * np.cos(wt)), 2.0 * np.mean(z * np.sin(wt))))
-        assert experiments._waveform_stats(p, z) == (z1, float(np.max(np.abs(z))))
+    def test_bias_is_the_sweep_gates_bias(self, reference_circuit, monkeypatch):
+        # A scalar point and a grid block share one bias path: the bias of
+        # drive_normalized_bias is the one `_gate` computes for the same A.
+        abar, wd = relativistic_point()
+        c = reference_circuit
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.ABAR, x=tuple(np.linspace(5e18, 30e18, 9)),
+            trajectories=(TrajectoryKind.SM,), omega_d=wd, omega=0.5 * wd,
+        )
+        biases = []
+
+        def spy(*args):
+            biases.append(ratio(*args))
+            return biases[-1]
+
+        ratio = experiments._normalized_bias_ratio
+        monkeypatch.setattr(experiments, "_normalized_bias_ratio", spy)
+        for kind in TrajectoryKind:
+            A = np.array([solve_acceleration_parameter(kind, x, wd, c.v) for x in spec.x])
+            experiments._gate(kind, spec, c, A, np.full(A.size, wd))
+            (grid,) = biases
+            scalar = [
+                drive_normalized_bias(TrajectoryParams(kind, a, wd, c.v), c).EJ0_ratio
+                for a in A
+            ]
+            np.testing.assert_allclose(scalar, grid, rtol=1e-15, atol=0)
+            biases.clear()
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    def test_first_harmonic_matches_the_dense_projection(self, reference_circuit, kind):
+        abar, wd = relativistic_point()
+        A = solve_acceleration_parameter(kind, abar, wd, reference_circuit.v)
+        p = TrajectoryParams(kind, A, wd, reference_circuit.v)
+        dense = fourier_decompose(lambda t: position(p, t), wd, 3)
+        z1 = float(np.hypot(dense.a[0], dense.b[0]))
+        assert abs(first_harmonic_amplitude(p) - z1) <= 4e-15 * z1
 
     def test_reference_point_recovers_reference_bias(self, reference_circuit):
         # R = 0.11 mm at 18 GHz with a_1 = a0/8 gives E_J0 = 1.3 E_J
@@ -481,6 +504,24 @@ class TestRunSweep:
                 omega_d=1e11, abar=1e18,
             )
 
+    @pytest.mark.parametrize("n_max", [-1, 2.5, 513, 600])
+    def test_spec_rejects_bad_harmonic_counts(self, n_max):
+        # n_max must index the 4096-sample synthesis grid (8 samples per
+        # harmonic), else every point would fail.
+        with pytest.raises(ValueError, match=r"^n_max must be an integer in \[0, 512\]"):
+            SweepSpec(
+                figure_id="t", axis=SweepAxis.OMEGA, x=(1.0, 2.0),
+                trajectories=(TrajectoryKind.SA,), n_max=n_max, omega_d=1e11, abar=1e18,
+            )
+
+    @pytest.mark.parametrize("n_max", [0, 512])
+    def test_spec_accepts_the_harmonic_count_range(self, n_max):
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA, x=(1.0, 2.0),
+            trajectories=(TrajectoryKind.SA,), n_max=n_max, omega_d=1e11, abar=1e18,
+        )
+        assert spec.n_max == n_max
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             SweepSpec(
@@ -659,26 +700,6 @@ class TestReproduce:
         monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
         assert len(reproduce(figure, tmp_path, reference_circuit)) == 2
         assert calls == [TrajectoryKind.SA, TrajectoryKind.AUA]
-
-    def test_fixed_drive_frequency_builds_one_basis_per_harmonic_count(
-        self, reference_circuit, tmp_path, monkeypatch
-    ):
-        builds = []
-
-        def counted(*key):
-            builds.append(key)
-            return build(*key)
-
-        build = numerics._build_fourier_basis
-        monkeypatch.setattr(numerics, "_build_fourier_basis", counted)
-        monkeypatch.setattr(numerics, "_basis_cache", type(numerics._basis_cache)())
-        reproduce("fig6", tmp_path, reference_circuit)
-        # n_max = 1 for the preset's bias normalization, n_max = 3 for the
-        # drives of the SA and AUA mid points, which share it.
-        assert sorted(builds) == [
-            (relativistic_point()[1], 1, 4096),
-            (relativistic_point()[1], 3, 4096),
-        ]
 
     def test_sharing_is_scoped_to_one_call(self, tmp_path, monkeypatch):
         # Small fig6-like preset; each reproduce output must equal sweeps

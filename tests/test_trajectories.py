@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mirror_dce.experiments import first_harmonic_amplitude
 from mirror_dce.numerics import find_root, fourier_decompose
 from mirror_dce.trajectories import (
     TrajectoryKind,
@@ -373,7 +374,13 @@ class TestGridKernels:
     def test_slow_aua_harmonics_keep_their_digits(self):
         omega_d = TWO_PI * 18e9
         (a,), _ = _grid_harmonics("aua", [1e17], [omega_d], V, 1)
-        assert a[0] == pytest.approx(_aua_trapezoid_a1(1e17, omega_d, V, 4096), rel=1e-15)
+        want = _aua_trapezoid_a1(1e17, omega_d, V, 4096)
+        # abs=0: pytest.approx's default 1e-12 absolute tolerance would
+        # admit a relative error of 1e-7 at |z_1| ~ 1e-5 m.
+        assert a[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+        # Bias normalization takes |z_1| from the same kernel.
+        p = TrajectoryParams(TrajectoryKind.AUA, 1e17, omega_d, V)
+        assert first_harmonic_amplitude(p) == pytest.approx(abs(want), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "kind, axis, rtol",
