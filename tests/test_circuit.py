@@ -16,7 +16,6 @@ from mirror_dce.circuit import (
     validate,
 )
 from mirror_dce.constants import C_LIGHT, PHI0
-from mirror_dce.experiments import drive_normalized_bias
 from mirror_dce.numerics import fourier_decompose
 from mirror_dce.trajectories import (
     TrajectoryKind,
@@ -209,7 +208,9 @@ class TestTrajectoryToDrive:
         with pytest.raises(RealizabilityError):
             trajectory_to_drive(p, c, n_max=3)
 
-    def test_depth_check_runs_before_the_projection(self, reference_circuit, monkeypatch):
+    def test_depth_check_runs_before_the_projection(
+        self, sa_comparison, sa_comparison_circuit, reference_circuit, monkeypatch
+    ):
         # The depth check needs only z(t): a too-deep point fails before
         # its Fourier coefficients are computed, with the same message.
         calls = []
@@ -219,16 +220,14 @@ class TestTrajectoryToDrive:
             return fourier_decompose(*args, **kwargs)
 
         monkeypatch.setattr(circuit, "fourier_decompose", spy)
-        wd = TWO_PI * 14.6e9
-        p = TrajectoryParams(TrajectoryKind.SA, 13.725e18, wd, reference_circuit.v)
         with pytest.raises(
             RealizabilityError,
             match=r"^trajectory amplitude \S+ m is \S+ of the effective length \S+ m; "
             r"exceeds the 0\.5 margin$",
         ):
-            trajectory_to_drive(p, reference_circuit, n_max=3)
+            trajectory_to_drive(sa_comparison, reference_circuit, n_max=3)
         assert calls == []
-        trajectory_to_drive(p, drive_normalized_bias(p, reference_circuit), n_max=3)
+        trajectory_to_drive(sa_comparison, sa_comparison_circuit, n_max=3)
         assert calls == [1]
 
 
