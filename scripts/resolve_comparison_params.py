@@ -10,17 +10,16 @@ import math
 import sys
 
 from mirror_dce.circuit import CircuitParams
-from mirror_dce.experiments import SelectionCriteria, select_parameters
+from mirror_dce.experiments import select_parameters
 from mirror_dce.trajectories import TrajectoryKind
 
 
 def main() -> int:
     target = float(sys.argv[1]) if len(sys.argv) > 1 else 20e18
     c = CircuitParams()
-    crit = SelectionCriteria(abar_target=target)
     rows = []
     for kind in (TrajectoryKind.SA, TrajectoryKind.AUA, TrajectoryKind.SM):
-        sel = select_parameters(kind, crit, c)
+        sel = select_parameters(kind, target, c)
         rows.append(
             (
                 kind.value,

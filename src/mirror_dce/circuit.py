@@ -188,11 +188,6 @@ class DriveSpectrum:
         """Reconstruct E_J(t) [J] at scalar or array t."""
         return self.series().evaluate(t)
 
-    def delta_e_j(self, t):
-        """Oscillating part E_J(t) - a0/2 [J]."""
-        ej = self.e_j(t)
-        return ej - 0.5 * self.a0
-
 
 def _synthesis_grid(omega_d: float) -> np.ndarray:
     """Uniform times over one period 2 pi/omega_d: the grid on which drive

@@ -36,12 +36,12 @@ import numpy as np
 from .circuit import CircuitParams, export_flux_waveform, trajectory_to_drive
 from .experiments import (
     FIGURE_ALIASES,
-    SelectionCriteria,
     SweepAxis,
     SweepSpec,
     _fmt,
     _write_table,
     drive_coefficient_dataset,
+    first_harmonic_amplitude,
     reproduce,
     run_sweep,
     select_parameters,
@@ -396,12 +396,18 @@ def _report_failed_points(datasets) -> None:
     )
 
 
+def _realized_tone_ratio(s, c: CircuitParams) -> float:
+    # a_1/a_0 = |z_1| / (2 L_eff^0); below a0/8 where the bias saturates
+    p = TrajectoryParams(s.kind, s.A, s.omega_d, c.v)
+    return first_harmonic_amplitude(p) / (2.0 * s.L_eff0)
+
+
 _PARAM_ROWS = (
     ("abar [m/s^2]", lambda s, c: f"{s.abar:.6g}"),
     ("A [m/s^2]", lambda s, c: f"{s.A:.6g}"),
     ("omega_d/2pi [GHz]", lambda s, c: f"{s.omega_d / (2e9 * math.pi):.6g}"),
     ("E_J0/E_J", lambda s, c: f"{s.ejo_ratio:.6g}"),
-    ("a_1/a_0", lambda s, c: "0.125"),
+    ("a_1/a_0", lambda s, c: f"{_realized_tone_ratio(s, c):.6g}"),
     ("L_eff0 [mm]", lambda s, c: f"{s.L_eff0 * 1e3:.6g}"),
     ("R [mm]", lambda s, c: "-" if s.R is None else f"{s.R * 1e3:.6g}"),
     ("I_c [uA]", lambda s, c: f"{c.I_c * 1e6:.6g}"),
@@ -415,8 +421,7 @@ _PARAM_ROWS = (
 def _cmd_params(cfg: RunConfig, written: list[Path]) -> int:
     kind = _require(cfg.kind, "trajectory kind (--kind)")
     abar = _require(cfg.abar_target, "target acceleration (--abar)")
-    crit = SelectionCriteria(abar_target=abar)
-    sel = select_parameters(kind, crit, cfg.circuit)
+    sel = select_parameters(kind, abar, cfg.circuit)
     width = max(len(r[0]) for r in _PARAM_ROWS)
     print(f"{'quantity':<{width}}  {kind.value}")
     for label, render in _PARAM_ROWS:

@@ -7,8 +7,9 @@ Two standard operating points anchor the bundled presets:
   alike, and
 - the relativistic comparison point (drive at 14.6 GHz, average proper
   acceleration 2e19 m/s^2), chosen by `select_parameters` as the lowest
-  drive frequency at which the synthesized drive stays realizable with the
-  Josephson bias floor E_J^0/E_J >= 0.1.
+  drive frequency on the grid k * 0.1 GHz (k = 1..400) at which the
+  normalized bias stays at or above the floor E_J^0/E_J = 0.1; SA and AUA
+  share that frequency. The grid is bisected.
 
 Drive normalization: unless a bias ratio is pinned explicitly, presets set
 E_J^0 so that the first drive harmonic satisfies |a_1 + i b_1| = a0/8, the
@@ -45,6 +46,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .circuit import (
+    EJ0_RATIO_FLOOR,
     MAX_DRIVE_DEPTH,
     POSITIVITY_BOUND_MARGIN,
     SOFT_HARMONIC_RATIO,
@@ -78,7 +80,6 @@ __all__ = [
     "DriveCoefficientDataset",
     "InfeasibleError",
     "ParameterSelection",
-    "SelectionCriteria",
     "SpectrumDataset",
     "SweepAxis",
     "SweepSpec",
@@ -143,9 +144,10 @@ def _normalized_bias_ratio(z1, z_peak, c: CircuitParams):
     leff_unit = effective_length(replace(c, EJ0_ratio=1.0))  # at E_J^0 = E_J
     ratio = leff_unit / (z1 / (2.0 * NORMALIZED_TONE_RATIO))
     # ceiling: E_J^0 * (1 + z_peak / L_eff^0) <= 2 E_J, i.e.
-    # eta r^2 + r - 2 <= 0 with eta = z_peak / leff_unit
+    # eta r^2 + r - 2 <= 0 with eta = z_peak / leff_unit; its positive root,
+    # written without the subtraction that loses digits at small eta
     eta = z_peak / leff_unit
-    cap = (np.sqrt(1.0 + 8.0 * eta * (1.0 - 1e-9)) - 1.0) / (2.0 * eta)
+    cap = 4.0 * (1.0 - 1e-9) / (1.0 + np.sqrt(1.0 + 8.0 * eta * (1.0 - 1e-9)))
     return np.minimum(ratio, cap)
 
 
@@ -169,38 +171,12 @@ def drive_normalized_bias(p: TrajectoryParams, c: CircuitParams) -> CircuitParam
 # parameter selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelectionCriteria:
-    """Constraints for picking (A, omega_d) at a target average acceleration.
+_SA_AUA = (TrajectoryKind.SA, TrajectoryKind.AUA)
 
-    The drive frequency is shared across `shared_kinds` (the comparison set
-    is driven at one common frequency); pass shared_kinds=() to select each
-    kind independently. The objective maximizes abar/omega_d, i.e. minimizes
-    omega_d at the fixed target."""
-
-    abar_target: float
-    ejo_ratio_min: float = 0.1
-    omega_d_max: float = 2.0 * math.pi * 40e9
-    omega_d_resolution: float = 2.0 * math.pi * 0.1e9
-    shared_kinds: tuple[TrajectoryKind, ...] = (
-        TrajectoryKind.SA,
-        TrajectoryKind.AUA,
-    )
-
-    def __post_init__(self):
-        if not self.abar_target > 0.0:
-            raise ValueError(f"abar_target must be positive, got {self.abar_target}")
-        if not 0.0 < self.ejo_ratio_min <= 1.0:
-            raise ValueError(
-                f"ejo_ratio_min must lie in (0, 1], got {self.ejo_ratio_min}"
-            )
-        if not self.omega_d_max > 0.0 or not self.omega_d_resolution > 0.0:
-            raise ValueError("omega_d_max and omega_d_resolution must be positive")
-        object.__setattr__(
-            self,
-            "shared_kinds",
-            tuple(TrajectoryKind(k) for k in self.shared_kinds),
-        )
+# The drive-frequency grid of the search: omega_d = k * OMEGA_D_RESOLUTION
+# for k = 1 .. OMEGA_D_MAX / OMEGA_D_RESOLUTION (0.1 GHz steps up to 40 GHz).
+OMEGA_D_RESOLUTION = 2.0 * math.pi * 0.1e9
+OMEGA_D_MAX = 2.0 * math.pi * 40e9
 
 
 @dataclass(frozen=True)
@@ -216,86 +192,61 @@ class ParameterSelection:
     R: float | None = None  # SM oscillation amplitude [m]
 
 
-def _sm_amplitude_cap(crit: SelectionCriteria, v: float) -> float:
-    # Largest SM amplitude compatible with a subluminal wall anywhere up to
-    # the maximum drive frequency (with a hair of margin off the bound).
-    return (1.0 - 10.0 * SUBLUMINAL_MARGIN) * v / crit.omega_d_max
-
-
 def _feasible(
-    kind: TrajectoryKind, omega_d: float, crit: SelectionCriteria, c: CircuitParams
+    kind: TrajectoryKind, abar: float, omega_d: float, c: CircuitParams
 ) -> bool:
     if kind is TrajectoryKind.SM:
-        cap = _sm_amplitude_cap(crit, c.v)
+        # Largest SM amplitude compatible with a subluminal wall anywhere up
+        # to the maximum drive frequency (with a hair of margin off the bound).
+        cap = (1.0 - 10.0 * SUBLUMINAL_MARGIN) * c.v / OMEGA_D_MAX
         p_cap = TrajectoryParams(TrajectoryKind.SM, cap * omega_d**2, omega_d, c.v)
-        if average_acceleration(p_cap) < crit.abar_target:
+        if average_acceleration(p_cap) < abar:
             return False
-    A = solve_acceleration_parameter(kind, crit.abar_target, omega_d, c.v)
+    A = solve_acceleration_parameter(kind, abar, omega_d, c.v)
     p = TrajectoryParams(kind, A, omega_d, c.v)
     biased = drive_normalized_bias(p, c)
-    return biased.EJ0_ratio >= crit.ejo_ratio_min
-
-
-def _min_feasible_omega_d(
-    kind: TrajectoryKind, crit: SelectionCriteria, c: CircuitParams
-) -> float:
-    hi = crit.omega_d_max
-    if not _feasible(kind, hi, crit, c):
-        raise InfeasibleError(
-            f"{kind.value}: abar_target={crit.abar_target:.4g} m/s^2 is not "
-            f"reachable below omega_d_max/2pi = {crit.omega_d_max / (2e9 * math.pi):.4g} GHz"
-        )
-    lo = hi
-    for _ in range(60):
-        lo *= 0.5
-        if not _feasible(kind, lo, crit, c):
-            break
-    else:
-        # Feasible arbitrarily far down; the resolution floor is the answer.
-        return crit.omega_d_resolution
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _feasible(kind, mid, crit, c):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    return hi
+    return biased.EJ0_ratio >= EJ0_RATIO_FLOOR
 
 
 def select_parameters(
-    kind: TrajectoryKind, crit: SelectionCriteria, c: CircuitParams
+    kind: TrajectoryKind, abar_target: float, c: CircuitParams
 ) -> ParameterSelection:
     """Lowest-frequency operating point reaching the target abar.
 
     Lexicographic: (1) hit abar_target exactly by solving A; (2) restrict to
-    drive-realizable points with E_J^0/E_J >= ejo_ratio_min under the
-    first-harmonic normalization; (3) minimize omega_d (maximize
-    abar/omega_d). The boundary frequency is rounded up to
-    omega_d_resolution so the returned point is strictly feasible."""
+    drive-realizable points with E_J^0/E_J >= EJ0_RATIO_FLOOR under the
+    first-harmonic normalization; (3) minimize omega_d over the grid
+    k * OMEGA_D_RESOLUTION, k = 1 .. OMEGA_D_MAX / OMEGA_D_RESOLUTION. SA and
+    AUA share one drive frequency, the lowest feasible for both. The grid is
+    bisected, which assumes feasibility grows with omega_d."""
     kind = TrajectoryKind(kind)
-    group = (
-        crit.shared_kinds
-        if (crit.shared_kinds and kind in crit.shared_kinds)
-        else (kind,)
-    )
-    boundary = max(_min_feasible_omega_d(k, crit, c) for k in group)
-    res = crit.omega_d_resolution
-    omega_d = math.ceil(boundary / res - 1e-9) * res
-    if omega_d > crit.omega_d_max * (1.0 + 1e-12):
-        raise InfeasibleError(
-            f"{kind.value}: feasibility boundary exceeds omega_d_max after rounding"
-        )
+    if not abar_target > 0.0:
+        raise ValueError(f"abar_target must be positive, got {abar_target}")
+    group = _SA_AUA if kind in _SA_AUA else (kind,)
+    for member in group:
+        if not _feasible(member, abar_target, OMEGA_D_MAX, c):
+            raise InfeasibleError(
+                f"{member.value}: abar_target={abar_target:.4g} m/s^2 is not "
+                f"reachable below omega_d_max/2pi = {OMEGA_D_MAX / (2e9 * math.pi):.4g} GHz"
+            )
+    lo, hi = 0, round(OMEGA_D_MAX / OMEGA_D_RESOLUTION)  # lo infeasible, hi feasible
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        omega_d = mid * OMEGA_D_RESOLUTION
+        if all(_feasible(member, abar_target, omega_d, c) for member in group):
+            hi = mid
+        else:
+            lo = mid
+    omega_d = hi * OMEGA_D_RESOLUTION
 
-    A = solve_acceleration_parameter(kind, crit.abar_target, omega_d, c.v)
+    A = solve_acceleration_parameter(kind, abar_target, omega_d, c.v)
     p = TrajectoryParams(kind, A, omega_d, c.v)
     biased = drive_normalized_bias(p, c)
     return ParameterSelection(
         kind=kind,
         A=A,
         omega_d=omega_d,
-        abar=crit.abar_target,
+        abar=abar_target,
         ejo_ratio=biased.EJ0_ratio,
         L_eff0=effective_length(biased),
         R=p.R if kind is TrajectoryKind.SM else None,
@@ -960,7 +911,6 @@ FIGURE_ALIASES = {
     "fig8": "compare3_abar",
 }
 
-_SA_AUA = (TrajectoryKind.SA, TrajectoryKind.AUA)
 _ALL = (TrajectoryKind.SM, TrajectoryKind.SA, TrajectoryKind.AUA)
 
 

@@ -175,11 +175,6 @@ class FourierSeries:
     def n_max(self) -> int:
         return int(self.a.size)
 
-    @property
-    def harmonic_power(self) -> float:
-        """Sum over harmonics of a_n^2 + b_n^2 (DC excluded)."""
-        return float(np.sum(self.a**2 + self.b**2))
-
     def evaluate(self, t):
         """Evaluate the series at time(s) t."""
         t = np.asarray(t, dtype=float)

@@ -34,7 +34,6 @@ __all__ = [
     "ThermalInput",
     "output_spectrum",
     "reflection",
-    "temperature_estimator",
     "thermal_occupation",
 ]
 
@@ -137,14 +136,3 @@ def _n_out(w, T: float, leff0, v, prefactor, wd, c_sq) -> np.ndarray:
         out = out + prefactor * cn_sq * (stimulated + spontaneous)
     return out
 
-
-def temperature_estimator(omega: float, n_out) -> float:
-    """Temperature-scale reading of a photon number: hbar*omega*n_out/k_B [K].
-
-    Linear in n_out at fixed omega; a comparison scale, not a fitted
-    equilibrium temperature."""
-    n = np.asarray(n_out, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("n_out must be >= 0")
-    out = HBAR * float(omega) * n / K_B
-    return float(out) if np.ndim(n_out) == 0 else out

@@ -238,7 +238,7 @@ class TestCriterion11PropertySuites:
                 return 2.0 * c.E_J * np.cos(math.pi * external_flux(d, c, t) / PHI0)
 
             series = fourier_decompose(e_j, d.omega_d, n_max=3)
-            assert series.a0 == pytest.approx(d.a0, rel=1e-6)
+            assert series.a0 == pytest.approx(d.a0, rel=1e-6, abs=0.0)
             np.testing.assert_allclose(series.a, d.a, rtol=1e-6, atol=1e-9 * d.a0)
             np.testing.assert_allclose(series.b, d.b, rtol=1e-6, atol=1e-9 * d.a0)
         _report(11, "flux round trip", "coefficients reproduced to 1e-6")

@@ -40,8 +40,8 @@ class TestCircuitParams:
 
     def test_josephson_energy_from_critical_current(self, reference_circuit):
         c = reference_circuit
-        assert c.E_J == pytest.approx(c.I_c * PHI0 / TWO_PI, rel=1e-14)
-        assert c.E_J0 == pytest.approx(1.3 * c.E_J, rel=1e-14)
+        assert c.E_J == pytest.approx(c.I_c * PHI0 / TWO_PI, rel=1e-14, abs=0.0)
+        assert c.E_J0 == pytest.approx(1.3 * c.E_J, rel=1e-14, abs=0.0)
 
     def test_defaults_are_reference_values(self, reference_circuit):
         c = reference_circuit
@@ -70,7 +70,7 @@ class TestEffectiveLength:
         # doubling a0 (the bias energy) halves the effective length
         half_bias = dataclasses.replace(reference_circuit, EJ0_ratio=0.65)
         assert effective_length(half_bias) == pytest.approx(
-            2.0 * effective_length(reference_circuit), rel=1e-12
+            2.0 * effective_length(reference_circuit), rel=1e-12, abs=0.0
         )
 
     def test_comparison_point_value(self, reference_circuit):
@@ -85,7 +85,7 @@ class TestEffectiveLength:
         kappa = 3.7
         scaled = dataclasses.replace(reference_circuit, I_c=kappa * reference_circuit.I_c)
         assert effective_length(scaled) == pytest.approx(
-            effective_length(reference_circuit) / kappa, rel=1e-12
+            effective_length(reference_circuit) / kappa, rel=1e-12, abs=0.0
         )
 
 
@@ -105,7 +105,7 @@ class TestDriveSpectrum:
         t = np.linspace(0.0, 2.0 * math.pi / d.omega_d, 64)
         expected = 0.5 * d.a0 + d.a[0] * np.cos(d.omega_d * t)
         np.testing.assert_allclose(d.e_j(t), expected, rtol=1e-14)
-        np.testing.assert_allclose(d.delta_e_j(t), expected - 0.5 * d.a0, atol=1e-30)
+        np.testing.assert_allclose(d.e_j(t) - 0.5 * d.a0, expected - 0.5 * d.a0, atol=1e-30)
 
     @staticmethod
     def count_probes(monkeypatch) -> list:
@@ -169,8 +169,8 @@ class TestTrajectoryToDrive:
         eps = 0.05
         p = TrajectoryParams(TrajectoryKind.SM, eps * leff0 * wd**2, wd, c.v)
         d = trajectory_to_drive(p, c, n_max=3)
-        assert d.a0 == pytest.approx(2.0 * c.E_J0, rel=1e-14)
-        assert d.a[0] == pytest.approx(-eps * c.E_J0, rel=1e-9)
+        assert d.a0 == pytest.approx(2.0 * c.E_J0, rel=1e-14, abs=0.0)
+        assert d.a[0] == pytest.approx(-eps * c.E_J0, rel=1e-9, abs=0.0)
         assert np.max(np.abs(d.a[1:])) < 1e-12 * c.E_J0
         assert np.max(np.abs(d.b)) < 1e-12 * c.E_J0
 
@@ -244,15 +244,15 @@ class TestExternalFlux:
 
         c = dataclasses.replace(reference_circuit, EJ0_ratio=1e-6)
         d = DriveSpectrum(a0=2.0 * c.E_J0, a=[0.0], b=[0.0], omega_d=1e11)
-        assert external_flux(d, c, 0.0) == pytest.approx(PHI0 / 2.0, rel=1e-5)
+        assert external_flux(d, c, 0.0) == pytest.approx(PHI0 / 2.0, rel=1e-5, abs=0.0)
 
     def test_static_reference_bias(self, reference_circuit):
         d = DriveSpectrum(
             a0=2.0 * reference_circuit.E_J0, a=[0.0], b=[0.0], omega_d=1e11
         )
         phi = external_flux(d, reference_circuit, 0.3e-11)
-        assert phi == pytest.approx(PHI0 / math.pi * math.acos(0.65), rel=1e-12)
-        assert phi == pytest.approx(0.2735 * PHI0, rel=0.01)
+        assert phi == pytest.approx(PHI0 / math.pi * math.acos(0.65), rel=1e-12, abs=0.0)
+        assert phi == pytest.approx(0.2735 * PHI0, rel=0.01, abs=0.0)
 
     def test_domain_violation_reports_time_and_value(self, reference_circuit):
         import dataclasses
@@ -272,7 +272,7 @@ class TestExternalFlux:
             return 2.0 * c.E_J * np.cos(math.pi * phi / PHI0)
 
         series = fourier_decompose(e_j_from_flux, d.omega_d, n_max=3)
-        assert series.a0 == pytest.approx(d.a0, rel=1e-9)
+        assert series.a0 == pytest.approx(d.a0, rel=1e-9, abs=0.0)
         np.testing.assert_allclose(series.a, d.a, rtol=1e-6, atol=1e-9 * d.a0)
         np.testing.assert_allclose(series.b, d.b, rtol=1e-6, atol=1e-9 * d.a0)
 
@@ -287,7 +287,7 @@ class TestEffectiveLengthModulation:
             d = single_tone_drive(c, wd, ratio=ratio)
             t = np.linspace(0.0, TWO_PI / wd, 512)
             exact = (c.phi0 / TWO_PI) ** 2 / (c.L0 * d.e_j(t))
-            linear = leff0 * (1.0 - d.delta_e_j(t) / c.E_J0)
+            linear = leff0 * (1.0 - (d.e_j(t) - 0.5 * d.a0) / c.E_J0)
             return float(np.max(np.abs(exact - linear)))
 
         dev_full = max_deviation(0.2)
@@ -300,7 +300,7 @@ class TestEffectiveLengthModulation:
         leff0 = effective_length(c)
         d = single_tone_drive(c, TWO_PI * 18e9)
         delta = leff0 * d.a[0] / c.E_J0
-        assert delta == pytest.approx(leff0 / 4.0, rel=1e-12)
+        assert delta == pytest.approx(leff0 / 4.0, rel=1e-12, abs=0.0)
         assert delta == pytest.approx(0.11e-3, rel=0.01)
 
 
@@ -373,7 +373,7 @@ class TestFluxWaveformExport:
         t, phi = zip(*(map(float, ln.split(",")) for ln in lines[1:]))
         assert all(0.0 <= p <= PHI0 / 2.0 for p in phi)
         assert t[1] - t[0] == pytest.approx(
-            coordinate_period(sm_baseline) / 64.0, rel=1e-12
+            coordinate_period(sm_baseline) / 64.0, rel=1e-12, abs=0.0
         )
 
     def test_rerun_is_byte_identical(self, sm_baseline, reference_circuit, tmp_path):

@@ -298,6 +298,17 @@ class TestCommands:
         alpha = float(alpha_row.split()[-1])
         assert alpha == pytest.approx(13.725e18, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "abar, ratio", [("20e18", "0.125"), ("1e10", "6.93037e-05")]
+    )
+    def test_params_prints_realized_tone_ratio(self, capsys, abar, ratio):
+        # at 1e10 m/s^2 the bias saturates at the tuning ceiling, so the
+        # realized a_1/a_0 falls below the normalization's 1/8
+        assert main(["params", "--kind", "sa", "--abar", abar]) == 0
+        table = capsys.readouterr().out
+        row = next(ln for ln in table.splitlines() if ln.startswith("a_1/a_0"))
+        assert row.split()[-1] == ratio
+
     def test_reproduce_fig2(self, tmp_path, capsys):
         rc = main(["reproduce", "fig2", "--out", str(tmp_path)])
         assert rc == 0

@@ -10,8 +10,8 @@ from mirror_dce import experiments
 from mirror_dce.circuit import CircuitParams, DriveWarning, trajectory_to_drive
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
+    OMEGA_D_RESOLUTION,
     InfeasibleError,
-    SelectionCriteria,
     SweepAxis,
     SweepSpec,
     baseline_point,
@@ -100,7 +100,7 @@ class TestBiasNormalization:
 
     def test_sm_first_harmonic_is_amplitude(self, sm_baseline):
         assert first_harmonic_amplitude(sm_baseline) == pytest.approx(
-            sm_baseline.R, rel=1e-10
+            sm_baseline.R, rel=1e-10, abs=0.0
         )
 
     def test_bias_saturates_at_tuning_ceiling(self, reference_circuit):
@@ -115,33 +115,58 @@ class TestBiasNormalization:
         t = np.linspace(0.0, coordinate_period(p), 512)
         assert float(np.max(d.e_j(t))) <= 2.0 * biased.E_J
 
+    def test_saturated_sweep_stays_below_the_ceiling(self, reference_circuit):
+        # at small z_peak / L_eff the ceiling root must keep its digits, or
+        # the saturated bias overshoots the ceiling (point 0 used to fail)
+        wd = TWO_PI * 18e9
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.ABAR, x=(1e11, 1e12, 1e13, 1e14),
+            trajectories=(TrajectoryKind.SA,), omega_d=wd, omega=0.5 * wd,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (ds,) = run_sweep(spec, reference_circuit)
+        assert "failures" not in ds.metadata
+        assert np.all(np.isfinite(ds.n_out))
+
 
 class TestSelectParameters:
     def test_sa_comparison_point(self, reference_circuit):
-        crit = SelectionCriteria(abar_target=20e18)
-        sel = select_parameters(TrajectoryKind.SA, crit, reference_circuit)
+        sel = select_parameters(TrajectoryKind.SA, 20e18, reference_circuit)
         assert sel.omega_d / TWO_PI == pytest.approx(14.6e9, rel=0.01)
         assert sel.A == pytest.approx(13.725e18, rel=0.01)
         assert sel.ejo_ratio == pytest.approx(0.1002, rel=0.01)
         assert sel.abar == 20e18
 
     def test_aua_comparison_point(self, reference_circuit):
-        crit = SelectionCriteria(abar_target=20e18)
-        sel = select_parameters(TrajectoryKind.AUA, crit, reference_circuit)
+        sel = select_parameters(TrajectoryKind.AUA, 20e18, reference_circuit)
         # the shared drive frequency is bound by the SA feasibility edge
         assert sel.omega_d / TWO_PI == pytest.approx(14.6e9, rel=0.01)
         assert sel.A == 20e18
         assert sel.ejo_ratio >= 0.1
 
     def test_aua_alone_selects_lower_frequency(self, reference_circuit):
-        crit = SelectionCriteria(abar_target=20e18, shared_kinds=())
-        sel = select_parameters(TrajectoryKind.AUA, crit, reference_circuit)
-        assert sel.omega_d / TWO_PI < 14.6e9
-        assert sel.ejo_ratio >= 0.1
+        # one grid step below the shared 14.6 GHz, AUA alone is feasible, so
+        # the shared drive frequency is bound by SA
+        wd = TWO_PI * 14.5e9
+        assert not experiments._feasible(TrajectoryKind.SA, 20e18, wd, reference_circuit)
+        assert experiments._feasible(TrajectoryKind.AUA, 20e18, wd, reference_circuit)
+
+    @pytest.mark.parametrize(
+        "abar, steps",
+        [
+            (20e18, (146, 146, 317)),
+            (9.054e17, (49, 49, 86)),
+            (50e18, (162, 162, 383)),
+        ],
+    )
+    def test_grid_index(self, reference_circuit, abar, steps):
+        for kind, k in zip((TrajectoryKind.SA, TrajectoryKind.AUA, TrajectoryKind.SM), steps):
+            sel = select_parameters(kind, abar, reference_circuit)
+            assert sel.omega_d == k * OMEGA_D_RESOLUTION, kind
 
     def test_sm_minimum_drive_frequency(self, reference_circuit):
-        crit = SelectionCriteria(abar_target=20e18)
-        sel = select_parameters(TrajectoryKind.SM, crit, reference_circuit)
+        sel = select_parameters(TrajectoryKind.SM, 20e18, reference_circuit)
         # the feasibility boundary reads as omega_d/2pi ~ 31.7 GHz; the bare
         # rad/s reading (31.7e9 rad/s ~ 5 GHz) matches nothing
         assert sel.omega_d / TWO_PI == pytest.approx(31.7e9, rel=0.01)
@@ -154,8 +179,7 @@ class TestSelectParameters:
     def test_selected_point_is_feasible_by_construction(self, reference_circuit):
         from mirror_dce.circuit import validate
 
-        crit = SelectionCriteria(abar_target=20e18)
-        sel = select_parameters(TrajectoryKind.SA, crit, reference_circuit)
+        sel = select_parameters(TrajectoryKind.SA, 20e18, reference_circuit)
         import dataclasses
 
         c = dataclasses.replace(reference_circuit, EJ0_ratio=sel.ejo_ratio)
@@ -165,17 +189,13 @@ class TestSelectParameters:
         assert report.ok, str(report)
 
     def test_infeasible_criteria_raise(self, reference_circuit):
-        crit = SelectionCriteria(
-            abar_target=20e18, omega_d_max=TWO_PI * 2e9, shared_kinds=()
-        )
-        with pytest.raises(InfeasibleError):
-            select_parameters(TrajectoryKind.SA, crit, reference_circuit)
+        with pytest.raises(InfeasibleError, match="not reachable below"):
+            select_parameters(TrajectoryKind.SM, 1e21, reference_circuit)
 
-    def test_criteria_validation(self):
-        with pytest.raises(ValueError):
-            SelectionCriteria(abar_target=-1.0)
-        with pytest.raises(ValueError):
-            SelectionCriteria(abar_target=1e18, ejo_ratio_min=0.0)
+    def test_criteria_validation(self, reference_circuit):
+        for kind in TrajectoryKind:
+            with pytest.raises(ValueError, match="abar_target must be positive"):
+                select_parameters(kind, -1.0, reference_circuit)
 
 
 class TestRunSweep:

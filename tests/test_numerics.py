@@ -25,11 +25,11 @@ from oracles import (
 
 class TestEllipticIntegrals:
     def test_second_kind_zero_parameter_identities(self):
-        assert ellip_e(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-14)
-        assert ellip_e(0.7, 0.0) == pytest.approx(0.7, rel=1e-14)
+        assert ellip_e(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-14, abs=0.0)
+        assert ellip_e(0.7, 0.0) == pytest.approx(0.7, rel=1e-14, abs=0.0)
 
     def test_first_kind_zero_parameter_and_empty_interval(self):
-        assert ellip_f(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-14)
+        assert ellip_f(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-14, abs=0.0)
         assert ellip_f(0.0, -3.7) == 0.0
         assert ellip_f(0.0, 0.42) == 0.0
 
@@ -59,8 +59,8 @@ class TestEllipticIntegrals:
         # transformation vs direct quadrature
         f_native = ellip_f(phi, -mu)
         e_native = ellip_e(phi, -mu)
-        assert f_native == pytest.approx(ellip_f_imag_modulus(phi, mu), rel=1e-12)
-        assert e_native == pytest.approx(ellip_e_imag_modulus(phi, mu), rel=1e-12)
+        assert f_native == pytest.approx(ellip_f_imag_modulus(phi, mu), rel=1e-12, abs=0.0)
+        assert e_native == pytest.approx(ellip_e_imag_modulus(phi, mu), rel=1e-12, abs=0.0)
         assert f_native == pytest.approx(ellip_f_quad(phi, -mu), rel=1e-9)
         assert e_native == pytest.approx(ellip_e_quad(phi, -mu), rel=1e-9)
 
@@ -286,7 +286,7 @@ class TestFourierDecompose:
         series = fourier_decompose(signal, self.WD, n_max=5, samples=samples)
         t = np.arange(samples) * (2.0 * math.pi / self.WD / samples)
         signal_power = float(np.mean(signal(t) ** 2))
-        series_power = series.a0**2 / 4.0 + series.harmonic_power / 2.0
+        series_power = series.a0**2 / 4.0 + float(np.sum(series.a**2 + series.b**2)) / 2.0
         assert series_power == pytest.approx(signal_power, rel=1e-10)
 
     def test_callable_must_map_the_time_array(self):

@@ -11,7 +11,6 @@ from mirror_dce.scattering import (
     ThermalInput,
     output_spectrum,
     reflection,
-    temperature_estimator,
     thermal_occupation,
 )
 from oracles import scatter_amplitudes
@@ -36,7 +35,7 @@ class TestThermalOccupation:
 
     def test_nine_gigahertz_at_fifty_millikelvin(self):
         assert thermal_occupation(TWO_PI * 9e9, 0.05) == pytest.approx(
-            1.7715944914102955e-4, rel=1e-10
+            1.7715944914102955e-4, rel=1e-10, abs=0.0
         )
 
     def test_monotone_in_temperature(self):
@@ -110,7 +109,7 @@ class TestScatterAmplitudes:
             2.0 * leff0 / c.v * 0.125 * math.sqrt(w * (d.omega_d - w))
         )
         (entry,) = scatter_amplitudes(w, d, c).conv
-        assert abs(entry.conj) == pytest.approx(expected, rel=1e-12)
+        assert abs(entry.conj) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_up_conversion_does_not_touch_spectrum(self, reference_circuit):
         c = reference_circuit
@@ -122,7 +121,7 @@ class TestScatterAmplitudes:
         entry = scatter_amplitudes(w, d, c).conv[0]
         # n_out never references the up-conversion sideband
         assert output_spectrum(w, d, c) == pytest.approx(
-            abs(entry.conj) ** 2, rel=1e-12
+            abs(entry.conj) ** 2, rel=1e-12, abs=0.0
         )
 
 
@@ -157,7 +156,7 @@ class TestOutputSpectrum:
             oracle = sum(
                 abs(entry.conj) ** 2 for entry in scatter_amplitudes(w, d, c).conv
             )
-            assert output_spectrum(w, d, c) == pytest.approx(oracle, rel=1e-9)
+            assert output_spectrum(w, d, c) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_symmetric_about_half_drive_frequency(self, reference_circuit):
         c = reference_circuit
@@ -215,22 +214,3 @@ class TestOutputSpectrum:
         for i, wi in enumerate(w):
             assert output_spectrum(float(wi), d, c, th) == batch[i]
 
-
-class TestTemperatureEstimator:
-    def test_zero(self):
-        assert temperature_estimator(TWO_PI * 9e9, 0.0) == 0.0
-
-    def test_linear(self):
-        w = TWO_PI * 9e9
-        assert temperature_estimator(w, 2e-3) == pytest.approx(
-            2.0 * temperature_estimator(w, 1e-3), rel=1e-14
-        )
-
-    def test_reference_reading(self):
-        assert temperature_estimator(TWO_PI * 9e9, 2.69e-3) == pytest.approx(
-            1.1618967480619621e-3, rel=1e-10
-        )
-
-    def test_rejects_negative_occupation(self):
-        with pytest.raises(ValueError):
-            temperature_estimator(TWO_PI * 9e9, -1e-6)

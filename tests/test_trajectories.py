@@ -69,7 +69,7 @@ class TestParamsValidation:
 
 class TestPosition:
     def test_sm_starts_at_minus_R(self, sm_baseline):
-        assert position(sm_baseline, 0.0) == pytest.approx(-sm_baseline.R, rel=1e-12)
+        assert position(sm_baseline, 0.0) == pytest.approx(-sm_baseline.R, rel=1e-12, abs=0.0)
 
     def test_sa_zero_crossing_at_quarter_period(self, sa_comparison):
         t = math.pi / (2.0 * sa_comparison.omega_d)
@@ -79,7 +79,7 @@ class TestPosition:
     def test_aua_start_is_raw_offset_minus_mean(self, aua_comparison):
         p = aua_comparison
         raw0 = v_sq_over_a = p.v**2 / p.A
-        assert _raw_position(p, 0.0) == pytest.approx(raw0, rel=1e-12)
+        assert _raw_position(p, 0.0) == pytest.approx(raw0, rel=1e-12, abs=0.0)
         mean = period_mean_quadrature(
             lambda t: _raw_position(p, t), coordinate_period(p)
         )
@@ -179,7 +179,7 @@ class TestProperTime:
         wd = TWO_PI * 18e9
         p = TrajectoryParams(TrajectoryKind.SM, 1e-6 * V * wd, wd, V)
         for t in (0.3 / wd, 2.0 / wd, 11.0 / wd):
-            assert proper_time(p, t) == pytest.approx(t, rel=1e-10)
+            assert proper_time(p, t) == pytest.approx(t, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["sm", "sa", "aua"])
     def test_strictly_increasing_with_unit_bounded_rate(self, kind):
@@ -199,7 +199,7 @@ class TestProperTime:
         fd = {"sm": 18e9, "sa": 14.6e9, "aua": 14.6e9}[kind]
         p = params(kind, A, fd)
         assert proper_time(p, coordinate_period(p)) == pytest.approx(
-            proper_period(p), rel=1e-12
+            proper_period(p), rel=1e-12, abs=0.0
         )
 
     def test_aua_proper_period_against_numeric_inversion(self, aua_comparison):
@@ -211,14 +211,14 @@ class TestProperTime:
         t_star = find_root(
             lambda t: proper_time(p, t) - tau_p, 0.5 * t_p, 2.0 * t_p, tol=1e-13
         )
-        assert t_star == pytest.approx(t_p, rel=1e-10)
+        assert t_star == pytest.approx(t_p, rel=1e-10, abs=0.0)
 
     def test_aua_closed_form_value(self, aua_comparison):
         p = aua_comparison
         expected = (4.0 * p.v / p.A) * math.asinh(
             p.A * math.pi / (2.0 * p.v * p.omega_d)
         )
-        assert proper_period(p) == pytest.approx(expected, rel=1e-14)
+        assert proper_period(p) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestAverageAcceleration:
@@ -369,7 +369,7 @@ class TestGridKernels:
             assert np.max(np.abs(dense.b)) <= 1e-15 * scale
             assert np.max(np.abs(dense.a[1::2])) <= 1e-15 * scale
             z = position(p, np.arange(4096) * (coordinate_period(p) / 4096))
-            assert peak == pytest.approx(float(np.max(np.abs(z))), rel=1e-15)
+            assert peak == pytest.approx(float(np.max(np.abs(z))), rel=1e-15, abs=0.0)
 
     def test_slow_aua_harmonics_keep_their_digits(self):
         omega_d = TWO_PI * 18e9
