@@ -6,10 +6,9 @@ Two standard operating points anchor the bundled presets:
   acceleration 9.054e17 m/s^2), where all three worldline families look
   alike, and
 - the relativistic comparison point (drive at 14.6 GHz, average proper
-  acceleration 2e19 m/s^2), chosen by `select_parameters` as the lowest
-  drive frequency on the grid k * 0.1 GHz (k = 1..400) at which the
-  normalized bias stays at or above the floor E_J^0/E_J = 0.1; SA and AUA
-  share that frequency. The grid is bisected.
+  acceleration 2e19 m/s^2), chosen by `select_parameters` by bisecting
+  the grid k * 0.1 GHz (k = 1..400) for the lowest drive frequency, shared
+  by SA and AUA, whose normalized bias stays at or above E_J^0/E_J = 0.1.
 
 Drive normalization: unless a bias ratio is pinned explicitly, presets set
 E_J^0 so that the first drive harmonic satisfies |a_1 + i b_1| = a0/8, the
@@ -109,7 +108,7 @@ NORMALIZED_TONE_RATIO = 0.125
 
 
 class InfeasibleError(ValueError):
-    """No parameter point satisfies the selection criteria."""
+    """No drive frequency up to OMEGA_D_MAX reaches the target realizably."""
 
 
 class SweepAxis(str, Enum):

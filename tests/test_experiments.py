@@ -117,7 +117,7 @@ class TestBiasNormalization:
 
     def test_saturated_sweep_stays_below_the_ceiling(self, reference_circuit):
         # at small z_peak / L_eff the ceiling root must keep its digits, or
-        # the saturated bias overshoots the ceiling (point 0 used to fail)
+        # the saturated bias at 1e11 m/s^2 overshoots the ceiling
         wd = TWO_PI * 18e9
         spec = SweepSpec(
             figure_id="t", axis=SweepAxis.ABAR, x=(1e11, 1e12, 1e13, 1e14),
