@@ -2,18 +2,19 @@
 """Compare the benchmark of two commits in alternating pairs of runs.
 
 Usage:
-    python3 scripts/bench_pairs.py BASE HEAD --n 6 [--workload presets ...]
+    python3 scripts/bench_pairs.py BASE HEAD --n 6 [--workload presets ...] [--seed N]
 
 Each commit is exported with ``git archive`` into its own directory in a
 fresh temporary directory, removed at the end, so neither run sees
 uncommitted files. For every workload, each of 10 pairs runs
-``python3 perfbench/run.py --workload W --seed 0 --seconds 20 --trace 0``
-in both copies, BASE first in even pairs and HEAD first in odd ones (the
-seed-0 inputs are the checked reference inputs).
+``python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0``
+in both copies, BASE first in even pairs and HEAD first in odd ones. The
+seed defaults to 0, whose inputs are the checked reference inputs; another
+seed checks a claim on inputs not used while writing the change.
 
 Both commits come from the git checkout that holds this script, and
-``BENCH_<n>.json`` is written at its root: per workload the runs of every
-pair, then per end-to-end metric of BENCHMARK.json the median and
+``BENCH_<n>.json`` is written at its root: the seed, per workload the runs
+of every pair, then per end-to-end metric of BENCHMARK.json the median and
 quartiles of each commit, the relative change of the medians, and in how
 many pairs HEAD did better. The record also holds the machine's CPU count,
 the thread-count variables of the environment and the OS threads each run
@@ -39,7 +40,6 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
 SECONDS = 20
-SEED = 0
 
 
 def _parse_args(argv):
@@ -49,6 +49,7 @@ def _parse_args(argv):
     parser.add_argument("--n", required=True, type=int, help="writes BENCH_<n>.json")
     parser.add_argument("--workload", action="append",
                         help="workload to compare (repeatable; default: all)")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default: 0)")
     return parser.parse_args(argv)
 
 
@@ -64,10 +65,10 @@ def _export(rev: str, target: Path) -> str:
     return sha
 
 
-def _run(copy: Path, workload: str) -> dict:
+def _run(copy: Path, workload: str, seed: int) -> dict:
     """One benchmark run in copy: its printed metrics and recorded env."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
         cwd=copy, capture_output=True, text=True,
     )
@@ -75,11 +76,11 @@ def _run(copy: Path, workload: str) -> dict:
         raise RuntimeError(f"{copy.name} {workload}: {proc.stderr.strip()[-800:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads(
-        (copy / ".perfbench_out" / f"{workload}-seed{SEED}-trace0.json").read_text()
+        (copy / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text()
     )
     env = record.get("env", {})
     return {
-        "seed": SEED,
+        "seed": seed,
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
@@ -125,7 +126,8 @@ def main(argv=None) -> int:
         report = {
             "base": {"rev": args.base, "commit": shas["base"]},
             "head": {"rev": args.head, "commit": shas["head"]},
-            "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+            "seed": args.seed,
+            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                        f"--seconds {SECONDS} --trace 0",
             "machine": {
                 "nproc": len(os.sched_getaffinity(0)),
@@ -140,7 +142,7 @@ def main(argv=None) -> int:
             pairs = []
             for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                runs = {side: _run(copies[side], workload) for side in order}
+                runs = {side: _run(copies[side], workload, args.seed) for side in order}
                 pairs.append({"first": order[0], **runs})
                 wall = {side: round(runs[side]["metrics"]["wall_s"], 3) for side in order}
                 print(f"bench_pairs: {workload} pair {i + 1}/{PAIRS} wall_s {wall}",

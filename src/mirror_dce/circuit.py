@@ -24,6 +24,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -434,19 +435,33 @@ def export_flux_waveform(
     period = 2.0 * math.pi / d.omega_d
     t = np.arange(total) * (period / samples_per_period)
     phi = external_flux(d, c, t)
-    lines = ["t,phi_ext"]
-    lines.extend(f"{ti:.17g},{pi:.17g}" for ti, pi in zip(t, phi))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_chunks("t,phi_ext", "%.17g,%.17g", (t, phi)))
 
 
-def _atomic_write(path, text: str) -> None:
-    """Write text to path via a temp file so failures leave no partial output."""
+# Rows formatted per text chunk: bounds the Python objects alive at once,
+# whatever the length of the table.
+_BLOCK_ROWS = 8192
+
+
+def _csv_chunks(head: str, row: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """Text of a CSV file in chunks: the head line(s), then `row % cells`
+    for every index of the equal-length columns, `_BLOCK_ROWS` rows per chunk."""
+    yield head + "\n"
+    line = row + "\n"
+    for a in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = zip(*(col[a : a + _BLOCK_ROWS].tolist() for col in columns))
+        yield "".join(map(line.__mod__, cells))
+
+
+def _atomic_write(path, chunks: Iterable[str]) -> None:
+    """Stream the text chunks into a temp file next to path, then rename it
+    over path, so a failure at any chunk leaves no partial output."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -295,9 +295,7 @@ def _cmd_spectrum(cfg: RunConfig, written: list[Path]) -> int:
     p = _resolve_trajectory(cfg)
     out = Path(_require(cfg.out_path, "output path (--out)"))
     upto = max(cfg.n_max, 1)
-    grid = tuple(
-        upto * p.omega_d * k / cfg.points for k in range(1, cfg.points + 1)
-    )
+    grid = upto * p.omega_d * np.arange(1, cfg.points + 1) / cfg.points
     spec = SweepSpec(
         figure_id="spectrum",
         axis=SweepAxis.OMEGA,

@@ -37,6 +37,8 @@ index, so results are bitwise identical across runs.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -53,6 +55,7 @@ from .circuit import (
     DriveSpectrum,
     ValidityReport,
     _atomic_write,
+    _csv_chunks,
     effective_length,
     trajectory_to_drive,
     validate,
@@ -278,7 +281,8 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", SweepAxis(self.axis))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        x = np.asarray(self.x, dtype=float)
+        object.__setattr__(self, "x", tuple(x.tolist()))
         object.__setattr__(
             self, "trajectories", tuple(TrajectoryKind(k) for k in self.trajectories)
         )
@@ -286,8 +290,8 @@ class SweepSpec:
         object.__setattr__(
             self, "temperatures", tuple(float(t) + 0.0 for t in self.temperatures)
         )
-        if len(self.x) < 2:
-            raise ValueError("sweep grid needs at least 2 points")
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError("sweep grid must be 1-D with at least 2 points")
         if not isinstance(self.n_max, (int, np.integer)) or not (
             0 <= self.n_max <= SYNTHESIS_SAMPLES // 8
         ):
@@ -714,13 +718,13 @@ def _write_table(
     """Write one `# mirror-dce v1` table: the header, one `# key=value` line
     per metadata entry, the column names, then one row per index of the
     equal-length columns. Floats carry 17 significant digits, so reading
-    the file back reproduces them exactly."""
+    the file back reproduces them exactly. The rows are formatted and
+    streamed to the file in fixed blocks, never held whole in memory."""
     path = Path(path)
     row = ",".join(_CELL_FORMATS.get(col.dtype.kind, "%s") for col in columns)
-    lines = [FORMAT_HEADER, *(f"# {key}={value}" for key, value in meta.items())]
-    lines.append(",".join(names))
-    lines.extend(row % cells for cells in zip(*columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    head = [FORMAT_HEADER, *(f"# {key}={value}" for key, value in meta.items())]
+    head.append(",".join(names))
+    _atomic_write(path, _csv_chunks("\n".join(head), row, columns))
     return path
 
 
@@ -783,28 +787,39 @@ def write_spectrum_datasets(
     return [_write_table(path, meta, ("x", "n_out", "trajectory", "temperature"), columns)]
 
 
-def _read_table(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+def _read_table(path, text: Sequence[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
+    """(metadata, column names, rows): the `# key=value` lines up to the
+    column line, then the rows in one C pass as a structured array of float
+    fields and, for the columns named in text, interned str fields."""
     meta: dict[str, str] = {}
-    columns: list[str] | None = None
-    rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != FORMAT_HEADER:
+        if fh.readline().rstrip("\n") != FORMAT_HEADER:
             raise ValueError(f"{path}: not a {FORMAT_HEADER!r} file")
-        for raw in fh:
-            line = raw.rstrip("\n")
+        while True:
+            line = fh.readline()
             if not line:
-                continue
+                raise ValueError(f"{path}: missing column header")
+            line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
                 meta[key] = value
-            elif columns is None:
-                columns = line.split(",")
-            else:
-                rows.append(line.split(","))
-    if columns is None:
-        raise ValueError(f"{path}: missing column header")
-    return meta, columns, rows
+            elif line:
+                names = line.split(",")
+                break
+        try:
+            dtype = [(name, object if name in text else float) for name in names]
+            # One shared str per distinct label, not one per row.
+            intern = {i: sys.intern for i, name in enumerate(names) if name in text}
+            with warnings.catch_warnings():
+                # A table without rows is valid.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, delimiter=",", comments=None, dtype=dtype, ndmin=1,
+                    converters=intern, encoding="utf-8",  # str, not bytes, on numpy 1.x
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return meta, names, rows
 
 
 def read_table(path) -> tuple[dict[str, str], dict[str, list]]:
@@ -813,64 +828,44 @@ def read_table(path) -> tuple[dict[str, str], dict[str, list]]:
     waveform of `export_flux_waveform`, a bare `t,phi_ext` CSV.
 
     Numeric columns come back as float lists (lossless at 17 significant
-    digits); the trajectory column stays as strings."""
-    meta, names, rows = _read_table(path)
-    columns: dict[str, list] = {name: [] for name in names}
-    for row in rows:
-        if len(row) != len(names):
-            raise ValueError(f"{path}: ragged row {row!r}")
-        for name, cell in zip(names, row):
-            columns[name].append(cell if name == "trajectory" else float(cell))
-    return meta, columns
+    digits); the trajectory column stays as strings. Blank lines are
+    skipped. ValueError, naming the path, is raised for a short, long or
+    non-numeric row and for a `# key=value` line after the column line."""
+    meta, names, rows = _read_table(path, ("trajectory",))
+    return meta, {name: rows[name].tolist() for name in names}
 
 
 def read_spectrum_datasets(path) -> list[SpectrumDataset]:
-    """Parse CSV written by write_spectrum_datasets (either format)."""
-    meta, columns, rows = _read_table(path)
-    if columns[:2] != ["x", "n_out"]:
-        raise ValueError(f"{path}: unexpected columns {columns}")
-    if len(columns) == 2:
-        ds_meta = dict(meta)
-        x = np.array([float(r[0]) for r in rows])
-        n = np.array([float(r[1]) for r in rows])
-        return [
-            SpectrumDataset(
-                axis=SweepAxis(ds_meta["axis"]), x=x, n_out=n, metadata=ds_meta
-            )
-        ]
+    """Parse CSV written by write_spectrum_datasets (either format).
 
-    # Curves in the order written: every curve has prefixed metadata (its
-    # trajectory and temperature), so a curve without rows is kept too.
+    A long file gives its curves in the order written, each curve's rows
+    picked by its trajectory@temperature id; a curve without rows is kept,
+    since its prefixed metadata names it."""
+    meta, names, rows = _read_table(path, ("trajectory", "temperature"))
+    if names == ["x", "n_out"]:
+        return [SpectrumDataset(meta["axis"], rows["x"].copy(), rows["n_out"].copy(), meta)]
+    if names != ["x", "n_out", "trajectory", "temperature"]:
+        raise ValueError(f"{path}: unexpected columns {names}")
+
     shared = {k: v for k, v in meta.items() if ":" not in k}
     curves: dict[str, dict[str, str]] = {}
-    grouped: dict[str, tuple[list[float], list[float]]] = {}
     for key, value in meta.items():
-        if ":" not in key:
-            continue
-        prefix, _, name = key.partition(":")
-        curves.setdefault(prefix, {})[name] = value
-        grouped.setdefault(prefix, ([], []))
-    for r in rows:
-        cid = f"{r[2]}@{r[3]}"
-        xs, ns = grouped.setdefault(cid, ([], []))
-        xs.append(float(r[0]))
-        ns.append(float(r[1]))
+        if ":" in key:
+            prefix, _, name = key.partition(":")
+            curves.setdefault(prefix, {})[name] = value
+    ids = rows["trajectory"] + "@" + rows["temperature"]
+    for cid in dict.fromkeys(ids.tolist()):
+        curves.setdefault(cid, {})
 
     datasets = []
-    for cid, (xs, ns) in grouped.items():
+    for cid, own in curves.items():
         traj, _, temp = cid.partition("@")
-        ds_meta = dict(shared)
-        ds_meta.update(curves.get(cid, {}))
+        ds_meta = {**shared, **own}
         ds_meta.setdefault("trajectory", traj)
         ds_meta.setdefault("temperature", temp)
-        datasets.append(
-            SpectrumDataset(
-                axis=SweepAxis(ds_meta["axis"]),
-                x=np.array(xs),
-                n_out=np.array(ns),
-                metadata=ds_meta,
-            )
-        )
+        pick = ids == cid
+        curve = SpectrumDataset(ds_meta["axis"], rows["x"][pick], rows["n_out"][pick], ds_meta)
+        datasets.append(curve)
     return datasets
 
 
