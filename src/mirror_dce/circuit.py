@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import secrets
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -455,10 +455,13 @@ def _csv_chunks(head: str, row: str, columns: Sequence[np.ndarray]) -> Iterator[
 
 def _atomic_write(path, chunks: Iterable[str]) -> None:
     """Stream the text chunks into a temp file next to path, then rename it
-    over path, so a failure at any chunk leaves no partial output."""
+    over path, so a failure at any chunk leaves no partial output. The file
+    gets mode 0o666 less the umask, as open() would give it."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.writelines(chunks)

@@ -14,11 +14,14 @@ reproduce  run a bundled preset (fig1..fig8 or their descriptive names)
 Config files use INI syntax with sections [run], [trajectory], [circuit],
 [physics], [output]; all frequencies in config files and flags are LINEAR
 (Hz) and converted to angular internally. Unknown sections or keys are
-rejected. Command-line flags override config values and get the same checks
-(a number must be finite, --nmax must be >= 0); a bad value exits 1 before
-anything is written, a flag the command does not read exits 2. A `sweep`
-whose points all fail exits 1 and writes nothing; when only some fail, their
-count goes to stderr and the exit status is 0.
+rejected. Command-line flags override config values. A setting is read by
+one parser whichever its source (`_SETTINGS`), so every bad value, from a
+flag or a config key, exits 1 before anything is written and names the flag
+or the `[section] key`; a flag the command does not read exits 2, and `-h`
+lists each command's flags and the values --kind and --axis accept. A
+command that writes several files removes the ones it wrote when a later
+write fails. A `sweep` whose points all fail exits 1 and writes nothing;
+when only some fail, their count goes to stderr and the exit status is 0.
 """
 
 from __future__ import annotations
@@ -63,15 +66,6 @@ __all__ = ["ConfigError", "RunConfig", "dispatch", "main", "parse_config"]
 
 COMMANDS = ("traj", "drive", "flux", "spectrum", "sweep", "params", "reproduce")
 
-_SECTIONS = {
-    "run": {"command"},
-    "trajectory": {"kind", "a", "abar_target", "fd"},
-    "circuit": {"ic", "cj", "z0", "v", "fs", "ej0_ratio"},
-    "physics": {"t", "nmax"},
-    "output": {"path", "format"},
-}
-
-
 class ConfigError(ValueError):
     """Malformed run configuration."""
 
@@ -97,15 +91,16 @@ class RunConfig:
     probe_omega: float | None = None      # angular [rad/s]
 
 
-# `where` names the value in messages: "[section] key" for a config value,
-# "--flag" for a command-line flag; both get the same checks.
-def _parse_float(where: str, raw: str) -> float:
+# Each parser takes `where`, which names the value in messages ("[section]
+# key" for a config value, "--flag" for a command-line flag), and the raw
+# text; both sources share it, so they get the same checks and messages.
+def _parse_float(where: str, raw: str, rule: str = "must be finite") -> float:
     try:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: not a number: {raw!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: must be finite, got {raw!r}")
+        raise ConfigError(f"{where}: {rule}, got {raw!r}")
     return value
 
 
@@ -126,14 +121,99 @@ def _parse_probe(where: str, raw: str) -> float:
     return 2.0 * math.pi * _parse_float(where, raw)
 
 
-def _parse_n_max(where: str, raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: not an integer: {raw!r}") from exc
-    if value < 0:
-        raise ConfigError(f"{where}: must be >= 0")
+def _parse_temperature(where: str, raw: str) -> float:
+    rule = "temperature must be finite and >= 0"
+    value = _parse_float(where, raw, rule)
+    if value < 0.0:
+        raise ConfigError(f"{where}: {rule}, got {raw!r}")
     return value
+
+
+def _parse_path(where: str, raw: str) -> str:
+    if not raw.strip():
+        raise ConfigError(f"{where}: must not be empty")
+    return raw.strip()
+
+
+def _at_least(minimum: int):
+    """A parser of integers >= minimum."""
+
+    def parse(where: str, raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: not an integer: {raw!r}") from exc
+        if value < minimum:
+            raise ConfigError(f"{where}: must be >= {minimum}")
+        return value
+
+    return parse
+
+
+def _one_of(values, convert=str):
+    """A parser of one of values (any case), converted by convert."""
+
+    def parse(where: str, raw: str):
+        text = raw.strip().lower()
+        if text not in values:
+            raise ConfigError(f"{where}: expected {'|'.join(values)}, got {raw!r}")
+        return convert(text)
+
+    return parse
+
+
+_KINDS = tuple(k.value for k in TrajectoryKind)
+_AXES = tuple(a.value for a in SweepAxis)
+_TRAJ = "traj drive flux spectrum sweep"  # the commands that resolve a worldline
+
+# One row per setting: its config (section, key) and its flag, either may be
+# None; the commands that take the flag (the others reject it); the RunConfig
+# field it sets ("circuit.X" sets CircuitParams.X); the parser of its text;
+# and the flag's argparse options (a metavar lists the accepted values).
+_SETTINGS = (
+    (("run", "command"), None, "", "command", _one_of(COMMANDS), {}),
+    (("trajectory", "kind"), "--kind", f"{_TRAJ} params", "kind",
+     _one_of(_KINDS, TrajectoryKind), dict(metavar="{" + ",".join(_KINDS) + "}")),
+    (("trajectory", "a"), "--A", _TRAJ, "A", _parse_positive,
+     dict(help="acceleration parameter [m/s^2]")),
+    (("trajectory", "abar_target"), "--abar", f"{_TRAJ} params", "abar_target",
+     _parse_positive, dict(help="target average acceleration [m/s^2]")),
+    (("trajectory", "fd"), "--fd", _TRAJ, "omega_d", _parse_angular,
+     dict(help="drive frequency [Hz, linear]")),
+    (("circuit", "ic"), None, "", "circuit.I_c", _parse_positive, {}),
+    (("circuit", "cj"), None, "", "circuit.C_J", _parse_positive, {}),
+    (("circuit", "z0"), None, "", "circuit.Z0", _parse_positive, {}),
+    (("circuit", "v"), None, "", "circuit.v", _parse_positive, {}),
+    (("circuit", "fs"), None, "", "circuit.omega_s", _parse_angular, {}),
+    (("circuit", "ej0_ratio"), None, "", "circuit.EJ0_ratio", _parse_positive, {}),
+    (("physics", "t"), "--T", "spectrum sweep", "temperature", _parse_temperature,
+     dict(help="bath temperature [K]")),
+    (("physics", "nmax"), "--nmax", "drive flux spectrum sweep", "n_max", _at_least(0),
+     dict(help="drive harmonic truncation")),
+    (("output", "path"), "--out", f"{_TRAJ} reproduce", "out_path", _parse_path,
+     dict(help="output file (or directory for reproduce)")),
+    (("output", "format"), "--split", "spectrum sweep reproduce", "out_format",
+     _one_of(("long", "split")), dict(action="store_const", const="split", help="a CSV per curve")),
+    (None, "--points", "traj flux spectrum sweep", "points", _at_least(2),
+     dict(help="grid/sample point count")),
+    (None, "--periods", "flux", "periods", _at_least(1), dict(help="number of drive periods")),
+    (None, "--axis", "sweep", "sweep_axis", _one_of(_AXES),
+     dict(metavar="{" + ",".join(_AXES) + "}")),
+    (None, "--min", "sweep", "sweep_min", _parse_float, dict(help="axis start (Hz or m/s^2)")),
+    (None, "--max", "sweep", "sweep_max", _parse_float, dict(help="axis end (Hz or m/s^2)")),
+    (None, "--w", "sweep", "probe_omega", _parse_probe, dict(help="fixed probe frequency [Hz]")),
+)
+
+
+def _assign(cfg: RunConfig, where: str, field: str, value) -> None:
+    owner, _, name = field.rpartition(".")
+    try:
+        if owner:  # "circuit"
+            cfg.circuit = replace(cfg.circuit, **{name: value})
+        else:
+            setattr(cfg, name, value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -147,89 +227,21 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
+    rows = {row[0]: row for row in _SETTINGS if row[0] is not None}
+    sections = sorted({section for section, _ in rows})
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(
-                f"unknown section [{section}]; expected one of "
-                + ", ".join(sorted(_SECTIONS))
-            )
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(
-                    f"unknown key [{section}] {key}; allowed: "
-                    + ", ".join(sorted(_SECTIONS[section]))
-                )
-
-    if parser.has_option("run", "command"):
-        command = parser["run"]["command"].strip().lower()
-        if command not in COMMANDS:
-            raise ConfigError(f"[run] command: unknown command {command!r}")
-        cfg.command = command
-
-    if parser.has_section("trajectory"):
-        sec = parser["trajectory"]
-        if "kind" in sec:
-            try:
-                cfg.kind = TrajectoryKind(sec["kind"].strip().lower())
-            except ValueError as exc:
-                raise ConfigError(
-                    f"[trajectory] kind: expected sm|sa|aua, got {sec['kind']!r}"
-                ) from exc
-        if "a" in sec and "abar_target" in sec:
-            raise ConfigError(
-                "[trajectory]: give exactly one of 'a' and 'abar_target'"
-            )
-        if "a" in sec:
-            cfg.A = _parse_positive("[trajectory] a", sec["a"])
-        if "abar_target" in sec:
-            cfg.abar_target = _parse_positive(
-                "[trajectory] abar_target", sec["abar_target"]
-            )
-        if "fd" in sec:
-            cfg.omega_d = _parse_angular("[trajectory] fd", sec["fd"])
-
-    if parser.has_section("circuit"):
-        sec = parser["circuit"]
-        updates = {}
-        if "ic" in sec:
-            updates["I_c"] = _parse_positive("[circuit] ic", sec["ic"])
-        if "cj" in sec:
-            updates["C_J"] = _parse_positive("[circuit] cj", sec["cj"])
-        if "z0" in sec:
-            updates["Z0"] = _parse_positive("[circuit] z0", sec["z0"])
-        if "v" in sec:
-            updates["v"] = _parse_positive("[circuit] v", sec["v"])
-        if "fs" in sec:
-            updates["omega_s"] = _parse_angular("[circuit] fs", sec["fs"])
-        if "ej0_ratio" in sec:
-            updates["EJ0_ratio"] = _parse_positive(
-                "[circuit] ej0_ratio", sec["ej0_ratio"]
-            )
-        try:
-            cfg.circuit = replace(cfg.circuit, **updates)
-        except ValueError as exc:
-            raise ConfigError(f"[circuit]: {exc}") from exc
-
-    if parser.has_section("physics"):
-        sec = parser["physics"]
-        if "t" in sec:
-            cfg.temperature = _parse_float("[physics] t", sec["t"])
-            if cfg.temperature < 0.0:
-                raise ConfigError("[physics] t: temperature must be >= 0")
-        if "nmax" in sec:
-            cfg.n_max = _parse_n_max("[physics] nmax", sec["nmax"])
-
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "path" in sec:
-            cfg.out_path = sec["path"].strip()
-        if "format" in sec:
-            fmt = sec["format"].strip().lower()
-            if fmt not in ("long", "split"):
-                raise ConfigError(f"[output] format: expected long|split, got {fmt!r}")
-            cfg.out_format = fmt
-
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]; expected one of {', '.join(sections)}")
+        for key, raw in parser[section].items():
+            if (section, key) not in rows:
+                allowed = sorted(k for s, k in rows if s == section)
+                raise ConfigError(f"unknown key [{section}] {key}; allowed: " + ", ".join(allowed))
+            where = f"[{section}] {key}"
+            _, _, _, field, parse, _ = rows[section, key]
+            _assign(cfg, where, field, parse(where, raw))
+    if cfg.A is not None and cfg.abar_target is not None:
+        raise ConfigError("[trajectory]: give exactly one of 'a' and 'abar_target'")
     return cfg
 
 
@@ -251,7 +263,7 @@ def _resolve_trajectory(cfg: RunConfig) -> TrajectoryParams:
     return TrajectoryParams(kind, A, omega_d, cfg.circuit.v)
 
 
-def _cmd_traj(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_traj(cfg: RunConfig) -> list[Path]:
     p = _resolve_trajectory(cfg)
     out = Path(_require(cfg.out_path, "output path (--out)"))
     t = np.arange(cfg.points) * (coordinate_period(p) / cfg.points)
@@ -265,33 +277,27 @@ def _cmd_traj(cfg: RunConfig, written: list[Path]) -> int:
         "points": _fmt(cfg.points),
     }
     columns = (t, proper_time(p, t), position(p, t), directional_acceleration(p, t))
-    written.append(_write_table(out, meta, ("t", "tau", "z", "alpha_dir"), columns))
-    print(out)
-    return 0
+    return [_write_table(out, meta, ("t", "tau", "z", "alpha_dir"), columns)]
 
 
-def _cmd_drive(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_drive(cfg: RunConfig) -> list[Path]:
     p = _resolve_trajectory(cfg)
     out = Path(_require(cfg.out_path, "output path (--out)"))
     ds = drive_coefficient_dataset({p.kind: (p, cfg.circuit)}, n_max=cfg.n_max)
-    written.append(write_drive_coefficients(ds, out))
-    print(out)
-    return 0
+    return [write_drive_coefficients(ds, out)]
 
 
-def _cmd_flux(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_flux(cfg: RunConfig) -> list[Path]:
     p = _resolve_trajectory(cfg)
     out = Path(_require(cfg.out_path, "output path (--out)"))
     drive = trajectory_to_drive(p, cfg.circuit, n_max=cfg.n_max)
     export_flux_waveform(
         drive, cfg.circuit, out, samples_per_period=cfg.points, periods=cfg.periods
     )
-    written.append(out)
-    print(out)
-    return 0
+    return [out]
 
 
-def _cmd_spectrum(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_spectrum(cfg: RunConfig) -> list[Path]:
     p = _resolve_trajectory(cfg)
     out = Path(_require(cfg.out_path, "output path (--out)"))
     upto = max(cfg.n_max, 1)
@@ -308,15 +314,10 @@ def _cmd_spectrum(cfg: RunConfig, written: list[Path]) -> int:
         ejo_ratio={p.kind: cfg.circuit.EJ0_ratio},
     )
     datasets = run_sweep(spec, cfg.circuit)
-    written.extend(
-        write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
-    )
-    for path in written:
-        print(path)
-    return 0
+    return write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
 
 
-def _cmd_sweep(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_sweep(cfg: RunConfig) -> list[Path]:
     kind = _require(cfg.kind, "trajectory kind (--kind)")
     axis = SweepAxis(_require(cfg.sweep_axis, "sweep axis (--axis)"))
     lo = _require(cfg.sweep_min, "sweep range (--min)")
@@ -346,18 +347,11 @@ def _cmd_sweep(cfg: RunConfig, written: list[Path]) -> int:
     elif cfg.A is not None:
         kwargs["A"] = {kind: cfg.A}
     else:
-        kwargs["abar"] = _require(
-            cfg.abar_target, "acceleration (--A or --abar)"
-        )
+        kwargs["abar"] = _require(cfg.abar_target, "acceleration (--A or --abar)")
     spec = SweepSpec(**kwargs)
     datasets = run_sweep(spec, cfg.circuit)
     _report_failed_points(datasets)
-    written.extend(
-        write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
-    )
-    for path in written:
-        print(path)
-    return 0
+    return write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
 
 
 # One entry of a dataset's `failures` metadata: "<index>:<ExceptionClass>: "
@@ -416,7 +410,7 @@ _PARAM_ROWS = (
 )
 
 
-def _cmd_params(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_params(cfg: RunConfig) -> list[Path]:
     kind = _require(cfg.kind, "trajectory kind (--kind)")
     abar = _require(cfg.abar_target, "target acceleration (--abar)")
     sel = select_parameters(kind, abar, cfg.circuit)
@@ -424,25 +418,17 @@ def _cmd_params(cfg: RunConfig, written: list[Path]) -> int:
     print(f"{'quantity':<{width}}  {kind.value}")
     for label, render in _PARAM_ROWS:
         print(f"{label:<{width}}  {render(sel, cfg.circuit)}")
-    return 0
+    return []
 
 
-def _cmd_reproduce(cfg: RunConfig, written: list[Path]) -> int:
+def _cmd_reproduce(cfg: RunConfig) -> list[Path]:
     figure = _require(cfg.figure, "figure id (fig1..fig8)")
     if figure not in FIGURE_ALIASES and figure not in FIGURE_ALIASES.values():
         raise ConfigError(
-            f"unknown figure {figure!r}; expected "
-            + ", ".join(FIGURE_ALIASES)
-            + " or their aliases"
+            f"unknown figure {figure!r}; expected {', '.join(FIGURE_ALIASES)} or their aliases"
         )
-    out_dir = Path(cfg.out_path) if cfg.out_path else Path(".")
-    paths = reproduce(
-        figure, out_dir, cfg.circuit, long_format=cfg.out_format == "long"
-    )
-    written.extend(paths)
-    for path in paths:
-        print(path)
-    return 0
+    out_dir = Path(cfg.out_path or ".")
+    return reproduce(figure, out_dir, cfg.circuit, long_format=cfg.out_format == "long")
 
 
 _DISPATCH = {
@@ -457,49 +443,13 @@ _DISPATCH = {
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run the configured command. Partial outputs are removed on failure."""
+    """Run the configured command and print the paths of the files it wrote."""
     command = _require(cfg.command, "command")
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
-    written: list[Path] = []
-    try:
-        return _DISPATCH[command](cfg, written)
-    except BaseException:
-        for path in written:
-            try:
-                Path(path).unlink()
-            except OSError:
-                pass
-        raise
-
-
-# Each flag: the commands that read it (the others reject it), the RunConfig
-# field it sets, the parser of its text (with the checks of the config key)
-# and its argparse options.
-_TRAJ = "traj drive flux spectrum sweep"  # the commands that resolve a worldline
-_FLAGS = (
-    ("--out", f"{_TRAJ} reproduce", "out_path", None,
-     dict(help="output file (or directory for reproduce)")),
-    ("--kind", f"{_TRAJ} params", "kind", lambda where, raw: TrajectoryKind(raw),
-     dict(choices=[k.value for k in TrajectoryKind])),
-    ("--abar", f"{_TRAJ} params", "abar_target", _parse_positive,
-     dict(help="target average acceleration [m/s^2]")),
-    ("--A", _TRAJ, "A", _parse_positive, dict(help="acceleration parameter [m/s^2]")),
-    ("--fd", _TRAJ, "omega_d", _parse_angular, dict(help="drive frequency [Hz, linear]")),
-    ("--T", "spectrum sweep", "temperature", None,
-     dict(type=float, help="bath temperature [K]")),
-    ("--nmax", "drive flux spectrum sweep", "n_max", _parse_n_max,
-     dict(help="drive harmonic truncation")),
-    ("--points", "traj flux spectrum sweep", "points", None,
-     dict(type=int, help="grid/sample point count")),
-    ("--split", "spectrum sweep reproduce", "out_format", None,
-     dict(action="store_const", const="split", help="one CSV per curve")),
-    ("--periods", "flux", "periods", None, dict(type=int, help="number of drive periods")),
-    ("--axis", "sweep", "sweep_axis", None, dict(choices=[a.value for a in SweepAxis])),
-    ("--min", "sweep", "sweep_min", _parse_float, dict(help="axis start (Hz or m/s^2)")),
-    ("--max", "sweep", "sweep_max", _parse_float, dict(help="axis end (Hz or m/s^2)")),
-    ("--w", "sweep", "probe_omega", _parse_probe, dict(help="fixed probe frequency [Hz]")),
-)
+    for path in _DISPATCH[command](cfg):
+        print(path)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -512,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="INI run configuration")
-        for flag, readers, _, _, options in _FLAGS:
+        for _, flag, readers, _, _, options in _SETTINGS:
             if name in readers.split():
                 p.add_argument(flag, **options)
         if name == "reproduce":
@@ -521,16 +471,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Apply the flags over cfg. Number flags must be finite, like config
-    values; --abar, --A, --fd and --nmax get the checks of their config
-    keys. The range of --T is checked in `main`, as for the config's t."""
+    """Apply the flags over cfg through their `_SETTINGS` parsers. A flag
+    that sets A or abar_target drops the config's other one."""
     cfg.command = args.command or cfg.command
-    for flag, _, field, parse, _ in _FLAGS:
-        raw = getattr(args, flag[2:], None)
-        if raw is None or (raw == "" and field == "out_path"):
-            continue
-        setattr(cfg, field, raw if parse is None else parse(flag, raw))
-        if field in ("A", "abar_target"):  # the other one is dropped
+    given = [row for row in _SETTINGS if row[1] and getattr(args, row[1][2:], None) is not None]
+    if {"A", "abar_target"} <= {field for _, _, _, field, _, _ in given}:
+        raise ConfigError("give exactly one of --A and --abar")
+    for _, flag, _, field, parse, _ in given:
+        _assign(cfg, flag, field, parse(flag, getattr(args, flag[2:])))
+        if field in ("A", "abar_target"):
             setattr(cfg, "abar_target" if field == "A" else "A", None)
     if getattr(args, "figure", None):
         cfg.figure = args.figure
@@ -548,14 +497,7 @@ def main(argv=None) -> int:
             cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         else:
             cfg = RunConfig()
-        cfg = _merge_flags(cfg, args)
-        if not 0.0 <= cfg.temperature < math.inf:
-            raise ConfigError(
-                f"temperature must be finite and >= 0, got {cfg.temperature!r}"
-            )
-        if cfg.points < 2:
-            raise ConfigError("--points must be >= 2")
-        return dispatch(cfg)
+        return dispatch(_merge_flags(cfg, args))
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"mirror-dce: error: {exc}", file=sys.stderr)
         return 1

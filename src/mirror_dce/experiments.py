@@ -36,6 +36,7 @@ index, so results are bitwise identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import warnings
@@ -61,7 +62,7 @@ from .circuit import (
     validate,
 )
 from .numerics import ALIASING_POWER_SHARE, ConvergenceError
-from .scattering import ThermalInput, _drive_terms, _n_out, output_spectrum
+from .scattering import ThermalInput, _drive_weights, _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
     SYNTHESIS_SAMPLES,
@@ -390,17 +391,19 @@ class _Point:
 
 
 def _synthesize(
-    kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, xi: float
+    kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, xi: float, A: float = math.nan
 ) -> _Point:
     """Resolve A, the bias and the drive at grid value xi: abar on the abar
-    axis, otherwise omega_d (the spec's fixed one on the omega axis)."""
+    axis, otherwise omega_d (the spec's fixed one on the omega axis). A
+    finite A is taken as given; otherwise it is solved for."""
     omega_d = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
-    if spec.axis is SweepAxis.ABAR:
-        A = solve_acceleration_parameter(kind, xi, omega_d, c.v)
-    elif spec.A is not None and kind in spec.A:
-        A = float(spec.A[kind])
-    else:
-        A = solve_acceleration_parameter(kind, float(spec.abar), omega_d, c.v)
+    if not math.isfinite(A):
+        if spec.axis is SweepAxis.ABAR:
+            A = solve_acceleration_parameter(kind, xi, omega_d, c.v)
+        elif spec.A is not None and kind in spec.A:
+            A = float(spec.A[kind])
+        else:
+            A = solve_acceleration_parameter(kind, float(spec.abar), omega_d, c.v)
     p = TrajectoryParams(kind, A, omega_d, c.v)
     ratio = _pinned_ratio(kind, spec)
     biased = drive_normalized_bias(p, c) if ratio is None else replace(c, EJ0_ratio=ratio)
@@ -415,9 +418,9 @@ def _pinned_ratio(kind: TrajectoryKind, spec: SweepSpec) -> float | None:
     return None
 
 
-def _synthesize_or_fail(kind, spec, c, xi) -> _Point | _PointFailure:
+def _synthesize_or_fail(kind, spec, c, xi, A) -> _Point | _PointFailure:
     try:
-        return _synthesize(kind, spec, c, xi)
+        return _synthesize(kind, spec, c, float(xi), float(A))
     except _POINT_ERRORS as exc:
         return _PointFailure(f"{type(exc).__name__}: {exc}")
 
@@ -441,20 +444,22 @@ _BLOCK_ROWS = 16
 
 
 class _Curve(NamedTuple):
-    """One kind's grid: the `_n_out` inputs of the points that synthesized
+    """One kind's grid: the drive frequencies and the `_n_out` weights
+    |z_n|^2 / v^2, shape (n_max, ok.size), of the points that synthesized
     (indices `ok`), the other points' failure messages and the mid point."""
 
     ok: np.ndarray
-    terms: tuple
+    wd: np.ndarray
+    weights: np.ndarray
     failures: dict[int, str]
     mid: _Point | _PointFailure
 
 
 def _gate(
     kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, A: np.ndarray, wd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cleared, L_eff^0, |z_n|^2 with shape (n_max, rows)) of the grid
-    points with parameters A (NaN where the inversion failed) and wd.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cleared, |z_n|^2 / v^2 with shape (n_max, rows)) of the grid points
+    with parameters A (NaN where the inversion failed) and wd.
 
     Cleared means that `_synthesize` would accept the point without a
     warning, with `_GATE_MARGIN` to spare on each bound: a valid worldline,
@@ -478,7 +483,7 @@ def _gate(
         ok &= np.max(mag, axis=1) / (2.0 * leff) <= SOFT_HARMONIC_RATIO * keep
         ok &= np.sum(mag, axis=1) / leff < (1.0 - POSITIVITY_BOUND_MARGIN) * keep
         ok &= mag[:, -1] ** 2 < ALIASING_POWER_SHARE * np.sum(mag**2, axis=1) * keep
-    return ok, leff, (mag**2).T
+    return ok, (mag**2).T * (1.0 / c.v**2)
 
 
 def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Curve:
@@ -486,17 +491,14 @@ def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Cur
 
     A is inverted for the whole grid at once and z(t) sampled in blocks of
     `_BLOCK_ROWS` points. Points that `_gate` clears enter n_out through
-    |z_n|^2 / v^2 (the prefactor 4 L_eff^0^2/(v^2 a0^2) times |c_n|^2);
-    every other point goes through `_synthesize`, which keeps the drive,
-    warnings and failure text of the scalar path."""
+    their |z_n|^2 / v^2; every other point, and the mid point, goes through
+    `_synthesize` with the grid's A where it is finite, which keeps the
+    drive, warnings and failure text of the scalar path."""
     x = np.asarray(spec.x, dtype=float)
-    mid_index = x.size // 2
-    mid = _synthesize_or_fail(kind, spec, c, float(x[mid_index]))
     wd = np.full(x.size, float(spec.omega_d)) if spec.axis is SweepAxis.ABAR else x
     abar = x if spec.axis is SweepAxis.ABAR else spec.abar
     cleared = np.zeros(x.size, dtype=bool)
-    leff0 = np.full(x.size, np.nan)
-    c_sq = np.zeros((spec.n_max, x.size))
+    weights = np.zeros((spec.n_max, x.size))
     with np.errstate(all="ignore"):  # the points the gate rejects fall back
         if spec.A is not None and kind in spec.A:
             A = np.full(x.size, float(spec.A[kind]))
@@ -504,17 +506,18 @@ def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Cur
             A = _grid_acceleration_parameter(kind, abar, wd, c.v)
         for start in range(0, x.size, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            cleared[rows], leff0[rows], c_sq[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])
+            cleared[rows], weights[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])
+    mid_index = x.size // 2
+    mid = _synthesize_or_fail(kind, spec, c, x[mid_index], A[mid_index])
     failures: dict[int, str] = {}
     for i in np.flatnonzero(~cleared):
-        point = mid if i == mid_index else _synthesize_or_fail(kind, spec, c, float(x[i]))
+        point = mid if i == mid_index else _synthesize_or_fail(kind, spec, c, x[i], A[i])
         if isinstance(point, _PointFailure):
             failures[int(i)] = point.message
-        else:  # the prefactor times |c_n|^2 is |z_n|^2 / v^2
-            leff, v, prefactor, _, cn_sq = _drive_terms(point.drive, point.biased)
-            leff0[i], c_sq[:, i] = leff, cn_sq[:, 0] * (prefactor * v**2)
+        else:
+            weights[:, i] = _drive_weights(point.drive, point.biased)[:, 0]
     ok = np.array([i for i in range(x.size) if i not in failures], dtype=int)
-    return _Curve(ok, (leff0[ok], c.v, 1.0 / c.v**2, wd[ok], c_sq[:, ok]), failures, mid)
+    return _Curve(ok, wd[ok], weights[:, ok], failures, mid)
 
 
 def _synthesize_sweep(spec: SweepSpec, c: CircuitParams) -> dict:
@@ -533,7 +536,7 @@ def _grid_values(omega: float, curve: _Curve, size: int, T: float) -> tuple[np.n
     spectrum_error = None
     if curve.ok.size:
         try:
-            vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, *curve.terms)
+            vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, curve.wd, curve.weights)
         except _POINT_ERRORS as exc:
             spectrum_error = f"{type(exc).__name__}: {exc}"
     failures = []
@@ -734,6 +737,19 @@ def _text_column(values: Sequence[str], counts) -> np.ndarray:
     return np.repeat(np.array(values, dtype=object), counts)
 
 
+@contextlib.contextmanager
+def _removed_on_failure():
+    """A list for the paths of a multi-file output; if the block fails,
+    the files listed so far are deleted before the error propagates."""
+    paths: list[Path] = []
+    try:
+        yield paths
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _curve_id(ds: SpectrumDataset) -> str:
     return f"{ds.metadata['trajectory']}@{ds.metadata['temperature']}"
 
@@ -752,7 +768,8 @@ def write_spectrum_datasets(
     otherwise one file per (trajectory, temperature) combination with plain
     x,n_out columns. Floats carry 17 significant digits, so parsing the file
     back reproduces the dataset exactly. Curves that share a
-    (trajectory, temperature) pair would merge on reading and are rejected."""
+    (trajectory, temperature) pair would merge on reading and are rejected.
+    If one of the split files fails, the ones already written are removed."""
     if not datasets:
         raise ValueError("no datasets to write")
     ids = [_curve_id(ds) for ds in datasets]
@@ -760,11 +777,11 @@ def write_spectrum_datasets(
         raise ValueError(f"curves must differ in trajectory@temperature, got {ids}")
     path = Path(path)
     if not long_format:
-        paths = []
-        for ds in datasets:
-            suffix = f"_{ds.metadata['trajectory']}_T{ds.metadata['temperature']}"
-            target = path.with_name(path.stem + suffix + path.suffix)
-            paths.append(_write_table(target, ds.metadata, ("x", "n_out"), (ds.x, ds.n_out)))
+        with _removed_on_failure() as paths:
+            for ds in datasets:
+                suffix = f"_{ds.metadata['trajectory']}_T{ds.metadata['temperature']}"
+                target = path.with_name(path.stem + suffix + path.suffix)
+                paths.append(_write_table(target, ds.metadata, ("x", "n_out"), (ds.x, ds.n_out)))
         return paths
 
     shared: dict[str, str] = {}
@@ -1051,7 +1068,8 @@ def reproduce(
     c: CircuitParams | None = None,
     long_format: bool = True,
 ) -> list[Path]:
-    """Run the named preset and write its dataset(s) under out_dir."""
+    """Run the named preset and write its dataset(s) under out_dir. If a
+    later sweep or write fails, the files already written are removed."""
     if c is None:
         c = CircuitParams()
     out_dir = Path(out_dir)
@@ -1069,11 +1087,11 @@ def reproduce(
         ds.metadata["figure"] = fid
         return [write_drive_coefficients(ds, out_dir / f"{canonical}_{fid}.csv")]
 
-    paths: list[Path] = []
     shared: dict = {}  # synthesized points, shared by this preset's sweeps only
-    for i, spec in enumerate(preset):
-        datasets = run_sweep(spec, c, _shared=shared)
-        tag = f"_{i}" if len(preset) > 1 else ""
-        target = out_dir / f"{canonical}_{fid}{tag}.csv"
-        paths.extend(write_spectrum_datasets(datasets, target, long_format=long_format))
+    with _removed_on_failure() as paths:
+        for i, spec in enumerate(preset):
+            datasets = run_sweep(spec, c, _shared=shared)
+            tag = f"_{i}" if len(preset) > 1 else ""
+            target = out_dir / f"{canonical}_{fid}{tag}.csv"
+            paths.extend(write_spectrum_datasets(datasets, target, long_format=long_format))
     return paths

@@ -9,12 +9,16 @@ from P(w', w'') = (2 i L_eff^0 / v) sqrt(w') sqrt(w'') theta(w') theta(w''):
 - pair creation against (n*omega_d - omega)^dagger (only for omega < n*omega_d),
 - up-conversion from omega + n*omega_d.
 
-For a thermal input at temperature T the mean output photon number is
+For a thermal input at temperature T, with |R|^2 = 1, the mean output
+photon number is
 
-    n_out(w) = |R|^2 n_in(w) + (4 L^2 / (v^2 a0^2)) * sum_n |a_n + i b_n|^2
+    n_out(w) = n_in(w) + sum_n (|z_n|^2 / v^2)
                * [ w |w - n wd| n_in(|w - n wd|) + w (n wd - w) theta(n wd - w) ]
 
-where the up-conversion sideband is dropped (negligible occupation for
+where z_n is the n-th harmonic of the worldline. A drive gives the weights
+|z_n|^2 / v^2 as (4 L^2 / (v^2 a0^2)) |a_n + i b_n|^2: with
+a_n + i b_n = (E_J^0 / L_eff^0) z_n and a0 = 2 E_J^0 the bias cancels. The
+up-conversion sideband is dropped (negligible occupation for
 k_B T << hbar omega_d). At the degenerate points w = n wd the stimulated
 factor x*n_in(x) is evaluated by its analytic limit k_B T / hbar, keeping
 the spectrum continuous.
@@ -102,37 +106,33 @@ def output_spectrum(
     The stimulated factor is continuous across omega = n*omega_d.
     """
     w = np.asarray(omega, dtype=float)
-    out = _n_out(np.atleast_1d(w), th.T, *_drive_terms(d, c))
+    out = _n_out(np.atleast_1d(w), th.T, d.omega_d, _drive_weights(d, c))
     return float(out[0]) if w.ndim == 0 else out
 
 
-def _drive_terms(d: DriveSpectrum, c: CircuitParams) -> tuple:
-    """The drive inputs of `_n_out`: L_eff^0, v, the prefactor
-    4 L_eff^0^2 / (v^2 a0^2), omega_d, and |a_n + i b_n|^2 as an (n_max, 1)
-    array."""
+def _drive_weights(d: DriveSpectrum, c: CircuitParams) -> np.ndarray:
+    """|z_n|^2 / v^2 of the drive as an (n_max, 1) array, computed as
+    4 L_eff^0^2 / (v^2 a0^2) times |a_n + i b_n|^2."""
     leff0 = effective_length(c)
     c_sq = [float(d.a[n]) ** 2 + float(d.b[n]) ** 2 for n in range(d.n_max)]
     prefactor = 4.0 * leff0**2 / (c.v**2 * d.a0**2)
-    return leff0, c.v, prefactor, d.omega_d, np.array(c_sq, dtype=float).reshape(-1, 1)
+    return prefactor * np.array(c_sq, dtype=float).reshape(-1, 1)
 
 
-def _n_out(w, T: float, leff0, v, prefactor, wd, c_sq) -> np.ndarray:
-    """The n_out formula on 1-d arrays of probe frequencies w; the drive
-    inputs are those of `_drive_terms` or arrays that broadcast against w."""
+def _n_out(w, T: float, wd, weights) -> np.ndarray:
+    """The n_out formula on 1-d arrays of probe frequencies w, with drive
+    frequency wd and weights |z_n|^2 / v^2 (one row per harmonic n) that
+    broadcast against w."""
     if not np.all(w > 0.0):  # NaN too
         raise ValueError("output_spectrum requires omega > 0")
     if np.any(w == math.inf):
         raise ValueError("output_spectrum requires a finite omega")
-    # |R|^2 is identically 1; keep the factor explicit so the stimulated
-    # term is implemented exactly as written.
-    r_sq = np.abs(reflection(w, leff0, v)) ** 2
-    out = r_sq * thermal_occupation(w, T)
-    for n, cn_sq in enumerate(c_sq, start=1):
-        if not np.any(cn_sq):
+    out = thermal_occupation(w, T)
+    for n, weight in enumerate(weights, start=1):
+        if not np.any(weight):
             continue
         detune = w - n * wd
         stimulated = w * _x_times_occupation(np.abs(detune), T)
         spontaneous = w * np.maximum(-detune, 0.0)
-        out = out + prefactor * cn_sq * (stimulated + spontaneous)
+        out = out + weight * (stimulated + spontaneous)
     return out
-

@@ -8,6 +8,7 @@ import pytest
 
 from mirror_dce.circuit import CircuitParams
 from mirror_dce.cli import (
+    _SETTINGS,
     COMMANDS,
     ConfigError,
     RunConfig,
@@ -102,6 +103,44 @@ format = split
         p = _resolve_trajectory(cfg)
         assert p.A == 20e18
         assert p.kind is TrajectoryKind.AUA
+
+
+# A text each source must reject, for every setting that is both a config
+# key and a flag taking a value (--split takes none), and a command that
+# reads the flag.
+_BAD_TEXT = {
+    ("trajectory", "kind"): ("circular", "traj"),
+    ("trajectory", "a"): ("abc", "traj"),
+    ("trajectory", "abar_target"): ("-2e18", "params"),
+    ("trajectory", "fd"): ("inf", "traj"),
+    ("physics", "t"): ("-1", "spectrum"),
+    ("physics", "nmax"): ("1.5", "drive"),
+    ("output", "path"): (" ", "traj"),
+}
+
+
+def test_every_setting_with_a_key_and_a_flag_is_checked():
+    pairs = {row[0] for row in _SETTINGS if row[0] and row[1] and row[1] != "--split"}
+    assert pairs == set(_BAD_TEXT)
+
+
+@pytest.mark.parametrize(
+    "key, flag",
+    [(row[0], row[1]) for row in _SETTINGS if row[0] and row[1] and row[1] != "--split"],
+)
+def test_config_key_and_flag_reject_bad_text_alike(tmp_path, capsys, key, flag):
+    text, command = _BAD_TEXT[key]
+    section, name = key
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{name} = {text}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    from_config = capsys.readouterr().err
+    assert main([command, f"{flag}={text}"]) == 1
+    from_flag = capsys.readouterr().err
+    assert from_config.startswith(f"mirror-dce: error: [{section}] {name}: ")
+    assert from_flag.startswith(f"mirror-dce: error: {flag}: ")
+    assert from_config.partition(f"[{section}] {name}: ")[2] == from_flag.partition(f"{flag}: ")[2]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestDispatchValidation:
@@ -405,6 +444,57 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("mirror-dce: error: " + message)
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--T", "abc"],
+             "--T: not a number: 'abc'"),
+            (["traj", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--points", "abc"],
+             "--points: not an integer: 'abc'"),
+            (["flux", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--periods", "abc"],
+             "--periods: not an integer: 'abc'"),
+            (["flux", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--periods", "0"],
+             "--periods: must be >= 1"),
+            (["traj", "--kind", "xx", "--abar", "9.054e17", "--fd", "18e9"],
+             "--kind: expected sm|sa|aua, got 'xx'"),
+            (["sweep", "--kind", "sa", "--axis", "xx", "--min", "1e18", "--max", "2e18",
+              "--fd", "14.6e9", "--w", "7e9"], "--axis: expected omega|omega_d|abar, got 'xx'"),
+            (["spectrum", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--points", "1"],
+             "--points: must be >= 2"),
+            (["traj", "--kind", "sm", "--abar", "9.054e17", "--A", "1e18", "--fd", "18e9"],
+             "give exactly one of --A and --abar"),
+        ],
+    )
+    def test_flag_values_argparse_used_to_reject_exit_1(self, tmp_path, capsys, argv, message):
+        # The flag's own parser rejects them, with exit 1 and the flag's name,
+        # where argparse's type= and choices= exited 2.
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"mirror-dce: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_output_path_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[output]\npath =\n")
+        argv = ["traj", "--config", str(cfg), "--kind", "sm", "--abar", "9.054e17",
+                "--fd", "18e9", "--points", "8"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "mirror-dce: error: [output] path: must not be empty\n"
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_reproduce_removes_its_files_when_a_later_write_fails(self, tmp_path, capsys):
+        (tmp_path / "fig4_nout_vs_w_1.csv").mkdir()
+        assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 1
+        assert "mirror-dce: error: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["fig4_nout_vs_w_1.csv"]
+
+    def test_help_lists_the_accepted_values(self, capsys):
+        for argv, listing in (["traj", "-h"], "{sm,sa,aua}"), (["sweep", "-h"], "{omega,omega_d,abar}"):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert listing in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",

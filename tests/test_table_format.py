@@ -5,7 +5,9 @@ and the memory of writing and reading a long table. No physics is
 evaluated."""
 
 import math
+import os
 import re
+import stat
 import tempfile
 import tracemalloc
 import warnings
@@ -17,7 +19,12 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mirror_dce import cli
-from mirror_dce.circuit import _BLOCK_ROWS, _atomic_write
+from mirror_dce.circuit import (
+    _BLOCK_ROWS,
+    _atomic_write,
+    export_flux_waveform,
+    trajectory_to_drive,
+)
 from mirror_dce.experiments import (
     FORMAT_HEADER,
     DriveCoefficientDataset,
@@ -128,6 +135,28 @@ def test_split_layout_names_one_file_per_curve(tmp_path):
         "1,0\n"
         "2.5,3.0000000000000003e-20\n"
     )
+
+
+def test_split_layout_removes_its_files_when_a_later_one_fails(tmp_path):
+    (tmp_path / "curves_aua_T0.025.csv").mkdir()  # the second target
+    with pytest.raises(OSError):
+        write_spectrum_datasets(_curves(), tmp_path / "curves.csv", long_format=False)
+    assert [p.name for p in tmp_path.iterdir()] == ["curves_aua_T0.025.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_tables_get_the_mode_open_gives(tmp_path, sm_baseline, reference_circuit, umask):
+    # 0o666 less the umask, not the owner-only mode of a temp file
+    previous = os.umask(umask)
+    try:
+        table = _write_table(tmp_path / "t.csv", {}, ("x",), (np.arange(3.0),))
+        drive = trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
+        flux = tmp_path / "flux.csv"
+        export_flux_waveform(drive, reference_circuit, flux, samples_per_period=8)
+    finally:
+        os.umask(previous)
+    for path in (table, flux):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_worldline_table(tmp_path):
