@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -459,7 +458,7 @@ def _atomic_write(path, chunks: Iterable[str]) -> None:
     gets mode 0o666 less the umask, as open() would give it."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
