@@ -12,23 +12,28 @@ linearly onto delta E_J(t) = (E_J^0 / L_eff^0) z(t), and the required
 external flux follows from E_J(t) = 2 E_J |cos(pi phi_ext / phi0)|.
 
 Routines here synthesize the drive spectrum from a trajectory, reconstruct
-the flux waveform, and check physical validity (subluminal wall, bias floor,
-frequencies below the SQUID plasma resonance, perturbative drive depth,
-thermal regime).
+the flux waveform, and judge the drive against the bounds of the flux-driven
+SQUID mirror (Johansson et al., PRL 103, 147003 (2009)). Each bound is one
+row of `_BOUNDS`: its value over arrays of point quantities (`_Quantities`),
+its limit, and what crossing the limit does: raise RealizabilityError, warn
+(DriveWarning, AliasingWarning), or enter the validity report only. The
+scalar paths (`trajectory_to_drive`, `DriveSpectrum`, `validate`) evaluate
+the rows at one point; sweeps evaluate them over a whole grid at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B, PHI0
-from .numerics import FourierSeries, fourier_decompose
+from .numerics import ALIASING_POWER_SHARE, AliasingWarning, FourierSeries, fourier_decompose
 from .trajectories import (
     SYNTHESIS_SAMPLES,
     TrajectoryKind,
@@ -126,11 +131,13 @@ class DriveSpectrum:
 
         E_J(t) = a0/2 + sum_n a_n cos(n omega_d t) + b_n sin(n omega_d t)
 
-    with a0 = 2 E_J^0. Immutable after construction; construction enforces
-    the perturbative bound |a_n|/a0, |b_n|/a0 <= 0.5 (warning above 0.25)
-    and that E_J(t) stays strictly positive. Positivity is proved by
-    E_J(t) >= a0/2 - sum_n |a_n + i b_n| when that bound is conclusive, and
-    checked on a sampled period otherwise."""
+    with a0 = 2 E_J^0. Immutable after construction; construction applies
+    the harmonic-ratio rows of the bounds table (|a_n|/a0, |b_n|/a0 <= 0.5,
+    warning above 0.25) and requires E_J(t) to stay strictly positive.
+    Positivity is proved by E_J(t) >= a0/2 - sum_n |a_n + i b_n| when that
+    bound is conclusive, and checked on a sampled period otherwise; only a
+    drive built directly can need the sample, since a worldline's drive
+    has sum_n |z_n| <= 1.09 max|z| and passes the depth bound first."""
 
     a0: float
     a: np.ndarray
@@ -146,25 +153,15 @@ class DriveSpectrum:
             raise ValueError(f"a0 must be positive, got {self.a0}")
         if not self.omega_d > 0.0:
             raise ValueError(f"omega_d must be positive, got {self.omega_d}")
-        if self.n_max:
-            peak = float(np.max(np.concatenate([np.abs(self.a), np.abs(self.b)]))) / self.a0
-            if peak > MAX_DRIVE_DEPTH:
-                raise RealizabilityError(
-                    f"harmonic ratio |c_n|/a0 = {peak:.4g} exceeds "
-                    f"the hard bound {MAX_DRIVE_DEPTH}"
-                )
-            if peak > SOFT_HARMONIC_RATIO:
-                warnings.warn(
-                    f"harmonic ratio |c_n|/a0 = {peak:.4g} exceeds "
-                    f"{SOFT_HARMONIC_RATIO}; first-order treatment degrades",
-                    DriveWarning,
-                    stacklevel=2,
-                )
-            reach = float(np.sum(self.harmonic_magnitudes))
-            if not reach < 0.5 * self.a0 * (1.0 - POSITIVITY_BOUND_MARGIN) and (
-                float(np.min(self.e_j(self._probe_times()))) <= 0.0
-            ):
-                raise RealizabilityError("E_J(t) is not strictly positive")
+        ratio = np.maximum(np.abs(self.a), np.abs(self.b)) / self.a0
+        # stacklevel 4 names the line that called DriveSpectrum(...), above
+        # this method and the generated __init__.
+        _enforce(_Quantities(ratio=ratio), _rows("harmonic_ratio", "perturbative_drive"), 4)
+        reach = float(np.sum(self.harmonic_magnitudes))
+        if not reach < 0.5 * self.a0 * (1.0 - POSITIVITY_BOUND_MARGIN) and (
+            float(np.min(self.e_j(self._probe_times()))) <= 0.0
+        ):
+            raise RealizabilityError("E_J(t) is not strictly positive")
         self.a.setflags(write=False)
         self.b.setflags(write=False)
 
@@ -203,38 +200,23 @@ def trajectory_to_drive(
 
     The mapping is linear: a_n, b_n are (E_J^0 / L_eff^0) times the Fourier
     coefficients of z(t), and a0 = 2 E_J^0 (the trajectory is centered, so
-    no DC term is generated). Raises RealizabilityError when the modulation
-    depth exceeds the hard margin or E_J(t) would leave (0, 2 E_J]."""
-    if p.omega_d <= 0.0:
-        raise ValueError("trajectory must have a positive drive frequency")
+    no DC term is generated). Raises RealizabilityError from the bounds
+    table: the depth and flux-tuning rows need only max|z| and are applied
+    before the projection, the harmonic-ratio rows by DriveSpectrum."""
     leff0 = effective_length(c)
-    scale = c.E_J0 / leff0
-
     z = position(p, _synthesis_grid(p.omega_d))
-    # Depth check against the full (untruncated) waveform, before projecting.
-    z_peak = float(np.max(np.abs(z)))
-    depth = z_peak / leff0
-    if depth > MAX_DRIVE_DEPTH:
-        raise RealizabilityError(
-            f"trajectory amplitude {z_peak:.4g} m is {depth:.3g} of the "
-            f"effective length {leff0:.4g} m; exceeds the {MAX_DRIVE_DEPTH} margin"
-        )
-    # fourier_decompose samples the same grid, so it can take z as is.
-    series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
-
-    drive = DriveSpectrum(
-        a0=2.0 * c.E_J0,
-        a=scale * series.a,
-        b=scale * series.b,
-        omega_d=p.omega_d,
+    point = _Quantities(
+        kind=p.kind, A=p.A, omega_d=p.omega_d, c=c, bias=c.EJ0_ratio, leff=leff0,
+        z_peak=float(np.max(np.abs(z))),
     )
-    ej_max = c.E_J0 * (1.0 + depth)
-    if ej_max > 2.0 * c.E_J:
-        raise RealizabilityError(
-            f"peak E_J(t) = {ej_max:.4g} J exceeds the flux-tuning ceiling "
-            f"2 E_J = {2.0 * c.E_J:.4g} J"
-        )
-    return drive
+    _enforce(point, _rows("drive_depth", "tuning_ceiling"))
+    # fourier_decompose samples the same grid, so it can take z as is; it
+    # warns on aliasing itself.
+    series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
+    scale = c.E_J0 / leff0
+    return DriveSpectrum(
+        a0=2.0 * c.E_J0, a=scale * series.a, b=scale * series.b, omega_d=p.omega_d
+    )
 
 
 def external_flux(d: DriveSpectrum, c: CircuitParams, t):
@@ -287,12 +269,138 @@ class ValidityReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _check(name, ok, value, limit, message, warn_only=False) -> CheckResult:
-    if ok:
-        status = "pass"
-    else:
-        status = "warn" if warn_only else "fail"
-    return CheckResult(name=name, status=status, value=float(value), limit=float(limit), message=message)
+@dataclass(frozen=True)
+class _Quantities:
+    """The point quantities the bounds table reads: arrays over the points
+    of a grid, where `ratio` has shape (points, n_max) and a scalar field is
+    shared by every point, or scalars at one point, where `ratio` is 1-d."""
+
+    ratio: np.ndarray = field(default_factory=lambda: np.empty(0))  # |c_n|/a0 = |z_n|/2L_eff^0
+    kind: TrajectoryKind | None = None
+    A: np.ndarray | float = math.nan  # worldline parameter [m/s^2]
+    omega_d: np.ndarray | float = math.nan  # [rad/s]
+    c: CircuitParams | None = None  # line and junction constants; the bias is `bias`
+    bias: np.ndarray | float = math.nan  # E_J^0 / E_J
+    leff: np.ndarray | float = math.nan  # L_eff^0 [m]
+    z_peak: np.ndarray | float = math.nan  # max|z| [m]
+    omega: float = 0.0  # highest probe frequency [rad/s], 0 without probes
+    T: float | None = None  # bath temperature [K]
+
+    def at(self, i) -> _Quantities:
+        """Point i of a grid, or the sub-grid of an index array."""
+        if self.ratio.ndim == 1:
+            return self
+        names = ("ratio", "A", "omega_d", "bias", "leff", "z_peak")
+        return replace(self, **{n: getattr(self, n)[i] for n in names if np.ndim(getattr(self, n))})
+
+
+def _harmonic_ratio(q):
+    return np.max(q.ratio, axis=-1, initial=0.0)
+
+
+def _top_power_share(q):
+    power = q.ratio**2
+    total, top = np.sum(power, axis=-1), np.sum(power[..., -1:], axis=-1)
+    return np.where(total > 0.0, top / np.where(total > 0.0, total, 1.0), 0.0)
+
+
+_SM, _GHZ = TrajectoryKind.SM, 2e9 * math.pi
+
+# One row per bound: its name; its value at the points of a _Quantities
+# (None where it does not apply); its limit, a number or a function of the
+# circuit; the test passes(value, limit); what crossing does: raise or warn
+# with that class, or only give the status "fail" or "warn" in the report;
+# the text of the error or warning; and the row's line in the report of
+# `validate` (None: not listed). Texts and lines are functions of (point,
+# value, limit). Error and warning rows stand in the order the scalar path
+# meets them.
+_BOUNDS = (
+    ("subluminal", lambda q: np.where(q.kind is _SM, q.A / q.omega_d / q.c.v, 0.0), 1.0,
+     operator.lt, "fail", None,
+     lambda q, x, lim: f"SM wall speed is {x:.3g} of the effective light speed"
+     if q.kind is _SM else f"{q.kind.value} worldlines are subluminal by construction"),
+    ("bias_floor", lambda q: q.bias, EJ0_RATIO_FLOOR, operator.gt, "fail", None,
+     lambda q, x, lim: f"E_J^0/E_J = {x:.4g} (floor {lim})"),
+    ("below_plasma", lambda q: np.maximum(q.omega_d, q.omega), lambda c: c.omega_s,
+     operator.lt, "fail", None,
+     lambda q, x, lim: "drive fundamental and probe frequencies below the plasma frequency"),
+    ("harmonics_below_plasma", lambda q: q.ratio.shape[-1] * q.omega_d, lambda c: c.omega_s,
+     operator.lt, "warn", None,
+     lambda q, x, lim: f"top drive harmonic at {x / _GHZ:.3g} GHz vs plasma {lim / _GHZ:.3g} GHz"),
+    ("short_effective_length", lambda q: np.maximum(q.omega_d, q.omega) / q.c.v * q.leff, 0.2,
+     operator.le, "warn", None,
+     lambda q, x, lim: f"k_omega * L_eff^0 = {x:.3g} (first-order accuracy needs << 1)"),
+    ("drive_depth", lambda q: q.z_peak / q.leff, MAX_DRIVE_DEPTH, operator.le, RealizabilityError,
+     lambda q, x, lim: f"trajectory amplitude {q.z_peak:.4g} m is {x:.3g} of the effective "
+     f"length {q.leff:.4g} m; exceeds the {lim} margin", None),
+    ("tuning_ceiling", lambda q: q.bias * q.c.E_J * (1.0 + q.z_peak / q.leff),
+     lambda c: 2.0 * c.E_J, operator.le, RealizabilityError,
+     lambda q, x, lim: f"peak E_J(t) = {x:.4g} J exceeds the flux-tuning ceiling "
+     f"2 E_J = {lim:.4g} J", None),
+    ("aliasing", _top_power_share, ALIASING_POWER_SHARE, operator.le, AliasingWarning,
+     lambda q, x, lim: f"harmonic n={q.ratio.shape[-1]} still carries {100.0 * x:.2f}% of the "
+     "harmonic power; the requested truncation may alias", None),
+    ("harmonic_ratio", _harmonic_ratio, MAX_DRIVE_DEPTH, operator.le, RealizabilityError,
+     lambda q, x, lim: f"harmonic ratio |c_n|/a0 = {x:.4g} exceeds the hard bound {lim}", None),
+    ("perturbative_drive", _harmonic_ratio, SOFT_HARMONIC_RATIO, operator.le, DriveWarning,
+     lambda q, x, lim: f"harmonic ratio |c_n|/a0 = {x:.4g} exceeds {lim}; first-order "
+     "treatment degrades",
+     lambda q, x, lim: f"max |c_n|/a0 = {x:.3g}"),
+    ("cold_input", lambda q: None if q.T is None else K_B * q.T / (HBAR * q.omega_d), 0.2,
+     operator.le, "warn", None, lambda q, x, lim: f"k_B T / (hbar omega_d) = {x:.3g}"),
+)
+
+
+def _rows(*names: str) -> tuple:
+    return tuple(row for row in _BOUNDS if row[0] in names)
+
+
+def _judge(q: _Quantities, rows=_BOUNDS, stacklevel: int = 2) -> dict[int, tuple[type, str]]:
+    """The error and warning rows at every point of q: by point index, the
+    class and text of the first error row the point crosses. Each warning
+    row warns at every other point that crosses it, `stacklevel` frames up
+    as in warnings.warn."""
+    failed: dict[int, tuple[type, str]] = {}
+    warned = []
+    for _, value_of, limit, passes, crossing, text, _ in rows:
+        if text is None:
+            continue
+        limit = limit(q.c) if callable(limit) else limit
+        value = np.broadcast_to(value_of(q), q.ratio.shape[:-1]).reshape(-1)
+        for i in np.flatnonzero(~passes(value, limit)).tolist():
+            if issubclass(crossing, Warning):
+                warned.append((crossing, i, text(q.at(i), value[i], limit)))
+            elif i not in failed:
+                failed[i] = (crossing, text(q.at(i), value[i], limit))
+    for category, i, message in warned:
+        if i not in failed:
+            warnings.warn(message, category, stacklevel=stacklevel)
+    return failed
+
+
+def _enforce(point: _Quantities, rows, stacklevel: int = 2) -> None:
+    """`_judge` at one point: raise the error it finds, else let it warn."""
+    for error, text in _judge(point, rows, stacklevel + 1).values():
+        raise error(text)
+
+
+def _report(point: _Quantities) -> ValidityReport:
+    """The listed rows of the table at one point, passing or not."""
+    checks = []
+    for name, value_of, limit, passes, crossing, _, line in _BOUNDS:
+        value = None if line is None else value_of(point)
+        if value is None:
+            continue
+        limit = limit(point.c) if callable(limit) else limit
+        if passes(value, limit):
+            status = "pass"
+        elif isinstance(crossing, str):
+            status = crossing
+        else:
+            status = "warn" if issubclass(crossing, Warning) else "fail"
+        message = line(point, value, limit)
+        checks.append(CheckResult(name, status, float(value), float(limit), message))
+    return ValidityReport(checks=tuple(checks))
 
 
 def validate(
@@ -303,121 +411,15 @@ def validate(
     omega_probe=None,
     temperature: float | None = None,
 ) -> ValidityReport:
-    """Physical-validity report for a synthesized drive.
-
-    Checks: (i) SM wall subluminal; (ii) bias floor E_J^0/E_J > 0.1;
-    (iii) drive fundamental and probe frequencies below the plasma
-    frequency, with a warning when the top harmonic n_max*omega_d crosses
-    it; (iv) k_omega * L_eff^0 small (warn above 0.2); (v) per-harmonic
-    drive ratios perturbative (warn above 0.25); (vi) thermal regime
-    k_B T << hbar omega_d (warn above 0.2). Report-valued: nothing raises.
-    """
-    checks: list[CheckResult] = []
-    leff0 = effective_length(c)
-    probes = (
-        np.atleast_1d(np.asarray(omega_probe, dtype=float))
-        if omega_probe is not None
-        else np.empty(0)
-    )
-
-    if p.kind is TrajectoryKind.SM:
-        wall = p.A / p.omega_d
-        checks.append(
-            _check(
-                "subluminal",
-                wall < p.v,
-                wall / p.v,
-                1.0,
-                f"SM wall speed is {wall / p.v:.3g} of the effective light speed",
-            )
-        )
-    else:
-        checks.append(
-            _check(
-                "subluminal",
-                True,
-                0.0,
-                1.0,
-                f"{p.kind.value} worldlines are subluminal by construction",
-            )
-        )
-
-    checks.append(
-        _check(
-            "bias_floor",
-            c.EJ0_ratio > EJ0_RATIO_FLOOR,
-            c.EJ0_ratio,
-            EJ0_RATIO_FLOOR,
-            f"E_J^0/E_J = {c.EJ0_ratio:.4g} (floor {EJ0_RATIO_FLOOR})",
-        )
-    )
-
-    fund_ok = d.omega_d < c.omega_s and bool(np.all(probes < c.omega_s))
-    checks.append(
-        _check(
-            "below_plasma",
-            fund_ok,
-            max(d.omega_d, float(np.max(probes)) if probes.size else 0.0),
-            c.omega_s,
-            "drive fundamental and probe frequencies below the plasma frequency",
-        )
-    )
-    top = d.n_max * d.omega_d
-    checks.append(
-        _check(
-            "harmonics_below_plasma",
-            top < c.omega_s,
-            top,
-            c.omega_s,
-            f"top drive harmonic at {top / (2e9 * math.pi):.3g} GHz vs plasma "
-            f"{c.omega_s / (2e9 * math.pi):.3g} GHz",
-            warn_only=True,
-        )
-    )
-
-    k_peak = max(d.omega_d, float(np.max(probes)) if probes.size else 0.0) / c.v
-    kl = k_peak * leff0
-    checks.append(
-        _check(
-            "short_effective_length",
-            kl <= 0.2,
-            kl,
-            0.2,
-            f"k_omega * L_eff^0 = {kl:.3g} (first-order accuracy needs << 1)",
-            warn_only=True,
-        )
-    )
-
-    ratio = (
-        float(np.max(np.concatenate([np.abs(d.a), np.abs(d.b)]))) / d.a0
-        if d.n_max
-        else 0.0
-    )
-    checks.append(
-        _check(
-            "perturbative_drive",
-            ratio <= SOFT_HARMONIC_RATIO,
-            ratio,
-            SOFT_HARMONIC_RATIO,
-            f"max |c_n|/a0 = {ratio:.3g}",
-            warn_only=ratio <= MAX_DRIVE_DEPTH,
-        )
-    )
-
-    if temperature is not None:
-        thermal = K_B * temperature / (HBAR * d.omega_d)
-        checks.append(
-            _check(
-                "cold_input",
-                thermal <= 0.2,
-                thermal,
-                0.2,
-                f"k_B T / (hbar omega_d) = {thermal:.3g}",
-                warn_only=True,
-            )
-        )
-
-    return ValidityReport(checks=tuple(checks))
+    """Physical-validity report for the drive d synthesized from p: every
+    row of the bounds table with a report line, at the highest probe
+    frequency and, given one, the temperature. Nothing raises."""
+    probes = np.atleast_1d(np.asarray([] if omega_probe is None else omega_probe, dtype=float))
+    return _report(_Quantities(
+        ratio=np.maximum(np.abs(d.a), np.abs(d.b)) / d.a0, kind=p.kind, A=p.A,
+        omega_d=d.omega_d, c=c, bias=c.EJ0_ratio, leff=effective_length(c),
+        omega=float(np.max(probes)) if probes.size else 0.0, T=temperature,
+    ))
 
 
 def export_flux_waveform(

@@ -20,15 +20,16 @@ affects experimental feasibility flags.
 
 Sweeps along the abar and omega_d axes evaluate each curve as arrays. The
 first-order spectrum depends on the drive only through |z_n|/v, and
-realizability only through max|z|, sum|z_n| and L_eff^0, so a grid point
+realizability only through max|z|, |z_n| and L_eff^0, so a grid point
 needs no DriveSpectrum: A is inverted for the whole grid at once, the odd
-harmonics come from a quarter period of z(t), and a closed-form gate
-clears every point that the scalar path would accept without a warning.
-Each other point, and the mid point that carries the validity report, goes
-through the scalar path, which keeps its drive, warnings and failure text.
-`reproduce` shares this work between the sweeps of one preset that differ
-only in probe frequency or temperatures (fig5, fig6). Values agree with
-the point-by-point API to rtol 1e-12 above a floor of 1e-12 of the peak.
+harmonics come from a quarter period of z(t), and `_gate` evaluates the
+rows of the bounds table (`circuit._BOUNDS`) over the grid's arrays. A
+point that crosses an error row fails with the text the scalar path would
+raise, a point that crosses a warning row warns, and the curve's validity
+report is the table at its mid point. `reproduce` shares this work between
+the sweeps of one preset that differ only in probe frequency or
+temperatures (fig5, fig6). Values agree with the point-by-point API to
+rtol 1e-12 above a floor of 1e-12 of the peak.
 
 Grid points are pure function evaluations in one serial loop, placed by
 index, so results are bitwise identical across runs.
@@ -49,26 +50,25 @@ import numpy as np
 
 from .circuit import (
     EJ0_RATIO_FLOOR,
-    MAX_DRIVE_DEPTH,
-    POSITIVITY_BOUND_MARGIN,
-    SOFT_HARMONIC_RATIO,
     CircuitParams,
     DriveSpectrum,
     ValidityReport,
     _atomic_write,
     _csv_chunks,
+    _judge,
+    _Quantities,
+    _report,
     effective_length,
     trajectory_to_drive,
     validate,
 )
-from .numerics import ALIASING_POWER_SHARE, ConvergenceError
-from .scattering import ThermalInput, _drive_weights, _n_out, output_spectrum
+from .numerics import ConvergenceError
+from .scattering import ThermalInput, _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
     SYNTHESIS_SAMPLES,
     TrajectoryKind,
     TrajectoryParams,
-    _GATE_MARGIN,
     _grid_acceleration_parameter,
     _grid_harmonics,
     average_acceleration,
@@ -308,6 +308,15 @@ class SweepSpec:
             raise ValueError(f"axis {self.axis.value} requires a fixed omega_d")
         if self.axis is not SweepAxis.OMEGA and self.omega is None:
             raise ValueError(f"axis {self.axis.value} requires a fixed probe omega")
+        for name, pins, rule, ok in (
+            # E_J(t) = 2 E_J |cos(...)| caps the static bias at 2 E_J.
+            ("ejo_ratio", self.ejo_ratio, "lie in (0, 2]", lambda r: 0.0 < r <= 2.0),
+            ("A", self.A, "be positive and finite", lambda a: 0.0 < a < math.inf),
+        ):
+            for kind, value in (pins or {}).items():
+                if not ok(value):
+                    kind = TrajectoryKind(kind).value
+                    raise ValueError(f"{name}[{kind}] must {rule}, got {value}")
         if self.axis is SweepAxis.ABAR:
             if self.A is not None:
                 raise ValueError("an abar-axis sweep re-solves A; do not pin it")
@@ -390,12 +399,12 @@ class _Point:
     drive: DriveSpectrum
 
 
-def _synthesize(
+def _worldline(
     kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, xi: float, A: float = math.nan
-) -> _Point:
-    """Resolve A, the bias and the drive at grid value xi: abar on the abar
-    axis, otherwise omega_d (the spec's fixed one on the omega axis). A
-    finite A is taken as given; otherwise it is solved for."""
+) -> TrajectoryParams:
+    """The worldline at grid value xi: abar on the abar axis, otherwise
+    omega_d (the spec's fixed one on the omega axis). A finite A is taken
+    as given; otherwise it is pinned or solved for."""
     omega_d = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
     if not math.isfinite(A):
         if spec.axis is SweepAxis.ABAR:
@@ -404,7 +413,12 @@ def _synthesize(
             A = float(spec.A[kind])
         else:
             A = solve_acceleration_parameter(kind, float(spec.abar), omega_d, c.v)
-    p = TrajectoryParams(kind, A, omega_d, c.v)
+    return TrajectoryParams(kind, A, omega_d, c.v)
+
+
+def _synthesize(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Point:
+    """The worldline, bias and drive of an omega-axis sweep."""
+    p = _worldline(kind, spec, c, spec.omega_d)
     ratio = _pinned_ratio(kind, spec)
     biased = drive_normalized_bias(p, c) if ratio is None else replace(c, EJ0_ratio=ratio)
     drive = trajectory_to_drive(p, biased, n_max=spec.n_max)
@@ -416,13 +430,6 @@ def _pinned_ratio(kind: TrajectoryKind, spec: SweepSpec) -> float | None:
     if spec.ejo_ratio is not None and kind in spec.ejo_ratio:
         return float(spec.ejo_ratio[kind])
     return None
-
-
-def _synthesize_or_fail(kind, spec, c, xi, A) -> _Point | _PointFailure:
-    try:
-        return _synthesize(kind, spec, c, float(xi), float(A))
-    except _POINT_ERRORS as exc:
-        return _PointFailure(f"{type(exc).__name__}: {exc}")
 
 
 def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
@@ -444,99 +451,97 @@ _BLOCK_ROWS = 16
 
 
 class _Curve(NamedTuple):
-    """One kind's grid: the drive frequencies and the `_n_out` weights
-    |z_n|^2 / v^2, shape (n_max, ok.size), of the points that synthesized
-    (indices `ok`), the other points' failure messages and the mid point."""
+    """One kind's grid: the `_n_out` weights |z_n|^2 / v^2, shape
+    (n_max, ok.size), of the points that pass every error row (indices
+    `ok`), the other points' failure messages, and the bound quantities of
+    every point."""
 
     ok: np.ndarray
-    wd: np.ndarray
     weights: np.ndarray
     failures: dict[int, str]
-    mid: _Point | _PointFailure
+    bounds: _Quantities
 
 
 def _gate(
     kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, A: np.ndarray, wd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cleared, |z_n|^2 / v^2 with shape (n_max, rows)) of the grid points
-    with parameters A (NaN where the inversion failed) and wd.
+) -> tuple[dict[int, str], _Quantities, np.ndarray]:
+    """Judge the grid points with parameters A and wd (NaN A: no worldline,
+    skipped) against every row of the bounds table, without a margin.
 
-    Cleared means that `_synthesize` would accept the point without a
-    warning, with `_GATE_MARGIN` to spare on each bound: a valid worldline,
-    depth max|z|/L_eff^0, ratios |z_n|/(2 L_eff^0) (as a_n = (E_J^0/L_eff^0)
-    z_n and a0 = 2 E_J^0), positivity sum|z_n| < L_eff^0, the flux-tuning
-    ceiling and no aliasing."""
+    Returns the `<Class>: <message>` of each point that crosses an error
+    row, by index; the quantities of every point (z_n and max|z| from the
+    quarter-period kernel, in blocks of `_BLOCK_ROWS` points); and the
+    weights |z_n|^2 / v^2, shape (n_max, points). A point that crosses a
+    warning row warns and keeps its weights."""
     n_max = spec.n_max
-    keep = 1.0 - _GATE_MARGIN
-    a, z_peak = _grid_harmonics(kind, A, wd, c.v, max(n_max, 1))
-    ratio = _pinned_ratio(kind, spec)
-    if ratio is None:
-        ratio = _normalized_bias_ratio(np.abs(a[:, 0]), z_peak, c)
-    leff = effective_length(replace(c, EJ0_ratio=1.0)) / ratio
-    depth = z_peak / leff
+    a = np.empty((A.size, max(n_max, 1)))
+    z_peak = np.empty(A.size)
+    for start in range(0, A.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        a[rows], z_peak[rows] = _grid_harmonics(kind, A[rows], wd[rows], c.v, max(n_max, 1))
+    bias = _pinned_ratio(kind, spec)
+    if bias is None:
+        bias = _normalized_bias_ratio(np.abs(a[:, 0]), z_peak, c)
+    leff = effective_length(replace(c, EJ0_ratio=1.0)) / bias
     mag = np.abs(a[:, :n_max])
-    ok = (A > 0.0) & (A < math.inf) & (wd > 0.0) & (wd < math.inf)
-    if kind is TrajectoryKind.SM:
-        ok &= A / wd < c.v * (1.0 - SUBLUMINAL_MARGIN) * keep
-    ok &= (depth <= MAX_DRIVE_DEPTH * keep) & (ratio * (1.0 + depth) <= 2.0 * keep)
-    if n_max:
-        ok &= np.max(mag, axis=1) / (2.0 * leff) <= SOFT_HARMONIC_RATIO * keep
-        ok &= np.sum(mag, axis=1) / leff < (1.0 - POSITIVITY_BOUND_MARGIN) * keep
-        ok &= mag[:, -1] ** 2 < ALIASING_POWER_SHARE * np.sum(mag**2, axis=1) * keep
-    return ok, (mag**2).T * (1.0 / c.v**2)
+    q = _Quantities(
+        ratio=mag / (2.0 * np.reshape(leff, (-1, 1))),
+        kind=kind, A=A, omega_d=wd, c=c, bias=bias, leff=leff, z_peak=z_peak,
+    )
+    judged = np.flatnonzero(np.isfinite(A))
+    failed = _judge(q.at(judged))
+    failures = {int(judged[j]): f"{error.__name__}: {text}" for j, (error, text) in failed.items()}
+    return failures, q, (mag**2).T * (1.0 / c.v**2)
 
 
 def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Curve:
-    """Synthesize one kind over an abar- or omega_d-axis grid.
+    """Judge one kind over an abar- or omega_d-axis grid.
 
-    A is inverted for the whole grid at once and z(t) sampled in blocks of
-    `_BLOCK_ROWS` points. Points that `_gate` clears enter n_out through
-    their |z_n|^2 / v^2; every other point, and the mid point, goes through
-    `_synthesize` with the grid's A where it is finite, which keeps the
-    drive, warnings and failure text of the scalar path."""
+    A is inverted for the whole grid at once. A point whose A or worldline
+    is invalid takes its failure text from the scalar API, or, where that
+    finds an A, goes through the grid rows with it. `_gate` judges the
+    rest; no DriveSpectrum is built."""
     x = np.asarray(spec.x, dtype=float)
     wd = np.full(x.size, float(spec.omega_d)) if spec.axis is SweepAxis.ABAR else x
     abar = x if spec.axis is SweepAxis.ABAR else spec.abar
-    cleared = np.zeros(x.size, dtype=bool)
-    weights = np.zeros((spec.n_max, x.size))
-    with np.errstate(all="ignore"):  # the points the gate rejects fall back
+    failures: dict[int, str] = {}
+    with np.errstate(all="ignore"):  # points without a worldline are NaN
         if spec.A is not None and kind in spec.A:
             A = np.full(x.size, float(spec.A[kind]))
         else:
             A = _grid_acceleration_parameter(kind, abar, wd, c.v)
-        for start in range(0, x.size, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            cleared[rows], weights[:, rows] = _gate(kind, spec, c, A[rows], wd[rows])
-    mid_index = x.size // 2
-    mid = _synthesize_or_fail(kind, spec, c, x[mid_index], A[mid_index])
-    failures: dict[int, str] = {}
-    for i in np.flatnonzero(~cleared):
-        point = mid if i == mid_index else _synthesize_or_fail(kind, spec, c, x[i], A[i])
-        if isinstance(point, _PointFailure):
-            failures[int(i)] = point.message
-        else:
-            weights[:, i] = _drive_weights(point.drive, point.biased)[:, 0]
+        valid = (A > 0.0) & (A < math.inf) & (wd > 0.0) & (wd < math.inf)
+        if kind is TrajectoryKind.SM:
+            valid &= A / wd < c.v * (1.0 - SUBLUMINAL_MARGIN)
+        for i in np.flatnonzero(~valid).tolist():
+            try:
+                A[i] = _worldline(kind, spec, c, x[i], A[i]).A
+            except _POINT_ERRORS as exc:
+                A[i], failures[i] = math.nan, f"{type(exc).__name__}: {exc}"
+        gated, bounds, weights = _gate(kind, spec, c, A, wd)
+    failures.update(gated)
     ok = np.array([i for i in range(x.size) if i not in failures], dtype=int)
-    return _Curve(ok, wd[ok], weights[:, ok], failures, mid)
+    return _Curve(ok, weights[:, ok], failures, bounds)
 
 
 def _synthesize_sweep(spec: SweepSpec, c: CircuitParams) -> dict:
     """Per kind: the one point of an omega-axis sweep, otherwise its
     `_Curve`."""
     if spec.axis is SweepAxis.OMEGA:
-        return {kind: _synthesize(kind, spec, c, spec.omega_d) for kind in spec.trajectories}
+        return {kind: _synthesize(kind, spec, c) for kind in spec.trajectories}
     return {kind: _grid_curve(kind, spec, c) for kind in spec.trajectories}
 
 
 def _grid_values(omega: float, curve: _Curve, size: int, T: float) -> tuple[np.ndarray, list[str]]:
     """n_out at the fixed probe omega for every grid point, in one batch over
-    the synthesized points, and the `i:<message>` failures. A spectrum
-    domain error fails every synthesized point."""
+    the points that passed the bounds, and the `i:<message>` failures. A
+    spectrum domain error fails every such point."""
     vals = np.full(size, np.nan)
     spectrum_error = None
     if curve.ok.size:
         try:
-            vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, curve.wd, curve.weights)
+            wd = curve.bounds.omega_d[curve.ok]
+            vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, wd, curve.weights)
         except _POINT_ERRORS as exc:
             spectrum_error = f"{type(exc).__name__}: {exc}"
     failures = []
@@ -553,12 +558,7 @@ def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]
     datasets: list[SpectrumDataset] = []
     x = np.asarray(spec.x, dtype=float)
     for kind in spec.trajectories:
-        # Omega axis: the one point; otherwise the representative validity
-        # report comes from the middle of the grid.
         point = synthesized[kind]
-        if spec.axis is not SweepAxis.OMEGA:
-            point = synthesized[kind].mid
-
         for T in spec.temperatures:
             failures: list[str] = []
             meta: dict[str, str] = {
@@ -584,18 +584,17 @@ def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]
                 meta.update(_circuit_metadata(point.biased))
                 meta.update(_report_metadata(report))
             else:
-                vals, failures = _grid_values(float(spec.omega), synthesized[kind], x.size, T)
+                vals, failures = _grid_values(float(spec.omega), point, x.size, T)
                 if spec.axis is SweepAxis.ABAR:
                     meta["omega_d"] = _fmt(spec.omega_d)
-                if isinstance(point, _PointFailure):
-                    failures.append(f"validity:{point.message}")
+                # The curve's validity report is the table at its mid point.
+                mid = x.size // 2
+                if mid in point.failures:
+                    failures.append(f"validity:{point.failures[mid]}")
                 else:
-                    probe = np.array([float(spec.omega)])
-                    report = validate(
-                        point.drive, point.p, point.biased, omega_probe=probe, temperature=T
-                    )
-                    meta.update(_circuit_metadata(point.biased))
-                    meta.update(_report_metadata(report))
+                    at = replace(point.bounds.at(mid), omega=float(spec.omega), T=T)
+                    meta.update(_circuit_metadata(replace(at.c, EJ0_ratio=float(at.bias))))
+                    meta.update(_report_metadata(_report(at)))
 
             if failures:
                 meta["failures"] = "|".join(failures)
@@ -610,11 +609,12 @@ def run_sweep(
 ) -> list[SpectrumDataset]:
     """Evaluate the sweep: one dataset per (trajectory, temperature).
 
-    Each kind's grid is synthesized once (see `_grid_curve`) and each curve
-    evaluated from it in one batch per temperature. Per-point domain errors (ValueError, which includes RealizabilityError,
-    and ConvergenceError) are recorded in the metadata under `failures` and
-    leave NaN in the curve; points are never dropped. Any other exception
-    propagates.
+    Each kind's grid is judged once against the bounds table (see
+    `_grid_curve`) and each curve evaluated from it in one batch per
+    temperature. Per-point domain errors (a crossed error row of the table,
+    or a ValueError or ConvergenceError of the A inversion or the spectrum)
+    are recorded in the metadata under `failures` and leave NaN in the
+    curve; points are never dropped. Any other exception propagates.
 
     `_shared` is internal: a dict that `reproduce` hands to every sweep of
     one preset, so sweeps that differ only in figure id, probe frequency or
@@ -629,11 +629,6 @@ def run_sweep(
 # Per-point domain errors; RealizabilityError is a ValueError. Anything else
 # is a programming error and propagates out of the sweep.
 _POINT_ERRORS = (ValueError, ConvergenceError)
-
-
-class _PointFailure:
-    def __init__(self, message: str):
-        self.message = message
 
 
 # ---------------------------------------------------------------------------

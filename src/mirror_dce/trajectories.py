@@ -50,12 +50,10 @@ SUBLUMINAL_MARGIN = 1e-9
 # Samples of z(t) per period on which drives are synthesized.
 SYNTHESIS_SAMPLES = 4096
 
-# Relative margin by which a grid point must clear each closed-form bound
-# of the sweep gate (`experiments._gate`): over 100 times the largest
-# difference between the grid kernels and the scalar path (6e-13, the SM A
-# inversion), and below the 1e-9 slack that bias normalization leaves at
-# the flux-tuning ceiling.
-_GATE_MARGIN = 1e-10
+# Relative margin inside the SM bracket ends within which the grid
+# inversion leaves A to the scalar solver: over 100 times the largest
+# difference between the two (6e-13).
+_BRACKET_MARGIN = 1e-10
 
 
 class TrajectoryKind(str, Enum):
@@ -287,7 +285,7 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     Bisects the closed-form average in one variable: x = R omega_d / v
     (abar = v omega_d atanh(x) / E(x^2)) for SM and beta = 2 A / (v omega_d)
     (abar = v omega_d asinh(beta) / K(-beta^2)) for SA; AUA has A = abar.
-    NaN where the scalar solver raises, and for SM within `_GATE_MARGIN`
+    NaN where the scalar solver raises, and for SM within `_BRACKET_MARGIN`
     (relative) of its bracket ends."""
     kind = TrajectoryKind(kind)
     abar, omega_d = np.broadcast_arrays(
@@ -306,7 +304,7 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     else:  # on the scalar solver's bracket
         f = lambda x: np.arctanh(x) / special.ellipe(x**2)
         lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
-        inside = (r > f(lo) * (1.0 + _GATE_MARGIN)) & (r < f(hi) * (1.0 - _GATE_MARGIN))
+        inside = (r > f(lo) * (1.0 + _BRACKET_MARGIN)) & (r < f(hi) * (1.0 - _BRACKET_MARGIN))
         r = np.where(inside, r, np.nan)
     out[ok] = scale * _bisect(f, r, lo, hi) * v * omega_d[ok]
     return out

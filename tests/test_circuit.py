@@ -100,6 +100,13 @@ class TestDriveSpectrum:
         with pytest.warns(DriveWarning):
             DriveSpectrum(a0=2.0 * c.E_J0, a=[0.7 * c.E_J0], b=[0.0], omega_d=1e11)
 
+    def test_soft_ratio_warning_names_the_caller(self, reference_circuit):
+        # Not the `<string>` of the generated __init__: the line that built it.
+        c = reference_circuit
+        with pytest.warns(DriveWarning) as record:
+            DriveSpectrum(a0=2.0 * c.E_J0, a=[0.7 * c.E_J0], b=[0.0], omega_d=1e11)
+        assert record[0].filename == __file__
+
     def test_reconstruction(self, reference_circuit):
         d = single_tone_drive(reference_circuit, TWO_PI * 18e9)
         t = np.linspace(0.0, 2.0 * math.pi / d.omega_d, 64)

@@ -2,12 +2,13 @@ import math
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirror_dce import experiments
-from mirror_dce.circuit import CircuitParams, DriveWarning, trajectory_to_drive
+from mirror_dce.circuit import CircuitParams, DriveSpectrum, DriveWarning, trajectory_to_drive
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
     OMEGA_D_RESOLUTION,
@@ -41,33 +42,23 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestBiasNormalization:
-    def test_bias_is_the_sweep_gates_bias(self, reference_circuit, monkeypatch):
-        # A scalar point and a grid block share one bias path: the bias of
-        # drive_normalized_bias is the one `_gate` computes for the same A.
+    def test_bias_is_the_sweep_gates_bias(self, reference_circuit):
+        # A scalar point and a grid share one bias path: the bias of
+        # drive_normalized_bias is the one `_gate` judges the same A with.
         abar, wd = relativistic_point()
         c = reference_circuit
         spec = SweepSpec(
             figure_id="t", axis=SweepAxis.ABAR, x=tuple(np.linspace(5e18, 30e18, 9)),
             trajectories=(TrajectoryKind.SM,), omega_d=wd, omega=0.5 * wd,
         )
-        biases = []
-
-        def spy(*args):
-            biases.append(ratio(*args))
-            return biases[-1]
-
-        ratio = experiments._normalized_bias_ratio
-        monkeypatch.setattr(experiments, "_normalized_bias_ratio", spy)
         for kind in TrajectoryKind:
             A = np.array([solve_acceleration_parameter(kind, x, wd, c.v) for x in spec.x])
-            experiments._gate(kind, spec, c, A, np.full(A.size, wd))
-            (grid,) = biases
+            _, grid, _ = experiments._gate(kind, spec, c, A, np.full(A.size, wd))
             scalar = [
                 drive_normalized_bias(TrajectoryParams(kind, a, wd, c.v), c).EJ0_ratio
                 for a in A
             ]
-            np.testing.assert_allclose(scalar, grid, rtol=1e-15, atol=0)
-            biases.clear()
+            np.testing.assert_allclose(scalar, grid.bias, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("kind", list(TrajectoryKind))
     def test_first_harmonic_matches_the_dense_projection(self, reference_circuit, kind):
@@ -342,7 +333,10 @@ class TestRunSweep:
             wd = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
             abar = xi if spec.axis is SweepAxis.ABAR else spec.abar
             try:
-                A = solve_acceleration_parameter(kind, abar, wd, c.v)
+                if spec.A is not None and kind in spec.A:
+                    A = spec.A[kind]
+                else:
+                    A = solve_acceleration_parameter(kind, abar, wd, c.v)
                 p = TrajectoryParams(kind, A, wd, c.v)
                 biased = c if spec.ejo_ratio else drive_normalized_bias(p, c)
                 with warnings.catch_warnings():
@@ -393,6 +387,66 @@ class TestRunSweep:
         wanted = "trajectory amplitude" if bias < 1.0 else "flux-tuning ceiling"
         assert any(wanted in message for _, message in entries)
 
+    def test_non_positive_abar_fails_with_the_scalar_text(self, reference_circuit):
+        wd = TWO_PI * 14.6e9
+        for kind in TrajectoryKind:
+            spec = SweepSpec(
+                figure_id="t", axis=SweepAxis.ABAR, x=(1e18, 0.0, 2e18, -3e18, 5e18),
+                trajectories=(kind,), omega_d=wd, omega=0.5 * wd,
+            )
+            _, entries = self.assert_failures_match_scalar_apis(spec, reference_circuit)
+            assert [i for i, _ in entries] == [1, 3]
+            assert all("abar_target must be positive and finite" in m for _, m in entries)
+
+    def test_pinned_sm_amplitude_past_the_wall_speed_fails_with_the_scalar_text(
+        self, reference_circuit
+    ):
+        # R omega_d = A / omega_d reaches v below 10 GHz at this A.
+        A = 0.95 * reference_circuit.v * TWO_PI * 10e9
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA_D, x=tuple(TWO_PI * np.linspace(5e9, 20e9, 16)),
+            trajectories=(TrajectoryKind.SM,), omega=TWO_PI * 7.3e9,
+            A={TrajectoryKind.SM: A},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DriveWarning)
+            ds, entries = self.assert_failures_match_scalar_apis(spec, reference_circuit)
+        walls = [i for i, m in entries if "reaches the effective light speed" in m]
+        assert walls and walls == list(range(len(walls)))
+        assert np.any(np.isfinite(ds.n_out))
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    def test_point_on_the_depth_edge_fails_like_the_scalar_apis(self, kind):
+        # 40 geometric bisection steps of the scalar API put one grid point
+        # within about 1e-11 of the depth bound and the next just past it;
+        # the grid judges both without a margin, as the scalar path does.
+        c = CircuitParams(EJ0_ratio=0.35)
+        wd = TWO_PI * 14.6e9
+
+        def realizable(abar):
+            A = solve_acceleration_parameter(kind, abar, wd, c.v)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DriveWarning)
+                    trajectory_to_drive(TrajectoryParams(kind, A, wd, c.v), c)
+            except ValueError:
+                return False
+            return True
+
+        good, bad = 1e16, 1e21
+        for _ in range(40):
+            mid = math.sqrt(good * bad)
+            good, bad = (mid, bad) if realizable(mid) else (good, mid)
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.ABAR, x=(0.8 * good, 0.9 * good, good, bad, 1.1 * bad),
+            trajectories=(kind,), omega_d=wd, omega=0.5 * wd, ejo_ratio={kind: 0.35},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DriveWarning)
+            _, entries = self.assert_failures_match_scalar_apis(spec, c)
+        assert [i for i, _ in entries] == [3, 4]
+        assert all("trajectory amplitude" in m for _, m in entries)
+
     def test_soft_ratio_point_still_warns(self):
         # Point 16 has 0.25 < |c_n|/a0 <= 0.5: its drive is realizable and
         # warns; the mid point (20) fails.
@@ -403,9 +457,11 @@ class TestRunSweep:
             trajectories=(TrajectoryKind.AUA,), omega_d=wd, omega=0.5 * wd,
             ejo_ratio={TrajectoryKind.AUA: 0.35},
         )
-        with pytest.warns(DriveWarning, match="exceeds 0.25"):
+        with pytest.warns(DriveWarning, match="exceeds 0.25") as record:
             (ds,) = run_sweep(spec, c)
         assert np.isfinite(ds.n_out[16]) and np.isnan(ds.n_out[20])
+        # The warning names a file of the package, not a generated __init__.
+        assert all(Path(w.filename).is_file() for w in record)
 
     def test_every_aliasing_point_still_warns(self, reference_circuit):
         # With n_max = 1 the top harmonic holds all the power: each point's
@@ -433,15 +489,19 @@ class TestRunSweep:
     def test_drive_synthesized_once_per_point_and_kind(
         self, reference_circuit, monkeypatch, axis
     ):
-        # Grid points the gate clears need no DriveSpectrum; only the mid
-        # point, which carries the validity report, is synthesized.
+        # A grid sweep judges its points, the mid point's validity report
+        # included, from the bounds table: it synthesizes no drive at all.
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0].kind)
             return trajectory_to_drive(*args, **kwargs)
 
+        def built(self):
+            calls.append("DriveSpectrum")
+
         monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
+        monkeypatch.setattr(DriveSpectrum, "__post_init__", built)
         spec = replace(
             self.small_spec(axis),
             trajectories=(TrajectoryKind.SA, TrajectoryKind.AUA),
@@ -449,9 +509,10 @@ class TestRunSweep:
         )
         datasets = run_sweep(spec, reference_circuit)
         assert len(datasets) == 4
-        assert calls == [TrajectoryKind.SA, TrajectoryKind.AUA]
+        assert calls == []
         for ds in datasets:
             assert np.all(np.isfinite(ds.n_out))
+            assert "circuit.EJ0_ratio" in ds.metadata
 
     def test_temperatures_share_the_drive_bit_for_bit(self, reference_circuit):
         spec = self.small_spec(SweepAxis.ABAR)
@@ -464,12 +525,20 @@ class TestRunSweep:
             assert ds.metadata == shared.metadata
 
     def test_programming_error_propagates(self, reference_circuit, monkeypatch):
+        # Both places where the grid path catches per-point domain errors
+        # let anything else through: the batched spectrum, and the scalar
+        # A inversion of a point the grid inversion leaves NaN.
         def broken(*args, **kwargs):
             raise TypeError("not a domain error")
 
-        monkeypatch.setattr(experiments, "trajectory_to_drive", broken)
+        spec = self.small_spec(SweepAxis.ABAR)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_n_out", broken)
+            with pytest.raises(TypeError, match="not a domain error"):
+                run_sweep(spec, reference_circuit)
+        monkeypatch.setattr(experiments, "solve_acceleration_parameter", broken)
         with pytest.raises(TypeError, match="not a domain error"):
-            run_sweep(self.small_spec(SweepAxis.ABAR), reference_circuit)
+            run_sweep(replace(spec, x=(0.0, *spec.x[1:])), reference_circuit)
 
     def test_spectrum_error_becomes_point_failure(self, reference_circuit):
         spec = replace(self.small_spec(SweepAxis.OMEGA_D), omega=-1.0)
@@ -558,6 +627,26 @@ class TestRunSweep:
                 figure_id="t", axis=SweepAxis.ABAR, x=(1e18, 2e18),
                 trajectories=(TrajectoryKind.SA,), omega_d=1e11,
                 omega=5e10, A={TrajectoryKind.SA: 1e18},
+            )
+
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            ("ejo_ratio", -1.0, r"lie in \(0, 2\], got -1\.0"),
+            ("ejo_ratio", 0.0, r"lie in \(0, 2\], got 0\.0"),
+            ("ejo_ratio", 2.5, r"lie in \(0, 2\], got 2\.5"),
+            ("A", -1e18, r"be positive and finite, got -1e\+18"),
+        ],
+        ids=["ratio-negative", "ratio-zero", "ratio-above-two", "A-negative"],
+    )
+    def test_spec_rejects_bad_pins(self, name, value, rule):
+        # Each of these once gave a curve: finite n_out with only a validity
+        # entry (-1.0), a ZeroDivisionError (0.0) or all NaN (2.5, -1e18).
+        pins = {name: {TrajectoryKind.SA: value}}
+        with pytest.raises(ValueError, match=rf"^{name}\[sa\] must {rule}$"):
+            SweepSpec(
+                figure_id="t", axis=SweepAxis.OMEGA_D, x=(1e11, 2e11),
+                trajectories=(TrajectoryKind.SA,), omega=5e10, abar=1e18, **pins,
             )
 
 
@@ -708,16 +797,17 @@ class TestReproduce:
     def test_probe_sweeps_share_their_drives(
         self, reference_circuit, tmp_path, monkeypatch, figure
     ):
-        # Two probe frequencies x two kinds: each kind's mid-point drive is
-        # synthesized once, not once per probe frequency, and no other drive
-        # is built.
+        # Two probe frequencies x two kinds: each kind's grid is judged
+        # once, not once per probe frequency, and no drive is built.
         calls = []
+        gate = experiments._gate
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].kind)
-            return trajectory_to_drive(*args, **kwargs)
+        def counted(kind, *args):
+            calls.append(kind)
+            return gate(kind, *args)
 
-        monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
+        monkeypatch.setattr(experiments, "_gate", counted)
+        monkeypatch.setattr(experiments, "trajectory_to_drive", None)
         assert len(reproduce(figure, tmp_path, reference_circuit)) == 2
         assert calls == [TrajectoryKind.SA, TrajectoryKind.AUA]
 
