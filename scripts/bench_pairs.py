@@ -19,6 +19,11 @@ quartiles of each commit, the relative change of the medians, and in how
 many pairs HEAD did better. The record also holds the machine's CPU count,
 the thread-count variables of the environment and the OS threads each run
 saw. Only the standard library is used.
+
+Exit status: 2, before anything is exported, when ``BENCH_<n>.json``
+already exists; 1, after the record is written, when any run reported
+``correct: false`` or ``failed > 0`` (each such run is named on stderr);
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -117,6 +122,10 @@ def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    path = ROOT / f"BENCH_{args.n}.json"
+    if path.exists():
+        print(f"bench_pairs: {path.name} exists; choose another --n", file=sys.stderr)
+        return 2
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     copies = {"base": work / "base", "head": work / "head"}
     try:
@@ -153,10 +162,18 @@ def main(argv=None) -> int:
             }
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(path)
-    return 0
+    bad = [
+        f"{workload} pair {i + 1} {side}"
+        for workload, record in report["workloads"].items()
+        for i, pair in enumerate(record["pairs"])
+        for side in ("base", "head")
+        if not pair[side]["correct"] or pair[side]["failed"] > 0
+    ]
+    for run in bad:
+        print(f"bench_pairs: {run} reported correct: false or failed > 0", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

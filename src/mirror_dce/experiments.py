@@ -18,18 +18,21 @@ for a single point as for a whole curve. The output spectrum is independent
 of this choice (the bias cancels from the first-order amplitudes); it only
 affects experimental feasibility flags.
 
-Sweeps along the abar and omega_d axes evaluate each curve as arrays. The
-first-order spectrum depends on the drive only through |z_n|/v, and
-realizability only through max|z|, |z_n| and L_eff^0, so a grid point
-needs no DriveSpectrum: A is inverted for the whole grid at once, the odd
-harmonics come from a quarter period of z(t), and `_gate` evaluates the
-rows of the bounds table (`circuit._BOUNDS`) over the grid's arrays. A
-point that crosses an error row fails with the text the scalar path would
-raise, a point that crosses a warning row warns, and the curve's validity
-report is the table at its mid point. `reproduce` shares this work between
-the sweeps of one preset that differ only in probe frequency or
-temperatures (fig5, fig6). Values agree with the point-by-point API to
-rtol 1e-12 above a floor of 1e-12 of the peak.
+Sweeps evaluate each curve as arrays, on every axis. The first-order
+spectrum depends on the drive only through |z_n|/v, and realizability only
+through max|z|, |z_n| and L_eff^0, so no sweep builds a DriveSpectrum: A is
+inverted for all of a curve's worldlines at once, the odd harmonics come
+from a quarter period of z(t), and `_gate` evaluates the rows of the bounds
+table (`circuit._BOUNDS`) over the grid's arrays. On the abar and omega_d
+axes every grid point is a worldline of its own: a point that crosses an
+error row fails with the text the scalar path would raise, a point that
+crosses a warning row warns, and the curve's validity report is the table
+at its mid point. An omega-axis curve is one worldline seen at every probe
+frequency: its failure, or a spectrum domain error, is the sweep's failure
+and raises, and its validity report is the table at the highest probe.
+`reproduce` shares this work between the sweeps of one preset that differ
+only in probe frequency or temperatures (fig5, fig6). Values agree with the
+point-by-point API to rtol 1e-12 above a floor of 1e-12 of the peak.
 
 Grid points are pure function evaluations in one serial loop, placed by
 index, so results are bitwise identical across runs.
@@ -51,7 +54,6 @@ import numpy as np
 from .circuit import (
     EJ0_RATIO_FLOOR,
     CircuitParams,
-    DriveSpectrum,
     ValidityReport,
     _atomic_write,
     _csv_chunks,
@@ -63,7 +65,8 @@ from .circuit import (
     validate,
 )
 from .numerics import ConvergenceError
-from .scattering import ThermalInput, _n_out, output_spectrum
+# output_spectrum and validate go uncalled here; perfbench/spans.py wraps both bindings.
+from .scattering import _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
     SYNTHESIS_SAMPLES,
@@ -390,52 +393,9 @@ def _report_metadata(report: ValidityReport) -> dict[str, str]:
     return meta
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One synthesized grid point: worldline, biased circuit and drive."""
-
-    p: TrajectoryParams
-    biased: CircuitParams
-    drive: DriveSpectrum
-
-
-def _worldline(
-    kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, xi: float, A: float = math.nan
-) -> TrajectoryParams:
-    """The worldline at grid value xi: abar on the abar axis, otherwise
-    omega_d (the spec's fixed one on the omega axis). A finite A is taken
-    as given; otherwise it is pinned or solved for."""
-    omega_d = spec.omega_d if spec.axis is SweepAxis.ABAR else xi
-    if not math.isfinite(A):
-        if spec.axis is SweepAxis.ABAR:
-            A = solve_acceleration_parameter(kind, xi, omega_d, c.v)
-        elif spec.A is not None and kind in spec.A:
-            A = float(spec.A[kind])
-        else:
-            A = solve_acceleration_parameter(kind, float(spec.abar), omega_d, c.v)
-    return TrajectoryParams(kind, A, omega_d, c.v)
-
-
-def _synthesize(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Point:
-    """The worldline, bias and drive of an omega-axis sweep."""
-    p = _worldline(kind, spec, c, spec.omega_d)
-    ratio = _pinned_ratio(kind, spec)
-    biased = drive_normalized_bias(p, c) if ratio is None else replace(c, EJ0_ratio=ratio)
-    drive = trajectory_to_drive(p, biased, n_max=spec.n_max)
-    return _Point(p, biased, drive)
-
-
-def _pinned_ratio(kind: TrajectoryKind, spec: SweepSpec) -> float | None:
-    """The bias ratio the spec pins for kind, if any."""
-    if spec.ejo_ratio is not None and kind in spec.ejo_ratio:
-        return float(spec.ejo_ratio[kind])
-    return None
-
-
 def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
-    """Everything the synthesized points of a sweep depend on: the spec
-    without its figure id, probe frequency and temperatures, plus the
-    circuit."""
+    """Everything the judged curves of a sweep depend on: the spec without
+    its figure id, probe frequency and temperatures, plus the circuit."""
 
     def frozen(pins):
         return None if pins is None else frozenset(pins.items())
@@ -451,36 +411,38 @@ _BLOCK_ROWS = 16
 
 
 class _Curve(NamedTuple):
-    """One kind's grid: the `_n_out` weights |z_n|^2 / v^2, shape
-    (n_max, ok.size), of the points that pass every error row (indices
-    `ok`), the other points' failure messages, and the bound quantities of
-    every point."""
+    """One kind's worldlines: the `_n_out` weights |z_n|^2 / v^2, shape
+    (n_max, ok.size), of the worldlines that pass every error row (indices
+    `ok`), the other worldlines' failures as (exception class, message),
+    and the bound quantities of every worldline."""
 
     ok: np.ndarray
     weights: np.ndarray
-    failures: dict[int, str]
+    failures: dict[int, tuple[type, str]]
     bounds: _Quantities
 
 
 def _gate(
     kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams, A: np.ndarray, wd: np.ndarray
-) -> tuple[dict[int, str], _Quantities, np.ndarray]:
-    """Judge the grid points with parameters A and wd (NaN A: no worldline,
+) -> tuple[dict[int, tuple[type, str]], _Quantities, np.ndarray]:
+    """Judge the worldlines with parameters A and wd (NaN A: no worldline,
     skipped) against every row of the bounds table, without a margin.
 
-    Returns the `<Class>: <message>` of each point that crosses an error
-    row, by index; the quantities of every point (z_n and max|z| from the
-    quarter-period kernel, in blocks of `_BLOCK_ROWS` points); and the
-    weights |z_n|^2 / v^2, shape (n_max, points). A point that crosses a
-    warning row warns and keeps its weights."""
+    Returns the exception class and message of each worldline that crosses
+    an error row, by index; the quantities of every worldline (z_n and
+    max|z| from the quarter-period kernel, in blocks of `_BLOCK_ROWS`); and
+    the weights |z_n|^2 / v^2, shape (n_max, worldlines). A worldline that
+    crosses a warning row warns and keeps its weights."""
     n_max = spec.n_max
     a = np.empty((A.size, max(n_max, 1)))
     z_peak = np.empty(A.size)
     for start in range(0, A.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         a[rows], z_peak[rows] = _grid_harmonics(kind, A[rows], wd[rows], c.v, max(n_max, 1))
-    bias = _pinned_ratio(kind, spec)
-    if bias is None:
+    pins = spec.ejo_ratio or {}
+    if kind in pins:
+        bias = float(pins[kind])
+    else:
         bias = _normalized_bias_ratio(np.abs(a[:, 0]), z_peak, c)
     leff = effective_length(replace(c, EJ0_ratio=1.0)) / bias
     mag = np.abs(a[:, :n_max])
@@ -489,25 +451,28 @@ def _gate(
         kind=kind, A=A, omega_d=wd, c=c, bias=bias, leff=leff, z_peak=z_peak,
     )
     judged = np.flatnonzero(np.isfinite(A))
-    failed = _judge(q.at(judged))
-    failures = {int(judged[j]): f"{error.__name__}: {text}" for j, (error, text) in failed.items()}
+    failures = {int(judged[j]): failure for j, failure in _judge(q.at(judged)).items()}
     return failures, q, (mag**2).T * (1.0 / c.v**2)
 
 
 def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Curve:
-    """Judge one kind over an abar- or omega_d-axis grid.
+    """Judge one kind's worldlines: one per grid point on the abar and
+    omega_d axes, and the single worldline of an omega-axis curve.
 
-    A is inverted for the whole grid at once. A point whose A or worldline
-    is invalid takes its failure text from the scalar API, or, where that
-    finds an A, goes through the grid rows with it. `_gate` judges the
-    rest; no DriveSpectrum is built."""
+    A is inverted for every worldline at once. A worldline whose A or
+    parameters are invalid takes its failure from the scalar API
+    (`solve_acceleration_parameter`, `TrajectoryParams`), or, where that
+    finds an A, goes through the grid rows with it. `_gate` judges the rest;
+    no DriveSpectrum is built. On the omega axis the worldline's failure is
+    the sweep's: it raises, with the class and message of the scalar path."""
     x = np.asarray(spec.x, dtype=float)
-    wd = np.full(x.size, float(spec.omega_d)) if spec.axis is SweepAxis.ABAR else x
-    abar = x if spec.axis is SweepAxis.ABAR else spec.abar
-    failures: dict[int, str] = {}
+    size = 1 if spec.axis is SweepAxis.OMEGA else x.size
+    wd = x if spec.axis is SweepAxis.OMEGA_D else np.full(size, float(spec.omega_d))
+    abar = x if spec.axis is SweepAxis.ABAR else np.full(size, spec.abar, dtype=float)
+    failures: dict[int, tuple[type, str]] = {}
     with np.errstate(all="ignore"):  # points without a worldline are NaN
         if spec.A is not None and kind in spec.A:
-            A = np.full(x.size, float(spec.A[kind]))
+            A = np.full(size, float(spec.A[kind]))
         else:
             A = _grid_acceleration_parameter(kind, abar, wd, c.v)
         valid = (A > 0.0) & (A < math.inf) & (wd > 0.0) & (wd < math.inf)
@@ -515,27 +480,31 @@ def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Cur
             valid &= A / wd < c.v * (1.0 - SUBLUMINAL_MARGIN)
         for i in np.flatnonzero(~valid).tolist():
             try:
-                A[i] = _worldline(kind, spec, c, x[i], A[i]).A
+                if not math.isfinite(A[i]):
+                    A[i] = solve_acceleration_parameter(kind, abar[i], wd[i], c.v)
+                TrajectoryParams(kind, A[i], wd[i], c.v)
             except _POINT_ERRORS as exc:
-                A[i], failures[i] = math.nan, f"{type(exc).__name__}: {exc}"
+                A[i], failures[i] = math.nan, (type(exc), str(exc))
         gated, bounds, weights = _gate(kind, spec, c, A, wd)
     failures.update(gated)
-    ok = np.array([i for i in range(x.size) if i not in failures], dtype=int)
+    if spec.axis is SweepAxis.OMEGA and failures:
+        error, message = failures[0]
+        raise error(message)
+    ok = np.array([i for i in range(size) if i not in failures], dtype=int)
     return _Curve(ok, weights[:, ok], failures, bounds)
 
 
-def _synthesize_sweep(spec: SweepSpec, c: CircuitParams) -> dict:
-    """Per kind: the one point of an omega-axis sweep, otherwise its
-    `_Curve`."""
-    if spec.axis is SweepAxis.OMEGA:
-        return {kind: _synthesize(kind, spec, c) for kind in spec.trajectories}
-    return {kind: _grid_curve(kind, spec, c) for kind in spec.trajectories}
+def _entry(failure: tuple[type, str]) -> str:
+    """A failure as it reads in the `failures` metadata."""
+    error, message = failure
+    return f"{error.__name__}: {message}"
 
 
-def _grid_values(omega: float, curve: _Curve, size: int, T: float) -> tuple[np.ndarray, list[str]]:
+def _grid_values(omega: float, curve: _Curve, T: float) -> tuple[np.ndarray, list[str]]:
     """n_out at the fixed probe omega for every grid point, in one batch over
     the points that passed the bounds, and the `i:<message>` failures. A
     spectrum domain error fails every such point."""
+    size = curve.bounds.A.size
     vals = np.full(size, np.nan)
     spectrum_error = None
     if curve.ok.size:
@@ -543,22 +512,26 @@ def _grid_values(omega: float, curve: _Curve, size: int, T: float) -> tuple[np.n
             wd = curve.bounds.omega_d[curve.ok]
             vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, wd, curve.weights)
         except _POINT_ERRORS as exc:
-            spectrum_error = f"{type(exc).__name__}: {exc}"
+            spectrum_error = (type(exc), str(exc))
     failures = []
     for i in range(size):
-        if i in curve.failures:
-            failures.append(f"{i}:{curve.failures[i]}")
-        elif spectrum_error is not None:
-            failures.append(f"{i}:{spectrum_error}")
+        failure = curve.failures.get(i, spectrum_error)
+        if failure is not None:
+            failures.append(f"{i}:{_entry(failure)}")
     return vals, failures
 
 
-def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]:
-    """One dataset per (trajectory, temperature) from the synthesized points."""
+def _evaluate_sweep(
+    spec: SweepSpec, curves: dict[TrajectoryKind, _Curve]
+) -> list[SpectrumDataset]:
+    """One dataset per (trajectory, temperature) from the judged curves."""
     datasets: list[SpectrumDataset] = []
     x = np.asarray(spec.x, dtype=float)
     for kind in spec.trajectories:
-        point = synthesized[kind]
+        curve = curves[kind]
+        # The curve's validity report is the table at its mid worldline (an
+        # omega-axis curve has one) and its highest probe frequency.
+        mid = curve.bounds.A.size // 2
         for T in spec.temperatures:
             failures: list[str] = []
             meta: dict[str, str] = {
@@ -572,29 +545,23 @@ def _evaluate_sweep(spec: SweepSpec, synthesized: dict) -> list[SpectrumDataset]
                 meta["omega"] = _fmt(spec.omega)
             if spec.abar is not None:
                 meta["abar"] = _fmt(spec.abar)
-
-            if spec.axis is SweepAxis.OMEGA:
-                report = validate(
-                    point.drive, point.p, point.biased, omega_probe=x, temperature=T
-                )
-                vals = output_spectrum(x, point.drive, point.biased, ThermalInput(T))
+            if spec.axis is not SweepAxis.OMEGA_D:
                 meta["omega_d"] = _fmt(spec.omega_d)
-                meta["A"] = _fmt(point.p.A)
-                meta["abar_realized"] = _fmt(average_acceleration(point.p))
-                meta.update(_circuit_metadata(point.biased))
-                meta.update(_report_metadata(report))
+
+            probe = float(np.max(x)) if spec.axis is SweepAxis.OMEGA else float(spec.omega)
+            at = replace(curve.bounds.at(mid), omega=probe, T=T)
+            if spec.axis is SweepAxis.OMEGA:
+                vals = _n_out(x, T, at.omega_d, curve.weights)
+                meta["A"] = _fmt(at.A)
+                p = TrajectoryParams(kind, float(at.A), float(at.omega_d), at.c.v)
+                meta["abar_realized"] = _fmt(average_acceleration(p))
             else:
-                vals, failures = _grid_values(float(spec.omega), point, x.size, T)
-                if spec.axis is SweepAxis.ABAR:
-                    meta["omega_d"] = _fmt(spec.omega_d)
-                # The curve's validity report is the table at its mid point.
-                mid = x.size // 2
-                if mid in point.failures:
-                    failures.append(f"validity:{point.failures[mid]}")
-                else:
-                    at = replace(point.bounds.at(mid), omega=float(spec.omega), T=T)
-                    meta.update(_circuit_metadata(replace(at.c, EJ0_ratio=float(at.bias))))
-                    meta.update(_report_metadata(_report(at)))
+                vals, failures = _grid_values(probe, curve, T)
+            if mid in curve.failures:
+                failures.append(f"validity:{_entry(curve.failures[mid])}")
+            else:
+                meta.update(_circuit_metadata(replace(at.c, EJ0_ratio=float(at.bias))))
+                meta.update(_report_metadata(_report(at)))
 
             if failures:
                 meta["failures"] = "|".join(failures)
@@ -609,20 +576,22 @@ def run_sweep(
 ) -> list[SpectrumDataset]:
     """Evaluate the sweep: one dataset per (trajectory, temperature).
 
-    Each kind's grid is judged once against the bounds table (see
-    `_grid_curve`) and each curve evaluated from it in one batch per
-    temperature. Per-point domain errors (a crossed error row of the table,
-    or a ValueError or ConvergenceError of the A inversion or the spectrum)
-    are recorded in the metadata under `failures` and leave NaN in the
-    curve; points are never dropped. Any other exception propagates.
+    Each kind's worldlines are judged once against the bounds table (see
+    `_grid_curve`) and each curve evaluated from them in one batch per
+    temperature; no sweep builds a drive. On the abar and omega_d axes,
+    per-point domain errors (a crossed error row of the table, or a
+    ValueError or ConvergenceError of the A inversion or the spectrum) are
+    recorded in the metadata under `failures` and leave NaN in the curve;
+    points are never dropped. An omega-axis curve is one worldline, so
+    there such an error raises. Any other exception propagates.
 
     `_shared` is internal: a dict that `reproduce` hands to every sweep of
     one preset, so sweeps that differ only in figure id, probe frequency or
-    temperatures synthesize their points once."""
+    temperatures judge their worldlines once."""
     shared = {} if _shared is None else _shared
     key = _synthesis_key(spec, c)
     if key not in shared:
-        shared[key] = _synthesize_sweep(spec, c)
+        shared[key] = {kind: _grid_curve(kind, spec, c) for kind in spec.trajectories}
     return _evaluate_sweep(spec, shared[key])
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirror_dce.circuit import CircuitParams
+from mirror_dce.circuit import CircuitParams, trajectory_to_drive
 from mirror_dce.cli import (
     _SETTINGS,
     COMMANDS,
@@ -21,7 +21,8 @@ from mirror_dce.cli import (
 )
 from mirror_dce.constants import C_LIGHT
 from mirror_dce.experiments import SpectrumDataset, read_spectrum_datasets, read_table
-from mirror_dce.trajectories import TrajectoryKind
+from mirror_dce.scattering import ThermalInput, output_spectrum
+from mirror_dce.trajectories import TrajectoryKind, TrajectoryParams, solve_acceleration_parameter
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,6 +245,41 @@ class TestCommands:
         assert ds.temperature == 0.025
         assert len(ds.x) == 32
         assert np.all(ds.n_out > 0.0)  # thermal floor everywhere
+        # The defaults: the reference circuit's bias and n_max = 3.
+        wd = TWO_PI * 18e9
+        A = solve_acceleration_parameter(TrajectoryKind.SM, 9.054e17, wd, reference_circuit.v)
+        p = TrajectoryParams(TrajectoryKind.SM, A, wd, reference_circuit.v)
+        d = trajectory_to_drive(p, reference_circuit, n_max=3)
+        direct = output_spectrum(ds.x, d, reference_circuit, ThermalInput(0.025))
+        peak = float(np.max(direct))
+        np.testing.assert_allclose(ds.n_out, direct, rtol=1e-12, atol=1e-12 * peak)
+
+    @pytest.mark.parametrize(
+        "flags, failure",
+        [
+            # past the depth edge: the sweep's one worldline fails
+            (["--kind", "sa", "--abar", "1.2e19"], "trajectory amplitude"),
+            # an SM wall faster than v: the worldline itself is invalid
+            (["--kind", "sm", "--A", repr(1.05 * 0.4 * C_LIGHT * TWO_PI * 14.6e9)],
+             "reaches the effective light speed"),
+        ],
+        ids=["depth", "wall-speed"],
+    )
+    def test_spectrum_of_a_failing_worldline_exits_1_without_a_file(
+        self, tmp_path, capsys, flags, failure
+    ):
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text("[circuit]\nej0_ratio = 0.35\n")
+        out = tmp_path / "spec.csv"
+        rc = main(
+            ["spectrum", "--config", str(cfg), *flags, "--fd", "14.6e9", "--points", "16",
+             "--out", str(out)]
+        )
+        assert rc == 1
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [cfg]
+        err = capsys.readouterr().err
+        assert err.startswith("mirror-dce: error: ") and failure in err
 
     def test_sweep_over_abar(self, tmp_path):
         cfg = tmp_path / "bias.ini"

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from mirror_dce import experiments
-from mirror_dce.circuit import CircuitParams, DriveSpectrum, DriveWarning, trajectory_to_drive
+from mirror_dce.circuit import (
+    CircuitParams,
+    DriveSpectrum,
+    DriveWarning,
+    RealizabilityError,
+    trajectory_to_drive,
+)
 from mirror_dce.experiments import (
     FIGURE_ALIASES,
     OMEGA_D_RESOLUTION,
@@ -273,36 +279,42 @@ class TestRunSweep:
                 )
                 assert ds.n_out[i] == pytest.approx(direct, rel=1e-12, abs=1e-12 * peak)
 
-    @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
+    @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D, SweepAxis.OMEGA])
     def test_every_point_at_finite_temperature_matches_direct_api(self, axis):
         # A curve is evaluated in one batch from the grid harmonics; each
         # point must agree with the point-by-point API where expm1 enters
         # (T > 0), at rtol 1e-12 with a floor of 1e-12 x the curve's peak.
         bias = 0.41888437030500963
         c = CircuitParams(EJ0_ratio=bias)
+        probe, wd18 = TWO_PI * 6516563630.394637, TWO_PI * 18270388712.278183
         common = dict(
             figure_id="t", axis=axis, trajectories=(TrajectoryKind.SA,),
-            temperatures=(0.0379,), omega=TWO_PI * 6516563630.394637,
-            ejo_ratio={TrajectoryKind.SA: bias},
+            temperatures=(0.0379,), ejo_ratio={TrajectoryKind.SA: bias},
         )
         if axis is SweepAxis.ABAR:
             spec = SweepSpec(
                 x=tuple(np.linspace(1.4002334356065848e18, 1.61e18, 16)),
-                omega_d=TWO_PI * 18270388712.278183, **common,
+                omega_d=wd18, omega=probe, **common,
             )
-        else:
+        elif axis is SweepAxis.OMEGA_D:
             spec = SweepSpec(
-                x=tuple(TWO_PI * np.linspace(17e9, 19e9, 16)), abar=1.5e18, **common
+                x=tuple(TWO_PI * np.linspace(17e9, 19e9, 16)), abar=1.5e18, omega=probe,
+                **common,
+            )
+        else:  # one worldline at every probe, none on a multiple of omega_d
+            spec = SweepSpec(
+                x=tuple(wd18 * np.linspace(0.1, 2.9, 16)), omega_d=wd18, abar=1.5e18, **common
             )
         (ds,) = run_sweep(spec, c)
         assert np.all(np.isfinite(ds.n_out))
         peak = float(np.max(ds.n_out))
         for xi, got in zip(ds.x, ds.n_out):
-            wd = spec.omega_d if axis is SweepAxis.ABAR else float(xi)
+            wd = float(xi) if axis is SweepAxis.OMEGA_D else spec.omega_d
             abar = float(xi) if axis is SweepAxis.ABAR else spec.abar
+            omega = float(xi) if axis is SweepAxis.OMEGA else spec.omega
             A = solve_acceleration_parameter(TrajectoryKind.SA, abar, wd, c.v)
             d = trajectory_to_drive(TrajectoryParams(TrajectoryKind.SA, A, wd, c.v), c)
-            direct = output_spectrum(float(spec.omega), d, c, ThermalInput(0.0379))
+            direct = output_spectrum(omega, d, c, ThermalInput(0.0379))
             assert got == pytest.approx(direct, rel=1e-12, abs=1e-12 * peak)
 
     def test_per_point_failures_recorded_not_dropped(self, reference_circuit):
@@ -485,23 +497,24 @@ class TestRunSweep:
         _, entries = self.assert_failures_match_scalar_apis(spec, reference_circuit)
         assert any("exceeds the subluminal ceiling" in message for _, message in entries)
 
-    @pytest.mark.parametrize("axis", [SweepAxis.ABAR, SweepAxis.OMEGA_D])
-    def test_drive_synthesized_once_per_point_and_kind(
-        self, reference_circuit, monkeypatch, axis
-    ):
-        # A grid sweep judges its points, the mid point's validity report
-        # included, from the bounds table: it synthesizes no drive at all.
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_no_axis_builds_a_drive(self, reference_circuit, monkeypatch, axis):
+        # A sweep judges its worldlines, the mid one's validity report
+        # included, from the bounds table, and takes n_out from the grid
+        # harmonics: it synthesizes no drive, judges none and evaluates no
+        # drive spectrum, on any axis.
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].kind)
-            return trajectory_to_drive(*args, **kwargs)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
 
-        def built(self):
-            calls.append("DriveSpectrum")
-
-        monkeypatch.setattr(experiments, "trajectory_to_drive", counted)
-        monkeypatch.setattr(DriveSpectrum, "__post_init__", built)
+        for name in ("trajectory_to_drive", "validate", "output_spectrum"):
+            monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        init = DriveSpectrum.__post_init__
+        monkeypatch.setattr(DriveSpectrum, "__post_init__", counted("DriveSpectrum", init))
         spec = replace(
             self.small_spec(axis),
             trajectories=(TrajectoryKind.SA, TrajectoryKind.AUA),
@@ -513,6 +526,58 @@ class TestRunSweep:
         for ds in datasets:
             assert np.all(np.isfinite(ds.n_out))
             assert "circuit.EJ0_ratio" in ds.metadata
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    def test_omega_axis_past_the_depth_edge_raises_the_scalar_error(self, kind):
+        # An omega-axis curve is one worldline: its failure is the sweep's,
+        # raised with the class and text of trajectory_to_drive.
+        c = CircuitParams(EJ0_ratio=0.35)
+        wd = TWO_PI * 14.6e9
+        A = solve_acceleration_parameter(kind, 1.2e19, wd, c.v)
+        with pytest.raises(RealizabilityError) as scalar:
+            trajectory_to_drive(TrajectoryParams(kind, A, wd, c.v), c)
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA, x=tuple(wd * np.linspace(0.1, 2.9, 8)),
+            trajectories=(kind,), omega_d=wd, abar=1.2e19, ejo_ratio={kind: 0.35},
+        )
+        with pytest.raises(RealizabilityError) as swept:
+            run_sweep(spec, c)
+        assert type(swept.value) is type(scalar.value)
+        assert str(swept.value) == str(scalar.value)
+        assert "trajectory amplitude" in str(swept.value)
+
+    def test_omega_axis_sm_past_the_wall_speed_raises_the_scalar_error(
+        self, reference_circuit
+    ):
+        wd = TWO_PI * 10e9
+        A = 1.05 * reference_circuit.v * wd
+        with pytest.raises(ValueError) as scalar:
+            TrajectoryParams(TrajectoryKind.SM, A, wd, reference_circuit.v)
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA, x=tuple(wd * np.linspace(0.1, 2.9, 8)),
+            trajectories=(TrajectoryKind.SM,), omega_d=wd, A={TrajectoryKind.SM: A},
+        )
+        with pytest.raises(ValueError) as swept:
+            run_sweep(spec, reference_circuit)
+        assert type(swept.value) is type(scalar.value)
+        assert str(swept.value) == str(scalar.value)
+        assert "reaches the effective light speed" in str(swept.value)
+
+    def test_omega_axis_soft_ratio_worldline_warns(self):
+        # The worldline of point 16 of test_soft_ratio_point_still_warns:
+        # 0.25 < |c_n|/a0 <= 0.5, realizable, and it warns.
+        c = CircuitParams(EJ0_ratio=0.35)
+        wd = TWO_PI * 14.6e9
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA, x=tuple(wd * np.linspace(0.1, 2.9, 8)),
+            trajectories=(TrajectoryKind.AUA,), omega_d=wd, abar=6.6e18,
+            ejo_ratio={TrajectoryKind.AUA: 0.35},
+        )
+        with pytest.warns(DriveWarning, match="exceeds 0.25") as record:
+            (ds,) = run_sweep(spec, c)
+        assert np.all(np.isfinite(ds.n_out))
+        # The warning names a file of the package, not a generated __init__.
+        assert all(Path(w.filename).is_file() for w in record)
 
     def test_temperatures_share_the_drive_bit_for_bit(self, reference_circuit):
         spec = self.small_spec(SweepAxis.ABAR)
