@@ -9,8 +9,14 @@ peak (round-off of the Fourier synthesis sits below it): the curve's peak
 for spectra, the column's peak for fig1, and the largest |c_n| of the
 trajectory kind for the fig2 coefficients, whose zero-by-symmetry entries
 are pure round-off.
+
+tests/golden/cli.json holds the `drive` and `flux` CLI outputs of each
+trajectory kind at the baseline point, with the argv that wrote them; the
+test replays each command and compares at the same tolerances (drive
+coefficients floored at 1e-12 times the kind's largest |c_n|).
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -22,6 +28,14 @@ from mirror_dce.experiments import read_spectrum_datasets, read_table, reproduce
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "presets.json").read_text(encoding="utf-8")
 )
+CLI_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8")
+)
+_spec = importlib.util.spec_from_file_location(
+    "freeze_golden", Path(__file__).resolve().parent.parent / "scripts" / "freeze_golden.py"
+)
+freeze_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(freeze_golden)
 RTOL = 1e-12
 FLOOR_OF_PEAK = 1e-12
 # Table column whose per-kind peak floors every other column (default: the
@@ -94,3 +108,25 @@ def test_table_preset_matches_golden(figure, reference_circuit, tmp_path):
                     got, ref, rtol=RTOL, atol=FLOOR_OF_PEAK * float(np.max(np.abs(peak_of))),
                     err_msg=f"{path.name} {kind} {name}",
                 )
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN["outputs"]))
+def test_cli_output_matches_golden(name, tmp_path):
+    want = CLI_GOLDEN["outputs"][name]
+    config = tmp_path / "bias.ini"
+    config.write_text(CLI_GOLDEN["config"], encoding="utf-8")
+    out = tmp_path / "out.csv"
+    command = want["argv"][0]
+    freeze_golden.run_cli(want["argv"], config, out)
+    meta, columns = freeze_golden.read_cli_output(command, out)
+    _assert_metadata_close(meta, want["metadata"], name)
+    assert sorted(columns) == sorted(want["columns"]), name
+    peak = float(np.max(np.abs(want["columns"]["magnitude"]))) if command == "drive" else 0.0
+    for column, ref in want["columns"].items():
+        if column == "trajectory":
+            assert columns[column] == ref, name
+            continue
+        np.testing.assert_allclose(
+            columns[column], ref, rtol=RTOL, atol=FLOOR_OF_PEAK * peak,
+            err_msg=f"{name} {column}",
+        )
