@@ -11,7 +11,9 @@ its bias E_J^0 moves the effective mirror: a target trajectory z(t) maps
 linearly onto delta E_J(t) = (E_J^0 / L_eff^0) z(t), and the required
 external flux follows from E_J(t) = 2 E_J |cos(pi phi_ext / phi0)|.
 
-Routines here synthesize the drive spectrum from a trajectory, reconstruct
+Routines here synthesize the drive spectrum from a trajectory (the samples
+of z(t) over one period, projected by `numerics.fourier_decompose` and
+scaled into a `DriveSpectrum`, the drive's one series type), reconstruct
 the flux waveform, and judge the drive against the bounds of the flux-driven
 SQUID mirror (Johansson et al., PRL 103, 147003 (2009)). Each bound is one
 row of `_BOUNDS`: its value over arrays of point quantities (`_Quantities`),
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B, PHI0
-from .numerics import ALIASING_POWER_SHARE, AliasingWarning, FourierSeries, fourier_decompose
+from .numerics import fourier_decompose
 from .trajectories import (
     SYNTHESIS_SAMPLES,
     TrajectoryKind,
@@ -42,6 +44,7 @@ from .trajectories import (
 )
 
 __all__ = [
+    "AliasingWarning",
     "CheckResult",
     "CircuitParams",
     "DriveSpectrum",
@@ -62,6 +65,10 @@ MAX_DRIVE_DEPTH = 0.5
 SOFT_HARMONIC_RATIO = 0.25
 EJ0_RATIO_FLOOR = 0.1
 
+# A drive warns when its top harmonic carries more than this share of the
+# harmonic power.
+ALIASING_POWER_SHARE = 0.01
+
 # Relative margin by which sum_n |c_n| must stay below a0/2 for the
 # triangle-inequality bound to settle E_J(t) > 0 without sampling; far above
 # the round-off of the sampled series, so the decision never differs.
@@ -74,6 +81,10 @@ class RealizabilityError(ValueError):
 
 class DriveWarning(UserWarning):
     """The drive is realizable but outside the comfortably perturbative regime."""
+
+
+class AliasingWarning(UserWarning):
+    """The highest synthesized drive harmonic still carries significant power."""
 
 
 @dataclass(frozen=True)
@@ -178,12 +189,22 @@ class DriveSpectrum:
         """|a_n + i b_n| for n = 1..n_max [J]."""
         return np.hypot(self.a, self.b)
 
-    def series(self) -> FourierSeries:
-        return FourierSeries(a0=self.a0, a=self.a, b=self.b, omega_d=self.omega_d)
-
     def e_j(self, t):
         """Reconstruct E_J(t) [J] at scalar or array t."""
-        return self.series().evaluate(t)
+        t = np.asarray(t, dtype=float)
+        phase = np.multiply.outer(t, np.arange(1, self.n_max + 1)) * self.omega_d
+        out = 0.5 * self.a0 + np.cos(phase) @ self.a + np.sin(phase) @ self.b
+        return float(out) if out.ndim == 0 else out
+
+
+def _check_n_max(n_max) -> None:
+    """The harmonic count of every drive and sweep: an integer in
+    [0, SYNTHESIS_SAMPLES/8], so the synthesis grid samples the top harmonic
+    at least 8 times a period; else ValueError."""
+    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= SYNTHESIS_SAMPLES // 8:
+        raise ValueError(
+            f"n_max must be an integer in [0, {SYNTHESIS_SAMPLES // 8}], got {n_max!r}"
+        )
 
 
 def _synthesis_grid(omega_d: float) -> np.ndarray:
@@ -200,9 +221,12 @@ def trajectory_to_drive(
 
     The mapping is linear: a_n, b_n are (E_J^0 / L_eff^0) times the Fourier
     coefficients of z(t), and a0 = 2 E_J^0 (the trajectory is centered, so
-    no DC term is generated). Raises RealizabilityError from the bounds
-    table: the depth and flux-tuning rows need only max|z| and are applied
-    before the projection, the harmonic-ratio rows by DriveSpectrum."""
+    no DC term is generated). Applies the bounds table: the depth and
+    flux-tuning rows (RealizabilityError) need only max|z| and run before
+    the projection, the aliasing row (AliasingWarning) after it, the
+    harmonic-ratio rows in DriveSpectrum. An n_max outside [0, 512] raises
+    ValueError."""
+    _check_n_max(n_max)
     leff0 = effective_length(c)
     z = position(p, _synthesis_grid(p.omega_d))
     point = _Quantities(
@@ -210,13 +234,10 @@ def trajectory_to_drive(
         z_peak=float(np.max(np.abs(z))),
     )
     _enforce(point, _rows("drive_depth", "tuning_ceiling"))
-    # fourier_decompose samples the same grid, so it can take z as is; it
-    # warns on aliasing itself.
-    series = fourier_decompose(lambda t: z, p.omega_d, n_max, SYNTHESIS_SAMPLES)
+    a, b = fourier_decompose(z, p.omega_d, n_max)
+    _enforce(replace(point, ratio=np.hypot(a, b) / (2.0 * leff0)), _rows("aliasing"))
     scale = c.E_J0 / leff0
-    return DriveSpectrum(
-        a0=2.0 * c.E_J0, a=scale * series.a, b=scale * series.b, omega_d=p.omega_d
-    )
+    return DriveSpectrum(a0=2.0 * c.E_J0, a=scale * a, b=scale * b, omega_d=p.omega_d)
 
 
 def external_flux(d: DriveSpectrum, c: CircuitParams, t):

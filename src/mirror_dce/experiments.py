@@ -56,6 +56,7 @@ from .circuit import (
     CircuitParams,
     ValidityReport,
     _atomic_write,
+    _check_n_max,
     _csv_chunks,
     _judge,
     _Quantities,
@@ -64,12 +65,10 @@ from .circuit import (
     trajectory_to_drive,
     validate,
 )
-from .numerics import ConvergenceError
 # output_spectrum and validate go uncalled here; perfbench/spans.py wraps both bindings.
 from .scattering import _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
-    SYNTHESIS_SAMPLES,
     TrajectoryKind,
     TrajectoryParams,
     _grid_acceleration_parameter,
@@ -296,13 +295,7 @@ class SweepSpec:
         )
         if x.ndim != 1 or x.size < 2:
             raise ValueError("sweep grid must be 1-D with at least 2 points")
-        if not isinstance(self.n_max, (int, np.integer)) or not (
-            0 <= self.n_max <= SYNTHESIS_SAMPLES // 8
-        ):
-            raise ValueError(
-                f"n_max must be an integer in [0, {SYNTHESIS_SAMPLES // 8}], "
-                f"got {self.n_max!r}"
-            )
+        _check_n_max(self.n_max)
         if not self.trajectories:
             raise ValueError("sweep needs at least one trajectory kind")
         if not all(0.0 <= t < math.inf for t in self.temperatures):
@@ -580,9 +573,9 @@ def run_sweep(
     `_grid_curve`) and each curve evaluated from them in one batch per
     temperature; no sweep builds a drive. On the abar and omega_d axes,
     per-point domain errors (a crossed error row of the table, or a
-    ValueError or ConvergenceError of the A inversion or the spectrum) are
-    recorded in the metadata under `failures` and leave NaN in the curve;
-    points are never dropped. An omega-axis curve is one worldline, so
+    ValueError of the A inversion or the spectrum) are recorded in the
+    metadata under `failures` and leave NaN in the curve; points are never
+    dropped. An omega-axis curve is one worldline, so
     there such an error raises. Any other exception propagates.
 
     `_shared` is internal: a dict that `reproduce` hands to every sweep of
@@ -597,7 +590,7 @@ def run_sweep(
 
 # Per-point domain errors; RealizabilityError is a ValueError. Anything else
 # is a programming error and propagates out of the sweep.
-_POINT_ERRORS = (ValueError, ConvergenceError)
+_POINT_ERRORS = ValueError
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared numeric kernels: elliptic integrals, bracketed root finding, and
-Fourier-coefficient extraction for periodic signals.
+the Fourier coefficients of a periodic signal sampled over one period.
 
 Conventions
 -----------
@@ -15,8 +15,6 @@ concurrently.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,9 +22,6 @@ from scipy import special
 from scipy.optimize import brentq
 
 __all__ = [
-    "AliasingWarning",
-    "ConvergenceError",
-    "FourierSeries",
     "ellip_e",
     "ellip_f",
     "find_root",
@@ -34,18 +29,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-# `fourier_decompose` warns when the top harmonic carries more than this
-# share of the harmonic power.
-ALIASING_POWER_SHARE = 0.01
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget without converging."""
-
-
-class AliasingWarning(UserWarning):
-    """The highest extracted Fourier harmonic still carries significant power."""
 
 
 def _is_scalar(phi, m) -> bool:
@@ -145,96 +128,30 @@ def find_root(
     )
 
 
-@dataclass(frozen=True)
-class FourierSeries:
-    """Real trigonometric series a0/2 + sum_n a_n cos(n w t) + b_n sin(n w t).
+def fourier_decompose(z, omega_d: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trigonometric coefficients (a, b) of harmonics n = 1..n_max of a
+    2*pi/omega_d-periodic signal, from its samples z on the uniform grid
+    t_k = k T/N, k = 0..N-1, over one period T.
 
-    `a` and `b` hold the harmonics n = 1..n_max; a0 is twice the mean of the
-    signal so that evaluate() starts from a0/2.
-    """
-
-    a0: float
-    a: np.ndarray
-    b: np.ndarray
-    omega_d: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
-        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
-        if self.a.shape != self.b.shape:
-            raise ValueError(
-                f"cosine/sine coefficient lists differ in length: "
-                f"{self.a.shape} vs {self.b.shape}"
-            )
-        if not self.omega_d > 0.0:
-            raise ValueError(f"omega_d must be positive, got {self.omega_d}")
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
-
-    @property
-    def n_max(self) -> int:
-        return int(self.a.size)
-
-    def evaluate(self, t):
-        """Evaluate the series at time(s) t."""
-        t = np.asarray(t, dtype=float)
-        n = np.arange(1, self.n_max + 1)
-        phase = np.multiply.outer(t, n) * self.omega_d
-        out = 0.5 * self.a0 + np.cos(phase) @ self.a + np.sin(phase) @ self.b
-        return float(out) if out.ndim == 0 else out
-
-
-def _sample_periodic(z, t: np.ndarray) -> np.ndarray:
-    vals = np.asarray(z(t), dtype=float)
-    if vals.shape != t.shape:
-        raise ValueError(
-            f"periodic signal must map the time array of shape {t.shape} to "
-            f"an array of the same shape, got shape {vals.shape}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("periodic signal returned non-finite samples")
-    return vals
-
-
-def fourier_decompose(
-    z: Callable, omega_d: float, n_max: int, samples: int = 4096
-) -> FourierSeries:
-    """Extract the trigonometric coefficients of a 2*pi/omega_d-periodic z(t).
-
-    z is called once with the array of sample times and must return an
-    array of the same shape; a result of any other shape raises ValueError,
-    and so do non-finite samples. Uses the composite trapezoid rule on a uniform grid over one period,
-    which is spectrally accurate for smooth periodic signals. Emits
-    AliasingWarning when the top requested harmonic still carries more than
-    1% of the total harmonic power.
+    z must be 1-d, finite, and hold at least 8*n_max samples; anything else
+    raises ValueError. The projection is the composite trapezoid rule,
+    spectrally accurate for smooth periodic signals. The mean of z (the
+    a0/2 term) is not returned.
     """
     if not omega_d > 0.0:
         raise ValueError(f"omega_d must be positive, got {omega_d}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if samples < max(8 * n_max, 2):
+    vals = np.asarray(z, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError(f"samples must be 1-d, got shape {vals.shape}")
+    samples = vals.size
+    if samples < 8 * n_max:
         raise ValueError(
             f"samples={samples} too small for n_max={n_max}; need at least {8 * n_max}"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("periodic signal has non-finite samples")
     t = np.arange(samples) * ((2.0 * np.pi / omega_d) / samples)
-    vals = _sample_periodic(z, t)
-
-    a0 = 2.0 * float(np.mean(vals))
-    if n_max == 0:
-        return FourierSeries(a0=a0, a=np.empty(0), b=np.empty(0), omega_d=omega_d)
-
     phase = np.multiply.outer(np.arange(1, n_max + 1), t) * omega_d
-    a = 2.0 * (np.cos(phase) @ vals) / samples
-    b = 2.0 * (np.sin(phase) @ vals) / samples
-
-    power = a**2 + b**2
-    total = float(np.sum(power))
-    if total > 0.0 and power[-1] > ALIASING_POWER_SHARE * total:
-        warnings.warn(
-            f"harmonic n={n_max} still carries "
-            f"{100.0 * power[-1] / total:.2f}% of the harmonic power; "
-            "the requested truncation may alias",
-            AliasingWarning,
-            stacklevel=2,
-        )
-    return FourierSeries(a0=a0, a=a, b=b, omega_d=float(omega_d))
+    return 2.0 * (np.cos(phase) @ vals) / samples, 2.0 * (np.sin(phase) @ vals) / samples

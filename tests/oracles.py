@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from mirror_dce.circuit import CircuitParams, DriveSpectrum, effective_length
-from mirror_dce.numerics import ConvergenceError, ellip_e, ellip_f
+from mirror_dce.numerics import ellip_e, ellip_f
 from mirror_dce.scattering import reflection
 from mirror_dce.trajectories import (
     TrajectoryParams,
@@ -28,6 +28,10 @@ from mirror_dce.trajectories import (
     directional_acceleration,
     position,
 )
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative routine exhausted its budget without converging."""
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirror_dce import circuit
 from mirror_dce.circuit import (
+    AliasingWarning,
     CircuitParams,
     DriveSpectrum,
     DriveWarning,
@@ -113,6 +116,17 @@ class TestDriveSpectrum:
         expected = 0.5 * d.a0 + d.a[0] * np.cos(d.omega_d * t)
         np.testing.assert_allclose(d.e_j(t), expected, rtol=1e-14)
         np.testing.assert_allclose(d.e_j(t) - 0.5 * d.a0, expected - 0.5 * d.a0, atol=1e-30)
+
+    def test_no_harmonics_is_the_bias(self):
+        d = DriveSpectrum(a0=4.0, a=[], b=[], omega_d=1e11)
+        assert d.n_max == 0
+        assert d.e_j(0.1 / d.omega_d) == 2.0
+        np.testing.assert_array_equal(d.e_j(np.linspace(0.0, 1e-10, 5)), 2.0)
+
+    def test_coefficient_length_mismatch_rejected(self, reference_circuit):
+        a0 = 2.0 * reference_circuit.E_J0
+        with pytest.raises(ValueError, match="length"):
+            DriveSpectrum(a0=a0, a=[0.1 * a0, 0.1 * a0], b=[0.1 * a0], omega_d=1e11)
 
     @staticmethod
     def count_probes(monkeypatch) -> list:
@@ -237,6 +251,35 @@ class TestTrajectoryToDrive:
         trajectory_to_drive(sa_comparison, sa_comparison_circuit, n_max=3)
         assert calls == [1]
 
+    def test_aliasing_warns_once_from_the_package(self, sm_baseline, reference_circuit):
+        # With n_max = 1 the top harmonic holds all the power.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trajectory_to_drive(sm_baseline, reference_circuit, n_max=1)
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            AliasingWarning,
+            "harmonic n=1 still carries 100.00% of the harmonic power; "
+            "the requested truncation may alias",
+        )]
+        assert Path(caught[0].filename).parent == Path(circuit.__file__).parent
+
+    def test_baseline_drive_does_not_warn(self, sm_baseline, reference_circuit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
+
+    @pytest.mark.parametrize("n_max", [-1, 513, 600, 3.0])
+    def test_harmonic_count_bound(self, sm_baseline, reference_circuit, n_max):
+        # The bound and text of SweepSpec: the synthesis grid needs 8
+        # samples per harmonic.
+        with pytest.raises(ValueError) as info:
+            trajectory_to_drive(sm_baseline, reference_circuit, n_max=n_max)
+        assert str(info.value) == f"n_max must be an integer in [0, 512], got {n_max!r}"
+
+    def test_harmonic_count_at_the_bound(self, sm_baseline, reference_circuit):
+        d = trajectory_to_drive(sm_baseline, reference_circuit, n_max=512)
+        assert d.n_max == 512
+
 
 class TestExternalFlux:
     def test_full_bias_gives_zero_flux(self, reference_circuit):
@@ -274,14 +317,12 @@ class TestExternalFlux:
         c = sa_comparison_circuit
         d = trajectory_to_drive(sa_comparison, c, n_max=3)
 
-        def e_j_from_flux(t):
-            phi = external_flux(d, c, t)
-            return 2.0 * c.E_J * np.cos(math.pi * phi / PHI0)
-
-        series = fourier_decompose(e_j_from_flux, d.omega_d, n_max=3)
-        assert series.a0 == pytest.approx(d.a0, rel=1e-9, abs=0.0)
-        np.testing.assert_allclose(series.a, d.a, rtol=1e-6, atol=1e-9 * d.a0)
-        np.testing.assert_allclose(series.b, d.b, rtol=1e-6, atol=1e-9 * d.a0)
+        phi = external_flux(d, c, circuit._synthesis_grid(d.omega_d))
+        e_j = 2.0 * c.E_J * np.cos(math.pi * phi / PHI0)
+        a, b = fourier_decompose(e_j, d.omega_d, n_max=3)
+        assert 2.0 * float(np.mean(e_j)) == pytest.approx(d.a0, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(a, d.a, rtol=1e-6, atol=1e-9 * d.a0)
+        np.testing.assert_allclose(b, d.b, rtol=1e-6, atol=1e-9 * d.a0)
 
 
 class TestEffectiveLengthModulation:

@@ -462,6 +462,10 @@ class TestCommands:
             (["sweep", "--kind", "sa", "--axis", "abar", "--min", "1e18", "--max", "2e18",
               "--fd", "14.6e9", "--w", "7e9", "--nmax", "600"],
              "n_max must be an integer in [0, 512], got 600"),
+            (["drive", "--kind", "sa", "--abar", "9.054e17", "--fd", "18e9", "--nmax", "600"],
+             "n_max must be an integer in [0, 512], got 600"),
+            (["flux", "--kind", "sa", "--abar", "9.054e17", "--fd", "18e9", "--nmax", "600"],
+             "n_max must be an integer in [0, 512], got 600"),
         ],
     )
     def test_bad_flag_values_exit_nonzero_and_write_nothing(

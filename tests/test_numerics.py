@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirror_dce.numerics import (
-    AliasingWarning,
-    ConvergenceError,
-    FourierSeries,
-    ellip_e,
-    ellip_f,
-    find_root,
-    fourier_decompose,
-)
+from mirror_dce.numerics import ellip_e, ellip_f, find_root, fourier_decompose
 from oracles import (
+    ConvergenceError,
     Quadrature,
     ellip_e_imag_modulus,
     ellip_e_quad,
@@ -220,107 +213,101 @@ class TestFindRoot:
 class TestFourierDecompose:
     WD = 2.0 * math.pi * 3.0e9
 
+    def grid(self, samples=4096):
+        """The sample times fourier_decompose assumes: one period, uniform."""
+        return np.arange(samples) * ((2.0 * np.pi / self.WD) / samples)
+
     def test_pure_cosine(self):
-        series = fourier_decompose(
-            lambda t: np.cos(self.WD * t), self.WD, n_max=4
-        )
-        assert series.a[0] == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(series.a[1:])) < 1e-10
-        assert np.max(np.abs(series.b)) < 1e-10
-        assert abs(series.a0) < 1e-10
+        z = np.cos(self.WD * self.grid())
+        a, b = fourier_decompose(z, self.WD, n_max=4)
+        assert a[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(a[1:])) < 1e-10
+        assert np.max(np.abs(b)) < 1e-10
+        assert abs(2.0 * np.mean(z)) < 1e-10
 
     def test_pure_second_harmonic_sine(self):
-        series = fourier_decompose(
-            lambda t: np.sin(2.0 * self.WD * t), self.WD, n_max=4
-        )
-        assert series.b[1] == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(series.a)) < 1e-10
-        assert abs(series.b[0]) < 1e-10
-        assert np.max(np.abs(series.b[2:])) < 1e-10
+        a, b = fourier_decompose(np.sin(2.0 * self.WD * self.grid()), self.WD, n_max=4)
+        assert b[1] == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(a)) < 1e-10
+        assert abs(b[0]) < 1e-10
+        assert np.max(np.abs(b[2:])) < 1e-10
 
     def test_square_wave_classical_series(self):
-        def square(t):
-            # sign(sin) with the jump samples snapped to 0 keeps the sampled
-            # wave exactly odd; otherwise one misrounded sample leaks O(1/N)
-            # cosine terms
-            s = np.sin(self.WD * t)
-            return np.sign(np.where(np.abs(s) < 1e-9, 0.0, s))
-
-        with pytest.warns(AliasingWarning):
-            series = fourier_decompose(square, self.WD, n_max=7, samples=4096)
+        # sign(sin) with the jump samples snapped to 0 keeps the sampled
+        # wave exactly odd; otherwise one misrounded sample leaks O(1/N)
+        # cosine terms
+        s = np.sin(self.WD * self.grid())
+        a, b = fourier_decompose(np.sign(np.where(np.abs(s) < 1e-9, 0.0, s)), self.WD, n_max=7)
         for n in (1, 3, 5, 7):
-            assert series.b[n - 1] == pytest.approx(4.0 / (math.pi * n), rel=1e-4)
+            assert b[n - 1] == pytest.approx(4.0 / (math.pi * n), rel=1e-4)
         for n in (2, 4, 6):
-            assert abs(series.b[n - 1]) < 1e-12
-        assert np.max(np.abs(series.a)) < 1e-12
+            assert abs(b[n - 1]) < 1e-12
+        assert np.max(np.abs(a)) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::mirror_dce.numerics.AliasingWarning")
     def test_band_limited_reconstruction(self):
         rng = np.random.default_rng(7)
-        a = rng.normal(size=5)
-        b = rng.normal(size=5)
+        a_in = rng.normal(size=5)
+        b_in = rng.normal(size=5)
 
         def signal(t):
             out = 0.3 * np.ones_like(t)
             for n in range(1, 6):
-                out = out + a[n - 1] * np.cos(n * self.WD * t)
-                out = out + b[n - 1] * np.sin(n * self.WD * t)
+                out = out + a_in[n - 1] * np.cos(n * self.WD * t)
+                out = out + b_in[n - 1] * np.sin(n * self.WD * t)
             return out
 
-        series = fourier_decompose(signal, self.WD, n_max=5)
-        assert series.a0 == pytest.approx(0.6, abs=1e-10)
-        np.testing.assert_allclose(series.a, a, atol=1e-10)
-        np.testing.assert_allclose(series.b, b, atol=1e-10)
+        z = signal(self.grid())
+        a, b = fourier_decompose(z, self.WD, n_max=5)
+        a0 = 2.0 * float(np.mean(z))
+        assert a0 == pytest.approx(0.6, abs=1e-10)
+        np.testing.assert_allclose(a, a_in, atol=1e-10)
+        np.testing.assert_allclose(b, b_in, atol=1e-10)
 
         t = np.linspace(0.0, 2.0 * math.pi / self.WD, 257)
+        phase = np.multiply.outer(t, np.arange(1, 6)) * self.WD
         amplitude = float(np.max(np.abs(signal(t))))
         np.testing.assert_allclose(
-            series.evaluate(t), signal(t), atol=1e-6 * amplitude
+            0.5 * a0 + np.cos(phase) @ a + np.sin(phase) @ b, signal(t),
+            atol=1e-6 * amplitude,
         )
 
     def test_parseval_on_sample_grid(self):
-        def signal(t):
-            return 1.2 * np.cos(self.WD * t) - 0.4 * np.sin(3.0 * self.WD * t) + 0.1
-
-        samples = 4096
-        series = fourier_decompose(signal, self.WD, n_max=5, samples=samples)
-        t = np.arange(samples) * (2.0 * math.pi / self.WD / samples)
-        signal_power = float(np.mean(signal(t) ** 2))
-        series_power = series.a0**2 / 4.0 + float(np.sum(series.a**2 + series.b**2)) / 2.0
+        t = self.grid()
+        z = 1.2 * np.cos(self.WD * t) - 0.4 * np.sin(3.0 * self.WD * t) + 0.1
+        a, b = fourier_decompose(z, self.WD, n_max=5)
+        a0 = 2.0 * float(np.mean(z))
+        signal_power = float(np.mean(z**2))
+        series_power = a0**2 / 4.0 + float(np.sum(a**2 + b**2)) / 2.0
         assert series_power == pytest.approx(signal_power, rel=1e-10)
 
-    def test_callable_must_map_the_time_array(self):
-        # A scalar-only callable fails on the time array with its own error;
-        # one that returns another shape is rejected.
-        with pytest.raises(TypeError):
-            fourier_decompose(lambda t: math.cos(self.WD * t), self.WD, n_max=2, samples=64)
-        for wrong in (lambda t: 1.0, lambda t: np.cos(self.WD * t)[:-1]):
-            with pytest.raises(ValueError, match="same shape"):
-                fourier_decompose(wrong, self.WD, n_max=2, samples=64)
+    def test_samples_must_be_finite_and_1d(self):
+        z = np.cos(self.WD * self.grid(64))
+        with pytest.raises(ValueError, match="1-d"):
+            fourier_decompose(z.reshape(8, 8), self.WD, n_max=2)
+        with pytest.raises(ValueError, match="1-d"):
+            fourier_decompose(1.0, self.WD, n_max=0)
+        for bad in (np.nan, np.inf):
+            z[5] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                fourier_decompose(z, self.WD, n_max=2)
 
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError, match="samples"):
-            fourier_decompose(lambda t: 0.0 * t, self.WD, n_max=8, samples=32)
+            fourier_decompose(np.zeros(32), self.WD, n_max=8)
 
     def test_no_harmonics_requested(self):
-        series = fourier_decompose(lambda t: 2.0 + 0.0 * t, self.WD, n_max=0)
-        assert series.n_max == 0
-        assert series.a0 == pytest.approx(4.0)
-        assert series.evaluate(0.1 / self.WD) == pytest.approx(2.0)
+        z = np.full(4096, 2.0)
+        a, b = fourier_decompose(z, self.WD, n_max=0)
+        assert a.shape == b.shape == (0,)
+        assert 2.0 * float(np.mean(z)) == pytest.approx(4.0)
 
     def test_coefficients_are_the_plain_projection(self):
         # The cos/sin projection, bit for bit: the fig2 coefficients, and
         # their round-off where symmetry makes them 0 (here every b_n),
         # depend on it.
-        def z(t):
-            return np.exp(np.cos(self.WD * t))
-
-        series = fourier_decompose(z, self.WD, n_max=3, samples=512)
-        t = np.arange(512) * ((2.0 * np.pi / self.WD) / 512)
+        t = self.grid(512)
+        z = np.exp(np.cos(self.WD * t))
+        a, b = fourier_decompose(z, self.WD, n_max=3)
         phase = np.multiply.outer(np.arange(1, 4), t) * self.WD
-        np.testing.assert_array_equal(series.a, 2.0 * (np.cos(phase) @ z(t)) / 512)
-        np.testing.assert_array_equal(series.b, 2.0 * (np.sin(phase) @ z(t)) / 512)
-
-    def test_coefficient_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            FourierSeries(a0=0.0, a=[1.0, 2.0], b=[1.0], omega_d=self.WD)
+        np.testing.assert_array_equal(a, 2.0 * (np.cos(phase) @ z) / 512)
+        np.testing.assert_array_equal(b, 2.0 * (np.sin(phase) @ z) / 512)

@@ -1,5 +1,4 @@
 import math
-import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -361,13 +360,13 @@ class TestGridKernels:
         assert a.shape == (A.size, 6) and np.all(a[:, 1::2] == 0.0)
         for row, peak, A_i in zip(a, peaks, A):
             p = TrajectoryParams(kind, A_i, omega_d, V)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dense = fourier_decompose(lambda t: position(p, t), omega_d, 6, 4096)
-            scale = float(np.max(np.abs(dense.a)))
-            np.testing.assert_allclose(row[::2], dense.a[::2], rtol=0, atol=4e-15 * scale)
-            assert np.max(np.abs(dense.b)) <= 1e-15 * scale
-            assert np.max(np.abs(dense.a[1::2])) <= 1e-15 * scale
+            dense_a, dense_b = fourier_decompose(
+                position(p, np.arange(4096) * ((2.0 * np.pi / omega_d) / 4096)), omega_d, 6
+            )
+            scale = float(np.max(np.abs(dense_a)))
+            np.testing.assert_allclose(row[::2], dense_a[::2], rtol=0, atol=4e-15 * scale)
+            assert np.max(np.abs(dense_b)) <= 1e-15 * scale
+            assert np.max(np.abs(dense_a[1::2])) <= 1e-15 * scale
             z = position(p, np.arange(4096) * (coordinate_period(p) / 4096))
             assert peak == pytest.approx(float(np.max(np.abs(z))), rel=1e-15, abs=0.0)
 
