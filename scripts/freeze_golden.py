@@ -2,7 +2,7 @@
 """Freeze golden values of the bundled presets fig1..fig8, or of the CLI
 drive exports.
 
-Usage: python scripts/freeze_golden.py {presets,cli} [OUT_JSON]
+Usage: python scripts/freeze_golden.py [--check] {presets,cli} [OUT_JSON]
 
 `presets` writes tests/golden/presets.json (or OUT_JSON):
 
@@ -20,12 +20,19 @@ so the test replays the same command.
 
 tests/test_golden.py compares the current code against that file. Rerun
 this only when the outputs are meant to change.
+
+`--check` writes nothing. It computes the section afresh and prints, for each
+curve or table, the largest |delta| / (RTOL |golden| + floor) against the
+golden file (or OUT_JSON), with the tolerances of tests/test_golden.py; a
+difference that test compares exactly (shapes, NaN positions, texts, the
+spectrum grids and metadata) reads inf. It exits 1 when any ratio exceeds 1.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -38,6 +45,12 @@ FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 TABLE_STEP = {"fig1": 10, "fig2": 1}
 STEP = 10
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
+
+# Golden tolerances: rtol, and an absolute floor of FLOOR_OF_PEAK times a
+# peak (a curve's, a column's, or that of FLOOR_COLUMN for a figure's table).
+RTOL = 1e-12
+FLOOR_OF_PEAK = 1e-12
+FLOOR_COLUMN = {"fig2": "magnitude"}
 
 # The cli section: one config, one point, and per command the flags that
 # follow the kind.
@@ -120,14 +133,104 @@ def _presets(tmp: Path) -> dict:
     return golden
 
 
-def main() -> int:
+def _ratio(got, want, floor: float = 0.0, rtol: float = RTOL) -> float:
+    """Largest |got - want| / (rtol |want| + floor) over the non-NaN entries;
+    inf where shapes, NaN positions or texts differ."""
+    try:
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    except ValueError:  # texts
+        return 0.0 if got == want else math.inf
+    if got.shape != want.shape or np.any(np.isnan(got) != np.isnan(want)):
+        return math.inf
+    keep = ~np.isnan(want)
+    delta, limit = np.abs(got - want)[keep], (rtol * np.abs(want) + floor)[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(delta == 0.0, 0.0, delta / limit), initial=0.0))
+
+
+def _peak(values) -> float:
+    return float(np.max(np.abs(np.asarray(values, dtype=float))))
+
+
+def _dict_ratio(got: dict, want: dict, floor=lambda key: 0.0, rtol: float = RTOL) -> float:
+    """`_ratio` per key of want, floored at floor(key); inf if the keys differ."""
+    if sorted(got) != sorted(want):
+        return math.inf
+    return max((_ratio(got[k], ref, floor(k), rtol) for k, ref in want.items()), default=0.0)
+
+
+def _curve_ratio(path, got: dict, want: dict) -> float:
+    ref = np.asarray(want["n_out"], dtype=float)
+    peak = float(np.nanmax(np.abs(ref))) if np.any(np.isfinite(ref)) else 0.0
+    return max(
+        _ratio(got["x"], want["x"], rtol=0.0),
+        _ratio(got["n_out"], ref, FLOOR_OF_PEAK * peak),
+        _dict_ratio(got["metadata"], want["metadata"], rtol=0.0),
+    )
+
+
+def _table_ratio(path, got: dict, want: dict) -> float:
+    if list(got["rows"]) != list(want["rows"]):
+        return math.inf
+    ratio = _dict_ratio(got["metadata"], want["metadata"])
+    floor_column = FLOOR_COLUMN.get(path[0])
+    for kind, columns in want["rows"].items():
+        floor = lambda name: FLOOR_OF_PEAK * _peak(columns[floor_column or name])
+        ratio = max(ratio, _dict_ratio(got["rows"][kind], columns, floor))
+    return ratio
+
+
+def _output_ratio(path, got: dict, want: dict) -> float:
+    columns = want["columns"]
+    floor = FLOOR_OF_PEAK * _peak(columns["magnitude"]) if want["argv"][0] == "drive" else 0.0
+    return max(
+        _dict_ratio(got["metadata"], want["metadata"]),
+        _dict_ratio(got["columns"], columns, lambda name: floor),
+    )
+
+
+def _leaves(got, want, depth: int, path: tuple = ()):
+    """(path, got, want) for every entry `depth` dict levels down; None
+    stands in for an entry that one side lacks."""
+    if depth == 0 or got is None or want is None:
+        yield path, got, want
+        return
+    for key in dict.fromkeys([*want, *got]):
+        yield from _leaves(got.get(key), want.get(key), depth - 1, path + (key,))
+
+
+def check(section: str, fresh: dict, golden: dict) -> int:
+    """Print each curve's or table's largest ratio; 1 if any exceeds 1."""
+    if section == "cli":
+        parts = [(fresh["outputs"], golden["outputs"], 1, _output_ratio)]
+    else:
+        parts = [
+            (fresh["figures"], golden["figures"], 3, _curve_ratio),
+            (fresh["tables"], golden["tables"], 2, _table_ratio),
+        ]
+    worst = 0.0
+    for got_tree, want_tree, depth, ratio_of in parts:
+        for path, got, want in _leaves(got_tree, want_tree, depth):
+            ratio = math.inf if got is None or want is None else ratio_of(path, got, want)
+            worst = max(worst, ratio)
+            print(f"{' '.join(path)}  {ratio:.3g}")
+    print(f"worst {worst:.3g} (fails above 1)")
+    return 1 if worst > 1.0 else 0
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Freeze golden values (only on purpose).")
     parser.add_argument("section", choices=("presets", "cli"))
-    parser.add_argument("out", nargs="?", type=Path, help="output JSON")
-    args = parser.parse_args()
+    parser.add_argument("out", nargs="?", type=Path, help="output JSON (or, with --check, input)")
+    parser.add_argument(
+        "--check", action="store_true", help="compare against the golden file; write nothing"
+    )
+    args = parser.parse_args(argv)
     out = args.out or GOLDEN_DIR / f"{args.section}.json"
     with tempfile.TemporaryDirectory() as tmp:
         golden = (_presets if args.section == "presets" else _cli)(Path(tmp))
+    if args.check:
+        return check(args.section, golden, json.loads(out.read_text(encoding="utf-8")))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(out)

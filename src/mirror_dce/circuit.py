@@ -12,8 +12,8 @@ linearly onto delta E_J(t) = (E_J^0 / L_eff^0) z(t), and the required
 external flux follows from E_J(t) = 2 E_J |cos(pi phi_ext / phi0)|.
 
 Routines here synthesize the drive spectrum from a trajectory (the samples
-of z(t) over one period, projected by `numerics.fourier_decompose` and
-scaled into a `DriveSpectrum`, the drive's one series type), reconstruct
+of z(t) over one period, projected onto its harmonics and scaled into a
+`DriveSpectrum`, the drive's one series type), reconstruct
 the flux waveform, and judge the drive against the bounds of the flux-driven
 SQUID mirror (Johansson et al., PRL 103, 147003 (2009)). Each bound is one
 row of `_BOUNDS`: its value over arrays of point quantities (`_Quantities`),
@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B, PHI0
-from .numerics import fourier_decompose
 from .trajectories import (
     SYNTHESIS_SAMPLES,
     TrajectoryKind,
@@ -54,6 +53,7 @@ __all__ = [
     "effective_length",
     "export_flux_waveform",
     "external_flux",
+    "fourier_decompose",
     "trajectory_to_drive",
     "validate",
 ]
@@ -212,6 +212,35 @@ def _synthesis_grid(omega_d: float) -> np.ndarray:
     synthesis and its depth check sample z(t), and the positivity probe
     evaluates E_J(t)."""
     return np.arange(SYNTHESIS_SAMPLES) * ((2.0 * math.pi / omega_d) / SYNTHESIS_SAMPLES)
+
+
+def fourier_decompose(z, omega_d: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trigonometric coefficients (a, b) of harmonics n = 1..n_max of a
+    2*pi/omega_d-periodic signal, from its samples z on the uniform grid
+    t_k = k T/N, k = 0..N-1, over one period T.
+
+    z must be 1-d, finite, and hold at least 8*n_max samples; anything else
+    raises ValueError. The projection is the composite trapezoid rule,
+    spectrally accurate for smooth periodic signals. The mean of z (the
+    a0/2 term) is not returned.
+    """
+    if not omega_d > 0.0:
+        raise ValueError(f"omega_d must be positive, got {omega_d}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    vals = np.asarray(z, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError(f"samples must be 1-d, got shape {vals.shape}")
+    samples = vals.size
+    if samples < 8 * n_max:
+        raise ValueError(
+            f"samples={samples} too small for n_max={n_max}; need at least {8 * n_max}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("periodic signal has non-finite samples")
+    t = np.arange(samples) * ((2.0 * np.pi / omega_d) / samples)
+    phase = np.multiply.outer(np.arange(1, n_max + 1), t) * omega_d
+    return 2.0 * (np.cos(phase) @ vals) / samples, 2.0 * (np.sin(phase) @ vals) / samples
 
 
 def trajectory_to_drive(

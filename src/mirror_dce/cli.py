@@ -199,7 +199,8 @@ _SETTINGS = (
     (None, "--periods", "flux", "periods", _at_least(1), dict(help="number of drive periods")),
     (None, "--axis", "sweep", "sweep_axis", _one_of(_AXES),
      dict(metavar="{" + ",".join(_AXES) + "}")),
-    (None, "--min", "sweep", "sweep_min", _parse_float, dict(help="axis start (Hz or m/s^2)")),
+    (None, "--min", "sweep", "sweep_min", _parse_positive,
+     dict(help="axis start (Hz or m/s^2)")),
     (None, "--max", "sweep", "sweep_max", _parse_float, dict(help="axis end (Hz or m/s^2)")),
     (None, "--w", "sweep", "probe_omega", _parse_probe, dict(help="fixed probe frequency [Hz]")),
 )
@@ -331,7 +332,7 @@ def _cmd_sweep(cfg: RunConfig) -> list[Path]:
     kwargs = dict(
         figure_id="sweep",
         axis=axis,
-        x=tuple(grid),
+        x=grid,
         trajectories=(kind,),
         temperatures=(cfg.temperature,),
         n_max=cfg.n_max,

@@ -268,11 +268,12 @@ class SweepSpec:
     worldline kinds and temperatures, and what is held fixed.
 
     A and ejo_ratio may pin per-kind values; otherwise A is re-solved from
-    `abar` and the bias is normalized per configuration."""
+    `abar` and the bias is normalized per configuration. The grid `x` is
+    stored as a read-only float64 copy."""
 
     figure_id: str
     axis: SweepAxis
-    x: tuple[float, ...]
+    x: np.ndarray
     trajectories: tuple[TrajectoryKind, ...]
     temperatures: tuple[float, ...] = (0.0,)
     n_max: int = 3
@@ -284,8 +285,9 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", SweepAxis(self.axis))
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", tuple(x.tolist()))
+        x = np.array(self.x, dtype=float)
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
         object.__setattr__(
             self, "trajectories", tuple(TrajectoryKind(k) for k in self.trajectories)
         )
@@ -394,7 +396,7 @@ def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
         return None if pins is None else frozenset(pins.items())
 
     return (
-        spec.axis, spec.x, spec.trajectories, spec.n_max, spec.omega_d,
+        spec.axis, spec.x.tobytes(), spec.trajectories, spec.n_max, spec.omega_d,
         spec.abar, frozen(spec.A), frozen(spec.ejo_ratio), c,
     )
 
@@ -458,10 +460,9 @@ def _grid_curve(kind: TrajectoryKind, spec: SweepSpec, c: CircuitParams) -> _Cur
     finds an A, goes through the grid rows with it. `_gate` judges the rest;
     no DriveSpectrum is built. On the omega axis the worldline's failure is
     the sweep's: it raises, with the class and message of the scalar path."""
-    x = np.asarray(spec.x, dtype=float)
-    size = 1 if spec.axis is SweepAxis.OMEGA else x.size
-    wd = x if spec.axis is SweepAxis.OMEGA_D else np.full(size, float(spec.omega_d))
-    abar = x if spec.axis is SweepAxis.ABAR else np.full(size, spec.abar, dtype=float)
+    size = 1 if spec.axis is SweepAxis.OMEGA else spec.x.size
+    wd = spec.x if spec.axis is SweepAxis.OMEGA_D else np.full(size, float(spec.omega_d))
+    abar = spec.x if spec.axis is SweepAxis.ABAR else np.full(size, spec.abar, dtype=float)
     failures: dict[int, tuple[type, str]] = {}
     with np.errstate(all="ignore"):  # points without a worldline are NaN
         if spec.A is not None and kind in spec.A:
@@ -519,7 +520,6 @@ def _evaluate_sweep(
 ) -> list[SpectrumDataset]:
     """One dataset per (trajectory, temperature) from the judged curves."""
     datasets: list[SpectrumDataset] = []
-    x = np.asarray(spec.x, dtype=float)
     for kind in spec.trajectories:
         curve = curves[kind]
         # The curve's validity report is the table at its mid worldline (an
@@ -541,10 +541,10 @@ def _evaluate_sweep(
             if spec.axis is not SweepAxis.OMEGA_D:
                 meta["omega_d"] = _fmt(spec.omega_d)
 
-            probe = float(np.max(x)) if spec.axis is SweepAxis.OMEGA else float(spec.omega)
+            probe = float(np.max(spec.x)) if spec.axis is SweepAxis.OMEGA else float(spec.omega)
             at = replace(curve.bounds.at(mid), omega=probe, T=T)
             if spec.axis is SweepAxis.OMEGA:
-                vals = _n_out(x, T, at.omega_d, curve.weights)
+                vals = _n_out(spec.x, T, at.omega_d, curve.weights)
                 meta["A"] = _fmt(at.A)
                 p = TrajectoryParams(kind, float(at.A), float(at.omega_d), at.c.v)
                 meta["abar_realized"] = _fmt(average_acceleration(p))
@@ -558,9 +558,9 @@ def _evaluate_sweep(
 
             if failures:
                 meta["failures"] = "|".join(failures)
-            datasets.append(
-                SpectrumDataset(axis=spec.axis, x=x.copy(), n_out=np.asarray(vals), metadata=meta)
-            )
+            datasets.append(SpectrumDataset(
+                axis=spec.axis, x=spec.x.copy(), n_out=np.asarray(vals), metadata=meta
+            ))
     return datasets
 
 
@@ -964,7 +964,7 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
 
     if fid == "nout_vs_abar":
         ejo = _relativistic_bias_ratios(c)
-        grid = tuple(np.linspace(5e18, 30e18, 401))
+        grid = np.linspace(5e18, 30e18, 401)
         return [
             SweepSpec(
                 figure_id=fid,
@@ -997,7 +997,7 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
             SweepSpec(
                 figure_id=fid,
                 axis=SweepAxis.ABAR,
-                x=tuple(np.linspace(1e17, 1.5e18, 401)),
+                x=np.linspace(1e17, 1.5e18, 401),
                 trajectories=_ALL,
                 temperatures=(0.0,),
                 omega_d=wd_base,

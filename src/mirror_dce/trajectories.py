@@ -13,7 +13,10 @@ Positions returned by `position` are centered: the mean over one coordinate
 period is subtracted, so only the oscillating part remains (the raw AUA
 worldline carries a static offset v^2/A that must not enter drive synthesis).
 
-All functions are pure functions of immutable parameter values.
+The SM and SA proper times and averages are incomplete elliptic integrals
+(`ellip_e`, `ellip_f`); `solve_acceleration_parameter` inverts the average
+with Brent's method (`find_root`). All functions are pure functions of
+immutable parameter values.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 from scipy import special
+from scipy.optimize import brentq
 
 from .constants import C_LIGHT
-from .numerics import ellip_e, ellip_f, find_root
 
 __all__ = [
     "SUBLUMINAL_MARGIN",
@@ -36,6 +40,9 @@ __all__ = [
     "average_acceleration",
     "coordinate_period",
     "directional_acceleration",
+    "ellip_e",
+    "ellip_f",
+    "find_root",
     "position",
     "proper_period",
     "proper_time",
@@ -54,6 +61,87 @@ SYNTHESIS_SAMPLES = 4096
 # inversion leaves A to the scalar solver: over 100 times the largest
 # difference between the two (6e-13).
 _BRACKET_MARGIN = 1e-10
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _check_elliptic_domain(phi, m, strict: bool) -> None:
+    # The integrands contain sqrt(1 - m sin^2 theta). With m <= 1 the float
+    # product reaches 1 only where m and |sin theta| are exactly 1; F's
+    # integrand is singular there, E's is 0. One reduction decides both
+    # checks: the largest m, NaN ignored.
+    m_arr = np.asarray(m, dtype=float)
+    m_max = float(np.fmax.reduce(m_arr, axis=None, initial=-math.inf))
+    if m_max > 1.0:
+        raise ValueError(f"elliptic parameter m = {m_max:.6g} lies outside the domain m <= 1")
+    if strict and m_max == 1.0:
+        phi_arr = np.asarray(phi, dtype=float)
+        sin_sq_one = (np.abs(phi_arr) >= np.pi / 2.0) | (np.abs(np.sin(phi_arr)) == 1.0)
+        if np.any(sin_sq_one & (m_arr == 1.0)):
+            raise ValueError(
+                "elliptic integrand leaves the real domain: "
+                "m*sin^2(theta) reaches 1 on the integration range"
+            )
+
+
+def _eval_elliptic(phi, m, second_kind: bool):
+    fn = special.ellipeinc if second_kind else special.ellipkinc
+    out = fn(phi, m)
+    return float(out) if np.isscalar(phi) and np.isscalar(m) else out
+
+
+def ellip_e(phi, m):
+    """Incomplete elliptic integral of the second kind in the parameter
+    convention (m, not the modulus k):
+    E(phi, m) = int_0^phi sqrt(1 - m sin^2 theta) dtheta.
+
+    Scalars or arrays (broadcast). Any m <= 1 is valid (negative m too; the
+    worldlines only reach m < 1); any m > 1 raises ValueError. phi may
+    exceed pi/2, with the periodic extension
+    E(phi + pi, m) = E(phi, m) + 2 E(pi/2, m).
+    """
+    _check_elliptic_domain(phi, m, strict=False)
+    return _eval_elliptic(phi, m, second_kind=True)
+
+
+def ellip_f(phi, m):
+    """Incomplete elliptic integral of the first kind in the parameter
+    convention: F(phi, m) = int_0^phi dtheta / sqrt(1 - m sin^2 theta).
+
+    As `ellip_e` (m <= 1, periodic extension in phi), and strict: an
+    integrand that is singular on the range (m sin^2 theta = 1) raises
+    ValueError.
+    """
+    _check_elliptic_domain(phi, m, strict=True)
+    return _eval_elliptic(phi, m, second_kind=False)
+
+
+def find_root(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
+) -> float:
+    """Root of f on the bracket [lo, hi] via Brent's method.
+
+    Requires a sign change (f(lo) * f(hi) <= 0). `tol` is relative to the
+    bracket scale (floored at 1). Deterministic for a given f and bracket.
+    """
+    lo = float(lo)
+    hi = float(hi)
+    if not lo < hi:
+        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    flo = float(f(lo))
+    fhi = float(f(hi))
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError(
+            f"no sign change on bracket [{lo}, {hi}]: f(lo)={flo!r}, f(hi)={fhi!r}"
+        )
+    xtol = tol * max(1.0, abs(lo), abs(hi))
+    return float(
+        brentq(f, lo, hi, xtol=xtol, rtol=max(tol, 4.0 * _EPS), maxiter=200)
+    )
 
 
 class TrajectoryKind(str, Enum):

@@ -20,12 +20,13 @@ from typing import Callable
 import numpy as np
 
 from mirror_dce.circuit import CircuitParams, DriveSpectrum, effective_length
-from mirror_dce.numerics import ellip_e, ellip_f
 from mirror_dce.scattering import reflection
 from mirror_dce.trajectories import (
     TrajectoryParams,
     coordinate_period,
     directional_acceleration,
+    ellip_e,
+    ellip_f,
     position,
 )
 

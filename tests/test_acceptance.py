@@ -15,6 +15,7 @@ from mirror_dce.circuit import (
     effective_length,
     _synthesis_grid,
     external_flux,
+    fourier_decompose,
     trajectory_to_drive,
 )
 from mirror_dce.constants import PHI0
@@ -26,7 +27,6 @@ from mirror_dce.experiments import (
     reproduce,
     run_sweep,
 )
-from mirror_dce.numerics import fourier_decompose
 from mirror_dce.scattering import (
     ThermalInput,
     output_spectrum,

@@ -15,11 +15,11 @@ from mirror_dce.circuit import (
     effective_length,
     export_flux_waveform,
     external_flux,
+    fourier_decompose,
     trajectory_to_drive,
     validate,
 )
 from mirror_dce.constants import C_LIGHT, PHI0
-from mirror_dce.numerics import fourier_decompose
 from mirror_dce.trajectories import (
     TrajectoryKind,
     TrajectoryParams,

@@ -466,6 +466,8 @@ class TestCommands:
              "n_max must be an integer in [0, 512], got 600"),
             (["flux", "--kind", "sa", "--abar", "9.054e17", "--fd", "18e9", "--nmax", "600"],
              "n_max must be an integer in [0, 512], got 600"),
+            (["sweep", "--kind", "sa", "--axis", "omega_d", "--min=-5e9", "--max", "20e9",
+              "--abar", "2e18", "--w", "7e9"], "--min: must be positive, got '-5e9'"),
         ],
     )
     def test_bad_flag_values_exit_nonzero_and_write_nothing(

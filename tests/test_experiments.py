@@ -15,6 +15,7 @@ from mirror_dce.circuit import (
     DriveWarning,
     RealizabilityError,
     _synthesis_grid,
+    fourier_decompose,
     trajectory_to_drive,
 )
 from mirror_dce.experiments import (
@@ -35,7 +36,6 @@ from mirror_dce.experiments import (
     worldline_dataset,
     write_spectrum_datasets,
 )
-from mirror_dce.numerics import fourier_decompose
 from mirror_dce.scattering import ThermalInput, output_spectrum
 from mirror_dce.trajectories import (
     TrajectoryKind,
@@ -677,6 +677,18 @@ class TestRunSweep:
             trajectories=(TrajectoryKind.SA,), n_max=n_max, omega_d=1e11, abar=1e18,
         )
         assert spec.n_max == n_max
+
+    def test_spec_grid_is_a_read_only_copy(self):
+        grid = np.array([1.0, 2.0, 3.0])
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.OMEGA, x=grid,
+            trajectories=(TrajectoryKind.SA,), omega_d=1e11, abar=1e18,
+        )
+        assert spec.x.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            spec.x[0] = 5.0
+        grid[0] = 5.0  # the caller's array stays its own
+        np.testing.assert_array_equal(spec.x, [1.0, 2.0, 3.0])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least 2"):

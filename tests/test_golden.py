@@ -36,11 +36,11 @@ _spec = importlib.util.spec_from_file_location(
 )
 freeze_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(freeze_golden)
-RTOL = 1e-12
-FLOOR_OF_PEAK = 1e-12
+RTOL = freeze_golden.RTOL
+FLOOR_OF_PEAK = freeze_golden.FLOOR_OF_PEAK
 # Table column whose per-kind peak floors every other column (default: the
 # column's own peak).
-FLOOR_COLUMN = {"fig2": "magnitude"}
+FLOOR_COLUMN = freeze_golden.FLOOR_COLUMN
 
 
 @pytest.mark.parametrize("figure", sorted(GOLDEN["figures"]))
@@ -130,3 +130,13 @@ def test_cli_output_matches_golden(name, tmp_path):
             columns[column], ref, rtol=RTOL, atol=FLOOR_OF_PEAK * peak,
             err_msg=f"{name} {column}",
         )
+
+
+def test_check_cli_passes_and_writes_nothing(capsys):
+    golden_dir = Path(__file__).parent / "golden"
+    before = {path.name: path.read_bytes() for path in golden_dir.iterdir()}
+    assert freeze_golden.main(["--check", "cli"]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert sorted(line.split()[0] for line in report[:-1]) == sorted(CLI_GOLDEN["outputs"])
+    assert report[-1].startswith("worst ")
+    assert {path.name: path.read_bytes() for path in golden_dir.iterdir()} == before

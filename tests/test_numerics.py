@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirror_dce.numerics import ellip_e, ellip_f, find_root, fourier_decompose
+from mirror_dce.circuit import fourier_decompose
+from mirror_dce.trajectories import ellip_e, ellip_f, find_root
 from oracles import (
     ConvergenceError,
     Quadrature,

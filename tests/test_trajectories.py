@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mirror_dce.circuit import fourier_decompose
 from mirror_dce.experiments import first_harmonic_amplitude
-from mirror_dce.numerics import find_root, fourier_decompose
 from mirror_dce.trajectories import (
     TrajectoryKind,
     TrajectoryParams,
     average_acceleration,
     coordinate_period,
     directional_acceleration,
+    find_root,
     position,
     proper_period,
     proper_time,
