@@ -46,8 +46,9 @@ TABLE_STEP = {"fig1": 10, "fig2": 1}
 STEP = 10
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-# Golden tolerances: rtol, and an absolute floor of FLOOR_OF_PEAK times a
-# peak (a curve's, a column's, or that of FLOOR_COLUMN for a figure's table).
+# The tolerances of tests/test_golden.py (which checks that they match): rtol,
+# and an absolute floor of FLOOR_OF_PEAK times a peak (a curve's, a column's,
+# or that of FLOOR_COLUMN for a figure's table).
 RTOL = 1e-12
 FLOOR_OF_PEAK = 1e-12
 FLOOR_COLUMN = {"fig2": "magnitude"}

@@ -36,11 +36,11 @@ _spec = importlib.util.spec_from_file_location(
 )
 freeze_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(freeze_golden)
-RTOL = freeze_golden.RTOL
-FLOOR_OF_PEAK = freeze_golden.FLOOR_OF_PEAK
+RTOL = 1e-12
+FLOOR_OF_PEAK = 1e-12
 # Table column whose per-kind peak floors every other column (default: the
 # column's own peak).
-FLOOR_COLUMN = freeze_golden.FLOOR_COLUMN
+FLOOR_COLUMN = {"fig2": "magnitude"}
 
 
 @pytest.mark.parametrize("figure", sorted(GOLDEN["figures"]))
@@ -133,6 +133,10 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 def test_check_cli_passes_and_writes_nothing(capsys):
+    # --check judges with this file's tolerances.
+    assert (freeze_golden.RTOL, freeze_golden.FLOOR_OF_PEAK, freeze_golden.FLOOR_COLUMN) == (
+        RTOL, FLOOR_OF_PEAK, FLOOR_COLUMN
+    )
     golden_dir = Path(__file__).parent / "golden"
     before = {path.name: path.read_bytes() for path in golden_dir.iterdir()}
     assert freeze_golden.main(["--check", "cli"]) == 0
