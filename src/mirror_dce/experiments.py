@@ -262,14 +262,14 @@ def select_parameters(
 # sweep specification and execution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
     """One figure-class sweep: which axis varies, over which grid, for which
     worldline kinds and temperatures, and what is held fixed.
 
     A and ejo_ratio may pin per-kind values; otherwise A is re-solved from
     `abar` and the bias is normalized per configuration. The grid `x` is
-    stored as a read-only float64 copy."""
+    stored as a read-only float64 copy. Specs compare and hash by identity."""
 
     figure_id: str
     axis: SweepAxis

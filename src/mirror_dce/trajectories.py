@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .constants import C_LIGHT
 
@@ -63,6 +62,9 @@ SYNTHESIS_SAMPLES = 4096
 _BRACKET_MARGIN = 1e-10
 
 _EPS = float(np.finfo(float).eps)
+
+# scipy's message for a NaN value of f, which `find_root` keeps.
+_NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
 
 
 def _check_elliptic_domain(phi, m, strict: bool) -> None:
@@ -121,8 +123,12 @@ def find_root(
 ) -> float:
     """Root of f on the bracket [lo, hi] via Brent's method.
 
-    Requires a sign change (f(lo) * f(hi) <= 0). `tol` is relative to the
-    bracket scale (floored at 1). Deterministic for a given f and bracket.
+    Requires a sign change: f(lo) and f(hi) of opposite signs, or one of them
+    zero. `tol` is relative to the bracket scale (floored at 1). The loop
+    follows scipy's C Brent solver step for step, with xtol = tol * max(1,
+    |lo|, |hi|), rtol = max(tol, 4 eps) and 200 iterations, so it returns
+    scipy's float from the same evaluations of f. A NaN value of f raises
+    ValueError; no convergence in 200 iterations raises RuntimeError.
     """
     lo = float(lo)
     hi = float(hi)
@@ -134,14 +140,51 @@ def find_root(
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    for x, fx in ((lo, flo), (hi, fhi)):
+        if math.isnan(fx):
+            raise ValueError(_NAN_VALUE.format(x))
+    if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(
             f"no sign change on bracket [{lo}, {hi}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     xtol = tol * max(1.0, abs(lo), abs(hi))
-    return float(
-        brentq(f, lo, hi, xtol=xtol, rtol=max(tol, 4.0 * _EPS), maxiter=200)
-    )
+    rtol = max(tol, 4.0 * _EPS)
+    # pre: the previous iterate; cur: the best one; blk: the far end of the
+    # current bracket. spre/scur: the step before last and the last step.
+    xpre, fpre, xcur, fcur = lo, flo, hi, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(_NAN_VALUE.format(xcur))
+    raise RuntimeError("Failed to converge after 200 iterations.")
 
 
 class TrajectoryKind(str, Enum):

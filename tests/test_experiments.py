@@ -690,6 +690,18 @@ class TestRunSweep:
         grid[0] = 5.0  # the caller's array stays its own
         np.testing.assert_array_equal(spec.x, [1.0, 2.0, 3.0])
 
+    def test_specs_compare_and_hash_by_identity(self):
+        def spec():
+            return SweepSpec(
+                figure_id="t", axis=SweepAxis.OMEGA, x=(1.0, 2.0),
+                trajectories=(TrajectoryKind.SA,), omega_d=1e11, abar=1e18,
+            )
+
+        a, b = spec(), spec()
+        assert a == a
+        assert a != b
+        assert {a, b, a} == {a, b}
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             SweepSpec(

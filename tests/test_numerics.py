@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
+import mirror_dce
 from mirror_dce.circuit import fourier_decompose
 from mirror_dce.trajectories import ellip_e, ellip_f, find_root
 from oracles import (
@@ -188,6 +194,9 @@ class TestFindRoot:
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError, match="sign change"):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        # f(lo) * f(hi) underflows to 0 here; the signs still agree
+        with pytest.raises(ValueError, match="sign change"):
+            find_root(lambda x: 1e-200, 0.0, 1.0)
 
     def test_bad_bracket_raises(self):
         with pytest.raises(ValueError, match="bracket"):
@@ -209,6 +218,74 @@ class TestFindRoot:
 
         found = find_root(f, root - 3.0, root + 4.0, tol=1e-12)
         assert found == pytest.approx(root, abs=1e-9 * max(1.0, abs(root)))
+
+    @given(
+        root=st.floats(-1e6, 1e6),
+        left=st.floats(1e-3, 1e3),
+        right=st.floats(1e-3, 1e3),
+        shape=st.sampled_from(["cubic", "tanh", "exp", "sine"]),
+        tol=st.sampled_from([1e-8, 1e-12, 1e-13]),
+    )
+    def test_matches_scipy_brentq_bit_for_bit(self, root, left, right, shape, tol):
+        # The same float as scipy's brentq with find_root's tolerances, from
+        # exactly brentq's evaluations (the end values are not redone). Each
+        # g has the sign of y, so the one root is at x = root.
+        g = {
+            "cubic": lambda y: y**3 - 0.5 * y * abs(y) + 0.1 * y,
+            "tanh": lambda y: math.tanh(0.3 * y) - 0.1 * math.tanh(y),
+            "exp": lambda y: math.expm1(min(y, 50.0)),
+            "sine": lambda y: y + 0.9 * math.sin(3.0 * y),
+        }[shape]
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return g(x - root)
+
+        lo, hi = root - left, root + right
+        found = find_root(f, lo, hi, tol=tol)
+        expected, info = brentq(
+            lambda x: g(x - root), lo, hi,
+            xtol=tol * max(1.0, abs(lo), abs(hi)), rtol=max(tol, 4.0 * np.finfo(float).eps),
+            maxiter=200, full_output=True,
+        )
+        assert found.hex() == expected.hex()
+        assert calls[0] == info.function_calls
+
+    def test_non_convergence_raises_like_brentq(self):
+        # a step at 1e-200 bisected from [-1, 1] needs far more than 200 steps
+        def step(x):
+            return -1.0 if x < 1e-200 else 1.0
+
+        with pytest.raises(RuntimeError, match="200 iterations"):
+            find_root(step, -1.0, 1.0, tol=1e-300)
+        with pytest.raises(RuntimeError):
+            brentq(step, -1.0, 1.0, xtol=1e-300, maxiter=200)
+
+    @pytest.mark.parametrize("at", ["lo", "hi", "interior"])
+    def test_nan_value_raises(self, at):
+        def f(x):
+            nan = {"lo": x == -1.0, "hi": x == 2.0, "interior": -1.0 < x < 2.0}[at]
+            return math.nan if nan else x
+
+        with pytest.raises(ValueError, match="is NaN"):
+            find_root(f, -1.0, 2.0)
+
+    def test_non_positive_tol_raises(self):
+        with pytest.raises(ValueError, match="tol"):
+            find_root(lambda x: x, -1.0, 2.0, tol=0.0)
+
+    def test_package_import_leaves_scipy_optimize_out(self):
+        src = str(Path(mirror_dce.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, mirror_dce.cli, mirror_dce.experiments; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestFourierDecompose:

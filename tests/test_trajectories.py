@@ -388,7 +388,7 @@ class TestGridKernels:
          ("sm", "abar", 1e-12), ("sm", "omega_d", 1e-12), ("aua", "abar", 0.0)],
     )
     def test_grid_inversion_matches_the_scalar_solver(self, kind, axis, rtol):
-        # brentq's SM x-tolerance is absolute (1e-13), so SM differs by up to
+        # find_root's SM x-tolerance is absolute (1e-13), so SM differs by up to
         # 5.8e-13 where x = R omega_d / v is small.
         if axis == "abar":
             abar = np.linspace(1e17, 30e18, 201)
