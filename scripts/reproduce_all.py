@@ -22,8 +22,8 @@ def main() -> int:
         t1 = time.perf_counter()
         paths = reproduce(figure, out_dir)
         names = ", ".join(p.name for p in paths)
-        print(f"{figure}: {names}  ({time.perf_counter() - t1:.1f} s)")
-    print(f"done in {time.perf_counter() - t0:.1f} s -> {out_dir}/")
+        print(f"{figure}: {names}  ({time.perf_counter() - t1:.3f} s)")
+    print(f"done in {time.perf_counter() - t0:.2f} s -> {out_dir}/")
     return 0
 
 
