@@ -29,7 +29,7 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -264,7 +264,7 @@ def trajectory_to_drive(
     )
     _enforce(point, _rows("drive_depth", "tuning_ceiling"))
     a, b = fourier_decompose(z, p.omega_d, n_max)
-    _enforce(replace(point, ratio=np.hypot(a, b) / (2.0 * leff0)), _rows("aliasing"))
+    _enforce(point.updated(ratio=np.hypot(a, b) / (2.0 * leff0)), _rows("aliasing"))
     scale = c.E_J0 / leff0
     return DriveSpectrum(a0=2.0 * c.E_J0, a=scale * a, b=scale * b, omega_d=p.omega_d)
 
@@ -341,7 +341,13 @@ class _Quantities:
         if self.ratio.ndim == 1:
             return self
         names = ("ratio", "A", "omega_d", "bias", "leff", "z_peak")
-        return replace(self, **{n: getattr(self, n)[i] for n in names if np.ndim(getattr(self, n))})
+        return self.updated(**{n: getattr(self, n)[i] for n in names if np.ndim(getattr(self, n))})
+
+    def updated(self, **fields) -> _Quantities:
+        """`dataclasses.replace` without its __init__, for cheap point views."""
+        out = object.__new__(_Quantities)
+        out.__dict__.update(self.__dict__, **fields)
+        return out
 
 
 def _harmonic_ratio(q):

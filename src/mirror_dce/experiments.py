@@ -542,7 +542,7 @@ def _evaluate_sweep(
                 meta["omega_d"] = _fmt(spec.omega_d)
 
             probe = float(np.max(spec.x)) if spec.axis is SweepAxis.OMEGA else float(spec.omega)
-            at = replace(curve.bounds.at(mid), omega=probe, T=T)
+            at = curve.bounds.at(mid).updated(omega=probe, T=T)
             if spec.axis is SweepAxis.OMEGA:
                 vals = _n_out(spec.x, T, at.omega_d, curve.weights)
                 meta["A"] = _fmt(at.A)

@@ -14,9 +14,9 @@ period is subtracted, so only the oscillating part remains (the raw AUA
 worldline carries a static offset v^2/A that must not enter drive synthesis).
 
 The SM and SA proper times and averages are incomplete elliptic integrals
-(`ellip_e`, `ellip_f`); `solve_acceleration_parameter` inverts the average
-with Brent's method (`find_root`). All functions are pure functions of
-immutable parameter values.
+(`ellip_e`, `ellip_f`: the AGM and Carlson's duplication, DLMF 19.8, 19.36);
+`solve_acceleration_parameter` inverts the average with Brent's method
+(`find_root`). All functions are pure functions of immutable parameter values.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .constants import C_LIGHT
 
@@ -63,7 +62,11 @@ _BRACKET_MARGIN = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
-# scipy's message for a NaN value of f, which `find_root` keeps.
+# Steps of the elliptic kernels (relative error <= 4e-15 for m in [-1e6, 0.99],
+# <= 1.5e-14 over [-1e12, 1 - 1e-12]) and of the grid inversion's Newton phase.
+_AGM_STEPS, _CARLSON_STEPS, _NEWTON_STEPS, _WINDOW_ULP = 7, 8, 5, 64.0
+
+# The message of the C Brent solver for a NaN value of f, which `find_root` keeps.
 _NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
 
 
@@ -86,10 +89,61 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
             )
 
 
+def _agm(m, sqrt=np.sqrt):
+    """K(m) and E(m), m < 1, by the arithmetic-geometric mean (DLMF 19.8.1,
+    19.8.6), with c_{n+1} = c_n^2 / (4 a_{n+1}), which does not cancel."""
+    a, b, c_sq, total = 1.0, sqrt(1.0 - m), m, 0.5 * m
+    for n in range(_AGM_STEPS):
+        a, b, c = 0.5 * (a + b), sqrt(a * b), c_sq / (2.0 * (a + b))
+        c_sq = c * c
+        total += 2.0**n * c_sq
+    return 0.5 * math.pi / a, 0.5 * math.pi / a * (1.0 - total)
+
+
+def _carlson(x, y, sqrt):
+    """R_F(x, y, 1) and R_D(x, y, 1), x, y >= 0, by duplication and Carlson's
+    fifth-order series (Numer. Algorithms 10, 13-26 (1995))."""
+    z, rd_sum, scale = 1.0, 0.0, 1.0
+    for _ in range(_CARLSON_STEPS):
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        rd_sum, scale = rd_sum + scale / (sz * (z + lam)), 0.25 * scale
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    mean = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    e2, e3 = dx * dy - (dx + dy) * (dx + dy), -dx * dy * (dx + dy)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mean)
+    mean = (x + y + 3.0 * z) / 5.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    xy, dz = dx * dy, -(dx + dy) / 3.0
+    zz = dz * dz
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz, 3.0 * (xy - zz) * zz, xy * zz * dz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, scale * series / (mean * sqrt(mean)) + 3.0 * rd_sum
+
+
 def _eval_elliptic(phi, m, second_kind: bool):
-    fn = special.ellipeinc if second_kind else special.ellipkinc
-    out = fn(phi, m)
-    return float(out) if np.isscalar(phi) and np.isscalar(m) else out
+    # phi = n pi + p, |p| <= pi/2: n pi adds 2n complete integrals, p = +-pi/2
+    # is one. 1 - m sin^2 p is written c^2 + (1 - m) s^2, which does not
+    # cancel near m = 1. Scalars stay in `math`, ten times faster than numpy.
+    scalar = np.isscalar(phi) and np.isscalar(m)
+    xp = math if scalar else np
+    n = (phi / math.pi + 0.5) // 1.0  # floor; NaN for NaN and inf
+    p = phi - n * math.pi
+    k, e = _agm(m, xp.sqrt)
+    if second_kind:  # E(1) = 1, which no AGM pass reaches
+        k = (1.0 if m == 1.0 else e) if scalar else np.where(m == 1.0, 1.0, e)
+    edge = abs(p) == 0.5 * math.pi
+    if scalar and (edge or p == 0.0):
+        part = math.copysign(k, p) if edge else 0.0
+    else:
+        s, c = xp.sin(p), xp.cos(p)
+        rf, rd = _carlson(c * c, c * c + (1.0 - m) * s * s, xp.sqrt)
+        part = s * rf - (m / 3.0) * (s * s * s) * rd if second_kind else s * rf
+        part = part if scalar else np.where(edge, np.copysign(k, p), part)
+    out = 2.0 * n * k + part
+    return float(out) if scalar else out
 
 
 def ellip_e(phi, m):
@@ -125,10 +179,10 @@ def find_root(
 
     Requires a sign change: f(lo) and f(hi) of opposite signs, or one of them
     zero. `tol` is relative to the bracket scale (floored at 1). The loop
-    follows scipy's C Brent solver step for step, with xtol = tol * max(1,
-    |lo|, |hi|), rtol = max(tol, 4 eps) and 200 iterations, so it returns
-    scipy's float from the same evaluations of f. A NaN value of f raises
-    ValueError; no convergence in 200 iterations raises RuntimeError.
+    follows the C Brent solver `brentq` step for step, with xtol = tol *
+    max(1, |lo|, |hi|), rtol = max(tol, 4 eps) and 200 iterations, so it
+    returns brentq's float from the same evaluations of f. A NaN value of f
+    raises ValueError; no convergence in 200 iterations raises RuntimeError.
     """
     lo = float(lo)
     hi = float(hi)
@@ -398,25 +452,16 @@ def solve_acceleration_parameter(
     return find_root(lambda a: abar_of(a) - abar_target, lo, hi, tol=1e-13)
 
 
-def _bisect(f, target, lo, hi):
-    """Elementwise root of the increasing f(x) = target in [lo, hi], bisected
-    down to adjacent floats; NaN where target is NaN."""
-    lo, hi = np.broadcast_arrays(np.where(np.isnan(target), np.nan, lo), hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi) | np.isnan(mid)):
-            return mid
-        below = f(mid) < target
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-
-
 def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     """`solve_acceleration_parameter` over arrays abar, omega_d (broadcast).
 
-    Bisects the closed-form average in one variable: x = R omega_d / v
+    Inverts the closed-form average in one variable: x = R omega_d / v
     (abar = v omega_d atanh(x) / E(x^2)) for SM and beta = 2 A / (v omega_d)
     (abar = v omega_d asinh(beta) / K(-beta^2)) for SA; AUA has A = abar.
-    NaN where the scalar solver raises, and for SM within `_BRACKET_MARGIN`
+    Newton steps (for SM in atanh(x), where it is nearly linear) come within
+    a few ulp of the root; bisection narrows +-`_WINDOW_ULP` ulp about them,
+    or the whole bracket where that misses the root, to adjacent floats. NaN
+    where the scalar solver raises, and for SM within `_BRACKET_MARGIN`
     (relative) of its bracket ends."""
     kind = TrajectoryKind(kind)
     abar, omega_d = np.broadcast_arrays(
@@ -428,16 +473,37 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
         out[ok] = abar[ok]
         return out
     r = abar[ok] / (v * omega_d[ok])
+    # Newton's seed: the average over v omega_d runs from (2/pi) t to t.
+    x = 0.5 * math.pi * r / (1.0 + (0.5 * math.pi - 1.0) * np.tanh(r))
     if kind is TrajectoryKind.SA:
         # abar / A lies in (4/pi, 2), so beta lies in (r, (pi/2) r).
-        f = lambda b: np.arcsinh(b) / special.ellipk(-(b**2))
+        f = lambda b: np.arcsinh(b) / _agm(-(b**2))[0]
         lo, hi, scale = r, 1.6 * r, 0.5
+
+        def newton(b):  # by dK/dm = (E - (1 - m) K) / (2 m (1 - m))
+            (k, e), s, asinh_b = _agm(-(b**2)), 1.0 + b**2, np.arcsinh(b)
+            return b - (asinh_b / k - r) * k**2 / (k / np.sqrt(s) + asinh_b * (s * k - e) / (b * s))
     else:  # on the scalar solver's bracket
-        f = lambda x: np.arctanh(x) / special.ellipe(x**2)
+        f = lambda x: np.arctanh(x) / _agm(x**2)[1]
         lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
         inside = (r > f(lo) * (1.0 + _BRACKET_MARGIN)) & (r < f(hi) * (1.0 - _BRACKET_MARGIN))
-        r = np.where(inside, r, np.nan)
-    out[ok] = scale * _bisect(f, r, lo, hi) * v * omega_d[ok]
+        r, x = np.where(inside, r, np.nan), np.where(inside, np.tanh(x), np.nan)
+
+        def newton(x):  # in u = atanh(x), f = u / E(tanh^2 u); by dE/dm = (E - K) / (2 m)
+            (k, e), u = _agm(x**2), np.arctanh(x)
+            return np.tanh(u - (u / e - r) * e**2 / (e - u * (e - k) * (1.0 - x**2) / x))
+    for _ in range(_NEWTON_STEPS):
+        x = np.clip(newton(x), lo, hi)
+    width = _WINDOW_ULP * np.spacing(x)
+    w_lo, w_hi = np.maximum(x - width, lo), np.minimum(x + width, hi)
+    held = (f(w_lo) < r) & (f(w_hi) >= r)
+    # Bisect to adjacent floats, in the window where it holds the root.
+    lo = np.where(held, w_lo, np.where(np.isnan(r), np.nan, lo))
+    hi = np.where(held, w_hi, hi)
+    while not np.all(((x := 0.5 * (lo + hi)) == lo) | (x == hi) | np.isnan(x)):
+        below = f(x) < r
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+    out[ok] = scale * x * v * omega_d[ok]
     return out
 
 

@@ -8,6 +8,10 @@ negative-parameter route from the imaginary-modulus transformation.
 `scatter_amplitudes` spells out the first-order sideband amplitudes one
 by one; `output_spectrum` sums their squares in closed form.
 
+`grid_acceleration_parameter_bisected` is the grid inversion as plain
+bisection on scipy's complete elliptic integrals, the package's own
+kernels left out.
+
 `integrate` (adaptive Simpson) interprets its tolerance relative to the
 magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
 relative target for O(1) integrals and an absolute one for tiny ones.
@@ -18,10 +22,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from mirror_dce.circuit import CircuitParams, DriveSpectrum, effective_length
 from mirror_dce.scattering import reflection
 from mirror_dce.trajectories import (
+    _BRACKET_MARGIN,
+    SUBLUMINAL_MARGIN,
+    TrajectoryKind,
     TrajectoryParams,
     coordinate_period,
     directional_acceleration,
@@ -193,6 +201,42 @@ def ellip_e_imag_modulus(phi: float, mu: float) -> float:
         / math.sqrt(1.0 - m1 * math.sin(theta) ** 2)
     )
     return math.sqrt(1.0 + mu) * (ellip_e(theta, m1) - correction)
+
+
+def grid_acceleration_parameter_bisected(kind, abar, omega_d, v: float):
+    """The grid inversion by plain bisection down to adjacent floats, on
+    scipy's complete elliptic integrals: x = R omega_d / v solves
+    atanh(x) / E(x^2) = abar / (v omega_d) for SM, beta = 2 A / (v omega_d)
+    solves asinh(beta) / K(-beta^2) = abar / (v omega_d) for SA; AUA has
+    A = abar. NaN where the scalar solver raises, and for SM near its
+    bracket ends."""
+    kind = TrajectoryKind(kind)
+    abar, omega_d = np.broadcast_arrays(
+        np.asarray(abar, dtype=float), np.asarray(omega_d, dtype=float)
+    )
+    out = np.full(abar.shape, np.nan)
+    ok = (abar > 0.0) & (abar < math.inf) & (omega_d > 0.0) & (omega_d < math.inf)
+    if kind is TrajectoryKind.AUA:
+        out[ok] = abar[ok]
+        return out
+    r = abar[ok] / (v * omega_d[ok])
+    if kind is TrajectoryKind.SA:
+        f = lambda b: np.arcsinh(b) / special.ellipk(-(b**2))
+        lo, hi, scale = r, 1.6 * r, 0.5
+    else:
+        f = lambda x: np.arctanh(x) / special.ellipe(x**2)
+        lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
+        inside = (r > f(lo) * (1.0 + _BRACKET_MARGIN)) & (r < f(hi) * (1.0 - _BRACKET_MARGIN))
+        r = np.where(inside, r, np.nan)
+    lo, hi = np.broadcast_arrays(np.where(np.isnan(r), np.nan, lo), hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi) | np.isnan(mid)):
+            break
+        below = f(mid) < r
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    out[ok] = scale * mid * v * omega_d[ok]
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mirror_dce
 from mirror_dce.circuit import CircuitParams, trajectory_to_drive
 from mirror_dce.cli import (
     _SETTINGS,
@@ -587,3 +591,68 @@ class TestCommands:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+
+# Runs every command family in one interpreter where importing any scipy
+# module raises, and prints each exit status, then the scipy modules loaded.
+_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+from mirror_dce.cli import main
+
+out, cfg = sys.argv[1:]
+point = ["--abar", "9.054e17", "--fd", "18e9"]
+runs = [
+    ["traj", "--kind", "sm", *point, "--points", "256", "--out", f"{out}/traj_sm.csv"],
+    ["traj", "--kind", "sa", *point, "--points", "256", "--out", f"{out}/traj_sa.csv"],
+    ["flux", "--kind", "sa", *point, "--points", "64", "--out", f"{out}/flux.csv"],
+    ["drive", "--kind", "sm", *point, "--nmax", "3", "--out", f"{out}/drive.csv"],
+    ["spectrum", "--kind", "sa", *point, "--points", "32", "--out", f"{out}/spectrum.csv"],
+    ["sweep", "--config", cfg, "--kind", "sa", "--axis", "abar", "--min", "5e18",
+     "--max", "3e19", "--points", "7", "--fd", "14.6e9", "--w", "7.3e9",
+     "--out", f"{out}/sweep_abar.csv"],
+    ["sweep", "--kind", "sm", "--axis", "omega_d", "--min", "10e9", "--max", "30e9",
+     "--points", "9", "--abar", "2e18", "--w", "7e9", "--out", f"{out}/sweep_omega_d.csv"],
+    *(["reproduce", fig, "--out", out] for fig in ("fig1", "fig2", "fig5")),
+]
+for argv in runs:
+    print("exit", main(argv), " ".join(argv[:2]))
+print("scipy", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(mirror_dce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+class TestWithoutScipy:
+    def test_package_import_loads_no_scipy_module(self):
+        out = _run_python(
+            "import sys, mirror_dce.cli, mirror_dce.experiments; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text("[circuit]\nej0_ratio = 0.1\n")
+        out = _run_python(_WITHOUT_SCIPY, str(tmp_path), str(cfg))
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        statuses = [ln for ln in lines if ln.startswith("exit ")]
+        assert len(statuses) == 10 and all(ln.startswith("exit 0 ") for ln in statuses), lines
+        assert "scipy []" in lines
+        for name in ("traj_sm", "traj_sa", "drive", "spectrum", "sweep_abar", "sweep_omega_d",
+                     "fig1_worldlines", "fig2_fourier", "fig5_nout_vs_wd_0"):
+            assert (tmp_path / f"{name}.csv").stat().st_size > 0, name

@@ -110,6 +110,29 @@ def test_table_preset_matches_golden(figure, reference_circuit, tmp_path):
                 )
 
 
+def test_fig2_is_the_benchmark_reference_bit_for_bit(tmp_path):
+    # The benchmark's presets check compares fig2 at rtol 1e-12 with a floor
+    # of 1e-12 times each column's own peak, and b_n is ~1e-39 J of round-off:
+    # any change to the SA worldline's A moves it. This reads that reference
+    # (and the A the golden file holds) and compares exactly.
+    reference = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "presets.json")
+        .read_text(encoding="utf-8")
+    )["outputs"]["fig2_fourier.csv"]["curves"]
+    (path,) = reproduce("fig2", tmp_path)
+    meta, columns = read_table(path)
+    assert meta["A.sa"] == GOLDEN["tables"]["fig2"]["fig2_fourier.csv"]["metadata"]["A.sa"]
+    assert meta["A.sa"] == "1.3690497768574747e+19"
+    kinds = columns.pop("trajectory")
+    assert sorted(reference) == sorted(f"fig2_fourier.csv|{kind}" for kind in set(kinds))
+    for name, curve in reference.items():
+        rows = [i for i, k in enumerate(kinds) if k == name.split("|")[1]]
+        for column, frozen in curve["series"].items():
+            got = [columns[column][rows[i]] for i in frozen["idx"]]
+            assert got == frozen["values"], f"{name} {column}"
+        assert "b_n" in curve["series"]
+
+
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN["outputs"]))
 def test_cli_output_matches_golden(name, tmp_path):
     want = CLI_GOLDEN["outputs"][name]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 from scipy.optimize import brentq
 
 import mirror_dce
@@ -134,6 +135,48 @@ class TestEllipticIntegrals:
             ellip_f(np.array([0.3, 0.3]), np.array([0.5, 2.0]))
         assert np.all(np.isfinite(ellip_f(np.array([1.2, 0.3]), np.array([1.0, 1.0]))))
         assert ellip_e(np.array([math.pi / 2]), np.array([1.0]))[0] == 1.0
+
+    @pytest.mark.parametrize("fn, oracle", [(ellip_e, special.ellipeinc), (ellip_f, special.ellipkinc)])
+    def test_match_scipy_over_the_worldlines_parameter_range(self, fn, oracle):
+        # m spans the SA parameters -beta^2 down to -1e6 and the SM x^2 up to
+        # 1 - 1e-8; phi covers two periods each way. Near m = 1 the AGM's E
+        # cancels, so the bound there is looser.
+        rng = np.random.default_rng(19)
+        m = np.concatenate([
+            -np.geomspace(1e6, 1e-8, 20000),
+            rng.uniform(-1.0, 0.99, 20000),
+            1.0 - np.geomspace(1e-2, 1e-8, 20000),
+        ])
+        phi = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, m.size)
+        want = oracle(phi, m)
+        got = fn(phi, m)
+        rel = np.abs(got / want - 1.0)
+        assert np.max(rel[m <= 0.99]) <= 5e-15
+        assert np.max(rel[m > 0.99]) <= 2e-14
+        # The scalar path runs in `math`, on the same operations.
+        for i in rng.choice(m.size, 300, replace=False).tolist():
+            scalar = fn(float(phi[i]), float(m[i]))
+            assert type(scalar) is float and scalar == got[i]
+            assert abs(scalar / want[i] - 1.0) <= (5e-15 if m[i] <= 0.99 else 2e-14)
+
+    @pytest.mark.parametrize("n_half", [-4, -1, 1, 2, 4])
+    def test_whole_half_periods_take_the_complete_values(self, n_half):
+        # phi = n pi/2 gives n complete integrals from the AGM. The oracle is
+        # scipy's complete ellipe/ellipk: its ellipkinc(pi/2, 1 - 1e-8) is
+        # 5.8e-14 off an mpmath value, the AGM's 2e-16.
+        m = np.concatenate([-np.geomspace(1e6, 1e-8, 200), np.linspace(0.0, 1.0 - 1e-8, 200)])
+        phi = n_half * (np.pi / 2.0)
+        for fn, oracle in ((ellip_e, special.ellipe), (ellip_f, special.ellipk)):
+            rel = np.abs(fn(phi, m) / (n_half * oracle(m)) - 1.0)
+            assert np.max(rel[m <= 0.99]) <= 5e-15 and np.max(rel) <= 2e-14
+            for mi in m[::37].tolist():
+                assert fn(phi, mi) == fn(np.array([phi]), np.array([mi]))[0]
+
+    def test_nan_in_nan_out(self):
+        for fn in (ellip_e, ellip_f):
+            assert math.isnan(fn(math.nan, 0.5)) and math.isnan(fn(0.3, math.nan))
+            got = fn(np.array([math.nan, 0.3, 0.3]), np.array([0.5, math.nan, 0.5]))
+            assert np.isnan(got[:2]).all() and np.isfinite(got[2])
 
 
 class TestIntegrate:

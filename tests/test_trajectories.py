@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mirror_dce import experiments, trajectories
 from mirror_dce.circuit import fourier_decompose
-from mirror_dce.experiments import first_harmonic_amplitude
+from mirror_dce.experiments import first_harmonic_amplitude, reproduce
 from mirror_dce.trajectories import (
     TrajectoryKind,
     TrajectoryParams,
@@ -26,7 +27,12 @@ from mirror_dce.trajectories import (
     _period_mean,
     _raw_position,
 )
-from oracles import abar_quadrature, period_mean_quadrature, velocity_fd
+from oracles import (
+    abar_quadrature,
+    grid_acceleration_parameter_bisected,
+    period_mean_quadrature,
+    velocity_fd,
+)
 
 TWO_PI = 2.0 * math.pi
 V = 0.4 * 2.99792458e8
@@ -408,3 +414,54 @@ class TestGridKernels:
         for bad in abar[1:]:
             with pytest.raises(ValueError):
                 solve_acceleration_parameter("sm", float(bad), omega_d, V)
+
+    @staticmethod
+    def inversion_grid(axis):
+        """The grids of test_grid_inversion_matches_the_scalar_solver."""
+        if axis == "abar":
+            abar = np.linspace(1e17, 30e18, 201)
+            return abar, np.full(abar.size, TWO_PI * 18e9)
+        omega_d = TWO_PI * np.linspace(10e9, 30e9, 201)
+        return np.full(omega_d.size, 2e19), omega_d
+
+    @pytest.mark.parametrize("whole_bracket", [False, True])
+    @pytest.mark.parametrize(
+        "kind, axis", [("sa", "abar"), ("sa", "omega_d"), ("sm", "abar"), ("sm", "omega_d")]
+    )
+    def test_grid_inversion_matches_bisection_on_scipy_kernels(
+        self, monkeypatch, kind, axis, whole_bracket
+    ):
+        # Within 4 ulp of bisecting the whole bracket with scipy's K and E.
+        # Without Newton steps no window holds the root, and every point is
+        # bisected over its whole bracket.
+        if whole_bracket:
+            monkeypatch.setattr(trajectories, "_NEWTON_STEPS", 0)
+        abar, omega_d = self.inversion_grid(axis)
+        got = _grid_acceleration_parameter(kind, abar, omega_d, V)
+        want = grid_acceleration_parameter_bisected(kind, abar, omega_d, V)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+    def test_grid_inversion_takes_at_most_16_kernel_calls(self, monkeypatch, tmp_path):
+        # One kernel call is one AGM pass over the grid (Newton steps, the
+        # window check, bisection and SM's bracket check), on the presets'
+        # sweep grids. Bisecting the whole bracket takes 52 or more.
+        calls, per_inversion = [0], []
+        agm, invert = trajectories._agm, experiments._grid_acceleration_parameter
+
+        def counted_agm(*args):
+            calls[0] += 1
+            return agm(*args)
+
+        def counted_invert(kind, *args):
+            calls[0] = 0
+            out = invert(kind, *args)
+            per_inversion.append((TrajectoryKind(kind), calls[0]))
+            return out
+
+        monkeypatch.setattr(trajectories, "_agm", counted_agm)
+        monkeypatch.setattr(experiments, "_grid_acceleration_parameter", counted_invert)
+        for figure in ("fig5", "fig6", "fig8"):
+            reproduce(figure, tmp_path)
+        assert {kind for kind, _ in per_inversion} == set(TrajectoryKind)
+        for kind, n in per_inversion:
+            assert n <= (0 if kind is TrajectoryKind.AUA else 16), kind
