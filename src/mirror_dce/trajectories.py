@@ -473,7 +473,7 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
         out[ok] = abar[ok]
         return out
     r = abar[ok] / (v * omega_d[ok])
-    # Newton's seed: the average over v omega_d runs from (2/pi) t to t.
+    # Newton's seed: f(t) runs from 2t/pi at small t to t at large t (t = beta, atanh(x)).
     x = 0.5 * math.pi * r / (1.0 + (0.5 * math.pi - 1.0) * np.tanh(r))
     if kind is TrajectoryKind.SA:
         # abar / A lies in (4/pi, 2), so beta lies in (r, (pi/2) r).
