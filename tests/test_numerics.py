@@ -136,7 +136,9 @@ class TestEllipticIntegrals:
         assert np.all(np.isfinite(ellip_f(np.array([1.2, 0.3]), np.array([1.0, 1.0]))))
         assert ellip_e(np.array([math.pi / 2]), np.array([1.0]))[0] == 1.0
 
-    @pytest.mark.parametrize("fn, oracle", [(ellip_e, special.ellipeinc), (ellip_f, special.ellipkinc)])
+    @pytest.mark.parametrize(
+        "fn, oracle", [(ellip_e, special.ellipeinc), (ellip_f, special.ellipkinc)]
+    )
     def test_match_scipy_over_the_worldlines_parameter_range(self, fn, oracle):
         # m spans the SA parameters -beta^2 down to -1e6 and the SM x^2 up to
         # 1 - 1e-8; phi covers two periods each way. Near m = 1 the AGM's E

@@ -388,6 +388,15 @@ class TestGridKernels:
         p = TrajectoryParams(TrajectoryKind.AUA, 1e17, omega_d, V)
         assert first_harmonic_amplitude(p) == pytest.approx(abs(want), rel=1e-15, abs=0.0)
 
+    @staticmethod
+    def inversion_grid(axis):
+        """A grid of abar at 18 GHz, or of omega_d at abar = 2e19 m/s^2."""
+        if axis == "abar":
+            abar = np.linspace(1e17, 30e18, 201)
+            return abar, np.full(abar.size, TWO_PI * 18e9)
+        omega_d = TWO_PI * np.linspace(10e9, 30e9, 201)
+        return np.full(omega_d.size, 2e19), omega_d
+
     @pytest.mark.parametrize(
         "kind, axis, rtol",
         [("sa", "abar", 1e-13), ("sa", "omega_d", 1e-13),
@@ -396,12 +405,7 @@ class TestGridKernels:
     def test_grid_inversion_matches_the_scalar_solver(self, kind, axis, rtol):
         # find_root's SM x-tolerance is absolute (1e-13), so SM differs by up to
         # 5.8e-13 where x = R omega_d / v is small.
-        if axis == "abar":
-            abar = np.linspace(1e17, 30e18, 201)
-            omega_d = np.full(abar.size, TWO_PI * 18e9)
-        else:
-            omega_d = TWO_PI * np.linspace(10e9, 30e9, 201)
-            abar = np.full(omega_d.size, 2e19)
+        abar, omega_d = self.inversion_grid(axis)
         got = _grid_acceleration_parameter(kind, abar, omega_d, V)
         want = [solve_acceleration_parameter(kind, a, w, V) for a, w in zip(abar, omega_d)]
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
@@ -414,15 +418,6 @@ class TestGridKernels:
         for bad in abar[1:]:
             with pytest.raises(ValueError):
                 solve_acceleration_parameter("sm", float(bad), omega_d, V)
-
-    @staticmethod
-    def inversion_grid(axis):
-        """The grids of test_grid_inversion_matches_the_scalar_solver."""
-        if axis == "abar":
-            abar = np.linspace(1e17, 30e18, 201)
-            return abar, np.full(abar.size, TWO_PI * 18e9)
-        omega_d = TWO_PI * np.linspace(10e9, 30e9, 201)
-        return np.full(omega_d.size, 2e19), omega_d
 
     @pytest.mark.parametrize("whole_bracket", [False, True])
     @pytest.mark.parametrize(
