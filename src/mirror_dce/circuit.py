@@ -18,9 +18,11 @@ the flux waveform, and judge the drive against the bounds of the flux-driven
 SQUID mirror (Johansson et al., PRL 103, 147003 (2009)). Each bound is one
 row of `_BOUNDS`: its value over arrays of point quantities (`_Quantities`),
 its limit, and what crossing the limit does: raise RealizabilityError, warn
-(DriveWarning, AliasingWarning), or enter the validity report only. The
-scalar paths (`trajectory_to_drive`, `DriveSpectrum`, `validate`) evaluate
-the rows at one point; sweeps evaluate them over a whole grid at once.
+(DriveWarning, AliasingWarning), or enter the validity report only. One
+evaluation of the rows (`_crossings`) serves both the errors and warnings
+and the report. The scalar paths (`trajectory_to_drive`, `DriveSpectrum`,
+`validate`) evaluate the rows at one point; sweeps evaluate them over a
+whole grid at once.
 """
 
 from __future__ import annotations
@@ -35,12 +37,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B, PHI0
-from .trajectories import (
-    SYNTHESIS_SAMPLES,
-    TrajectoryKind,
-    TrajectoryParams,
-    position,
-)
+from .trajectories import SYNTHESIS_SAMPLES, TrajectoryParams, position
 
 __all__ = [
     "AliasingWarning",
@@ -259,8 +256,7 @@ def trajectory_to_drive(
     leff0 = effective_length(c)
     z = position(p, _synthesis_grid(p.omega_d))
     point = _Quantities(
-        kind=p.kind, A=p.A, omega_d=p.omega_d, c=c, bias=c.EJ0_ratio, leff=leff0,
-        z_peak=float(np.max(np.abs(z))),
+        omega_d=p.omega_d, c=c, bias=c.EJ0_ratio, leff=leff0, z_peak=float(np.max(np.abs(z)))
     )
     _enforce(point, _rows("drive_depth", "tuning_ceiling"))
     a, b = fourier_decompose(z, p.omega_d, n_max)
@@ -326,7 +322,6 @@ class _Quantities:
     shared by every point, or scalars at one point, where `ratio` is 1-d."""
 
     ratio: np.ndarray = field(default_factory=lambda: np.empty(0))  # |c_n|/a0 = |z_n|/2L_eff^0
-    kind: TrajectoryKind | None = None
     A: np.ndarray | float = math.nan  # worldline parameter [m/s^2]
     omega_d: np.ndarray | float = math.nan  # [rad/s]
     c: CircuitParams | None = None  # line and junction constants; the bias is `bias`
@@ -360,7 +355,7 @@ def _top_power_share(q):
     return np.where(total > 0.0, top / np.where(total > 0.0, total, 1.0), 0.0)
 
 
-_SM, _GHZ = TrajectoryKind.SM, 2e9 * math.pi
+_GHZ = 2e9 * math.pi
 
 # One row per bound: its name; its value at the points of a _Quantities
 # (None where it does not apply); its limit, a number or a function of the
@@ -369,12 +364,9 @@ _SM, _GHZ = TrajectoryKind.SM, 2e9 * math.pi
 # the text of the error or warning; and the row's line in the report of
 # `validate` (None: not listed). Texts and lines are functions of (point,
 # value, limit). Error and warning rows stand in the order the scalar path
-# meets them.
+# meets them. No row bounds the SM wall speed: `TrajectoryParams` rejects a
+# worldline that reaches v before it has any point quantities.
 _BOUNDS = (
-    ("subluminal", lambda q: np.where(q.kind is _SM, q.A / q.omega_d / q.c.v, 0.0), 1.0,
-     operator.lt, "fail", None,
-     lambda q, x, lim: f"SM wall speed is {x:.3g} of the effective light speed"
-     if q.kind is _SM else f"{q.kind.value} worldlines are subluminal by construction"),
     ("bias_floor", lambda q: q.bias, EJ0_RATIO_FLOOR, operator.gt, "fail", None,
      lambda q, x, lim: f"E_J^0/E_J = {x:.4g} (floor {lim})"),
     ("below_plasma", lambda q: np.maximum(q.omega_d, q.omega), lambda c: c.omega_s,
@@ -411,6 +403,17 @@ def _rows(*names: str) -> tuple:
     return tuple(row for row in _BOUNDS if row[0] in names)
 
 
+def _crossings(q: _Quantities, rows):
+    """Each of the rows whose value applies at q (is not None): the row, its
+    value at every point of q (flat), its limit and where the value crosses it."""
+    for row in rows:
+        value = row[1](q)
+        if value is not None:
+            limit = row[2](q.c) if callable(row[2]) else row[2]
+            value = np.broadcast_to(value, q.ratio.shape[:-1]).reshape(-1)
+            yield row, value, limit, ~row[3](value, limit)
+
+
 def _judge(q: _Quantities, rows=_BOUNDS, stacklevel: int = 2) -> dict[int, tuple[type, str]]:
     """The error and warning rows at every point of q: by point index, the
     class and text of the first error row the point crosses. Each warning
@@ -418,12 +421,9 @@ def _judge(q: _Quantities, rows=_BOUNDS, stacklevel: int = 2) -> dict[int, tuple
     as in warnings.warn."""
     failed: dict[int, tuple[type, str]] = {}
     warned = []
-    for _, value_of, limit, passes, crossing, text, _ in rows:
-        if text is None:
-            continue
-        limit = limit(q.c) if callable(limit) else limit
-        value = np.broadcast_to(value_of(q), q.ratio.shape[:-1]).reshape(-1)
-        for i in np.flatnonzero(~passes(value, limit)).tolist():
+    for row, value, limit, crossed in _crossings(q, [r for r in rows if r[5] is not None]):
+        crossing, text = row[4], row[5]
+        for i in np.flatnonzero(crossed).tolist():
             if issubclass(crossing, Warning):
                 warned.append((crossing, i, text(q.at(i), value[i], limit)))
             elif i not in failed:
@@ -443,12 +443,10 @@ def _enforce(point: _Quantities, rows, stacklevel: int = 2) -> None:
 def _report(point: _Quantities) -> ValidityReport:
     """The listed rows of the table at one point, passing or not."""
     checks = []
-    for name, value_of, limit, passes, crossing, _, line in _BOUNDS:
-        value = None if line is None else value_of(point)
-        if value is None:
-            continue
-        limit = limit(point.c) if callable(limit) else limit
-        if passes(value, limit):
+    listed = [row for row in _BOUNDS if row[6] is not None]
+    for row, (value,), limit, (crossed,) in _crossings(point, listed):
+        name, crossing, line = row[0], row[4], row[6]
+        if not crossed:
             status = "pass"
         elif isinstance(crossing, str):
             status = crossing
@@ -472,8 +470,8 @@ def validate(
     frequency and, given one, the temperature. Nothing raises."""
     probes = np.atleast_1d(np.asarray([] if omega_probe is None else omega_probe, dtype=float))
     return _report(_Quantities(
-        ratio=np.maximum(np.abs(d.a), np.abs(d.b)) / d.a0, kind=p.kind, A=p.A,
-        omega_d=d.omega_d, c=c, bias=c.EJ0_ratio, leff=effective_length(c),
+        ratio=np.maximum(np.abs(d.a), np.abs(d.b)) / d.a0, omega_d=d.omega_d, c=c,
+        bias=c.EJ0_ratio, leff=effective_length(c),
         omega=float(np.max(probes)) if probes.size else 0.0, T=temperature,
     ))
 

@@ -443,7 +443,7 @@ def _gate(
     mag = np.abs(a[:, :n_max])
     q = _Quantities(
         ratio=mag / (2.0 * np.reshape(leff, (-1, 1))),
-        kind=kind, A=A, omega_d=wd, c=c, bias=bias, leff=leff, z_peak=z_peak,
+        A=A, omega_d=wd, c=c, bias=bias, leff=leff, z_peak=z_peak,
     )
     judged = np.flatnonzero(np.isfinite(A))
     failures = {int(judged[j]): failure for j, failure in _judge(q.at(judged)).items()}

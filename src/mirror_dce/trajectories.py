@@ -13,10 +13,12 @@ Positions returned by `position` are centered: the mean over one coordinate
 period is subtracted, so only the oscillating part remains (the raw AUA
 worldline carries a static offset v^2/A that must not enter drive synthesis).
 
-The SM and SA proper times and averages are incomplete elliptic integrals
-(`ellip_e`, `ellip_f`: the AGM and Carlson's duplication, DLMF 19.8, 19.36);
-`solve_acceleration_parameter` inverts the average with Brent's method
-(`find_root`). All functions are pure functions of immutable parameter values.
+The SM and SA averages and proper periods are complete elliptic integrals,
+K and E from one arithmetic-geometric mean pass (`_agm`, DLMF 19.8); their
+proper times are incomplete ones (`ellip_e`, `ellip_f`: Carlson's
+duplication, DLMF 19.36). `solve_acceleration_parameter` inverts the average
+with Brent's method (`find_root`). All functions are pure functions of
+immutable parameter values.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
 
 def _agm(m, sqrt=np.sqrt):
     """K(m) and E(m), m < 1, by the arithmetic-geometric mean (DLMF 19.8.1,
-    19.8.6), with c_{n+1} = c_n^2 / (4 a_{n+1}), which does not cancel."""
+    19.8.6), with c_{n+1} = c_n^2 / (4 a_{n+1}), which does not cancel.
+    A float m takes math.sqrt: scalar solves call this 8-10 times."""
     a, b, c_sq, total = 1.0, sqrt(1.0 - m), m, 0.5 * m
     for n in range(_AGM_STEPS):
         a, b, c = 0.5 * (a + b), sqrt(a * b), c_sq / (2.0 * (a + b))
@@ -100,19 +103,19 @@ def _agm(m, sqrt=np.sqrt):
     return 0.5 * math.pi / a, 0.5 * math.pi / a * (1.0 - total)
 
 
-def _carlson(x, y, sqrt):
+def _carlson(x, y):
     """R_F(x, y, 1) and R_D(x, y, 1), x, y >= 0, by duplication and Carlson's
     fifth-order series (Numer. Algorithms 10, 13-26 (1995))."""
     z, rd_sum, scale = 1.0, 0.0, 1.0
     for _ in range(_CARLSON_STEPS):
-        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         rd_sum, scale = rd_sum + scale / (sz * (z + lam)), 0.25 * scale
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
     mean = (x + y + z) / 3.0
     dx, dy = 1.0 - x / mean, 1.0 - y / mean
     e2, e3 = dx * dy - (dx + dy) * (dx + dy), -dx * dy * (dx + dy)
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mean)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
     mean = (x + y + 3.0 * z) / 5.0
     dx, dy = 1.0 - x / mean, 1.0 - y / mean
     xy, dz = dx * dy, -(dx + dy) / 3.0
@@ -120,29 +123,24 @@ def _carlson(x, y, sqrt):
     e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz, 3.0 * (xy - zz) * zz, xy * zz * dz
     series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
               - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return rf, scale * series / (mean * sqrt(mean)) + 3.0 * rd_sum
+    return rf, scale * series / (mean * np.sqrt(mean)) + 3.0 * rd_sum
 
 
 def _eval_elliptic(phi, m, second_kind: bool):
     # phi = n pi + p, |p| <= pi/2: n pi adds 2n complete integrals, p = +-pi/2
     # is one. 1 - m sin^2 p is written c^2 + (1 - m) s^2, which does not
-    # cancel near m = 1. Scalars stay in `math`, ten times faster than numpy.
+    # cancel near m = 1.
     scalar = np.isscalar(phi) and np.isscalar(m)
-    xp = math if scalar else np
+    phi, m = np.asarray(phi, dtype=float), np.asarray(m, dtype=float)
     n = (phi / math.pi + 0.5) // 1.0  # floor; NaN for NaN and inf
     p = phi - n * math.pi
-    k, e = _agm(m, xp.sqrt)
+    k, e = _agm(m)
     if second_kind:  # E(1) = 1, which no AGM pass reaches
-        k = (1.0 if m == 1.0 else e) if scalar else np.where(m == 1.0, 1.0, e)
-    edge = abs(p) == 0.5 * math.pi
-    if scalar and (edge or p == 0.0):
-        part = math.copysign(k, p) if edge else 0.0
-    else:
-        s, c = xp.sin(p), xp.cos(p)
-        rf, rd = _carlson(c * c, c * c + (1.0 - m) * s * s, xp.sqrt)
-        part = s * rf - (m / 3.0) * (s * s * s) * rd if second_kind else s * rf
-        part = part if scalar else np.where(edge, np.copysign(k, p), part)
-    out = 2.0 * n * k + part
+        k = np.where(m == 1.0, 1.0, e)
+    s, c = np.sin(p), np.cos(p)
+    rf, rd = _carlson(c * c, c * c + (1.0 - m) * s * s)
+    part = s * rf - (m / 3.0) * (s * s * s) * rd if second_kind else s * rf
+    out = 2.0 * n * k + np.where(abs(p) == 0.5 * math.pi, np.copysign(k, p), part)
     return float(out) if scalar else out
 
 
@@ -300,11 +298,9 @@ def _aua_segment_sinh(p: TrajectoryParams) -> float:
 def proper_period(p: TrajectoryParams) -> float:
     """Proper time elapsed over one coordinate period."""
     if p.kind is TrajectoryKind.SM:
-        m = (p.R * p.omega_d / p.v) ** 2
-        return ellip_e(2.0 * math.pi, m) / p.omega_d
+        return 4.0 * _agm((p.R * p.omega_d / p.v) ** 2, math.sqrt)[1] / p.omega_d
     if p.kind is TrajectoryKind.SA:
-        beta = _sa_velocity_ratio(p)
-        return ellip_f(2.0 * math.pi, -(beta**2)) / p.omega_d
+        return 4.0 * _agm(-(_sa_velocity_ratio(p) ** 2), math.sqrt)[0] / p.omega_d
     s = _aua_segment_sinh(p)
     return (4.0 * p.v / p.A) * math.asinh(s)
 
@@ -388,18 +384,18 @@ def proper_time(p: TrajectoryParams, t):
 def average_acceleration(p: TrajectoryParams) -> float:
     """Proper-time average of the proper acceleration over one period [m/s^2].
 
-    Closed forms:
-      SM:  v w atanh(R w / v) / E(pi/2, (R w / v)^2)
-      SA:  v w asinh(2 A / (v w)) / F(pi/2, -(2 A / (v w))^2)
+    Closed forms, with the complete integrals E(m) and K(m):
+      SM:  v w atanh(R w / v) / E((R w / v)^2)
+      SA:  v w asinh(2 A / (v w)) / K(-(2 A / (v w))^2)
       AUA: A (the magnitude is constant)
     """
     w = p.omega_d
     if p.kind is TrajectoryKind.SM:
         x = p.R * w / p.v
-        return p.v * w * math.atanh(x) / ellip_e(math.pi / 2.0, x**2)
+        return p.v * w * math.atanh(x) / _agm(x**2, math.sqrt)[1]
     if p.kind is TrajectoryKind.SA:
         beta = _sa_velocity_ratio(p)
-        return p.v * w * math.asinh(beta) / ellip_f(math.pi / 2.0, -(beta**2))
+        return p.v * w * math.asinh(beta) / _agm(-(beta**2), math.sqrt)[0]
     return p.A
 
 
@@ -410,9 +406,10 @@ def solve_acceleration_parameter(
     given kind reaches the target time-averaged proper acceleration.
 
     The average is monotone increasing in A at fixed omega_d, so a bracketed
-    root find converges; for SM the bracket stays inside the subluminal bound
-    (the average diverges as R*omega_d approaches v, so any positive target
-    is reachable)."""
+    root find converges. For SM the bracket in R*omega_d/v stays inside the
+    subluminal bound, and a target above the average at its end raises
+    ValueError. For SA abar/A lies in (4/pi, 2), so the root lies in
+    [abar/2.05, abar]."""
     kind = TrajectoryKind(kind)
     if not 0.0 < abar_target < math.inf:
         raise ValueError(f"abar_target must be positive and finite, got {abar_target}")
@@ -440,16 +437,8 @@ def solve_acceleration_parameter(
         x = find_root(mismatch, 1e-12, x_hi, tol=1e-13)
         return x * v * omega_d
 
-    # SA: abar/A lies in (4/pi, 2), so expand the upper bound geometrically.
-    lo = abar_target / 2.05
-    hi = abar_target
-    for _ in range(64):
-        if abar_of(hi) >= abar_target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"could not bracket abar_target={abar_target!r}")
-    return find_root(lambda a: abar_of(a) - abar_target, lo, hi, tol=1e-13)
+    # SA: abar/A lies in (4/pi, 2), so A lies in (abar/2.05, abar).
+    return find_root(lambda a: abar_of(a) - abar_target, abar_target / 2.05, abar_target, tol=1e-13)
 
 
 def _grid_acceleration_parameter(kind, abar, omega_d, v: float):

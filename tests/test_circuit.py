@@ -364,6 +364,34 @@ class TestValidate:
         )
         assert report.ok, str(report)
 
+    def test_report_lists_every_row_with_a_line_in_table_order(
+        self, sm_baseline, reference_circuit, sa_comparison, sa_comparison_circuit
+    ):
+        # The wall speed is no row: TrajectoryParams rejects SM at v first.
+        d = trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
+        report = validate(
+            d, sm_baseline, reference_circuit,
+            omega_probe=np.array([0.5 * sm_baseline.omega_d]), temperature=0.025,
+        )
+        assert str(report).splitlines() == [
+            "[pass] bias_floor: E_J^0/E_J = 1.3 (floor 0.1)",
+            "[pass] below_plasma: drive fundamental and probe frequencies below the plasma frequency",
+            "[warn] harmonics_below_plasma: top drive harmonic at 54 GHz vs plasma 37.3 GHz",
+            "[warn] short_effective_length: k_omega * L_eff^0 = 0.416 (first-order accuracy needs << 1)",
+            "[pass] perturbative_drive: max |c_n|/a0 = 0.125",
+            "[pass] cold_input: k_B T / (hbar omega_d) = 0.0289",
+        ]
+        d = trajectory_to_drive(sa_comparison, sa_comparison_circuit, n_max=3)
+        report = validate(
+            d, sa_comparison, sa_comparison_circuit,
+            omega_probe=np.array([0.5 * sa_comparison.omega_d]), temperature=0.3,
+        )
+        assert [(ch.name, ch.status) for ch in report.checks] == [
+            ("bias_floor", "pass"), ("below_plasma", "pass"), ("harmonics_below_plasma", "warn"),
+            ("short_effective_length", "warn"), ("perturbative_drive", "pass"), ("cold_input", "warn"),
+        ]
+        assert report.checks[-1].message == "k_B T / (hbar omega_d) = 0.428"
+
     def test_sm_amplitude_bound_at_max_frequency(self, reference_circuit):
         # at a 40 GHz drive the subluminal wall caps the amplitude near 0.4775 mm
         wd = TWO_PI * 40e9

@@ -155,7 +155,7 @@ class TestEllipticIntegrals:
         rel = np.abs(got / want - 1.0)
         assert np.max(rel[m <= 0.99]) <= 5e-15
         assert np.max(rel[m > 0.99]) <= 2e-14
-        # The scalar path runs in `math`, on the same operations.
+        # Scalars take the array path and come back as Python floats.
         for i in rng.choice(m.size, 300, replace=False).tolist():
             scalar = fn(float(phi[i]), float(m[i]))
             assert type(scalar) is float and scalar == got[i]

@@ -253,6 +253,38 @@ class TestAverageAcceleration:
             abar_quadrature(p), rel=1e-6
         )
 
+    def test_complete_integrals_come_from_one_agm_pass(self, monkeypatch):
+        # Averages and proper periods take K and E from `_agm` alone: no
+        # incomplete integral and no domain check, and the same floats as
+        # ellip_e/ellip_f at phi = pi/2 and 2 pi. SM reaches x = 1 - 2e-9,
+        # next to the subluminal margin; SA reaches beta = 1e6.
+        wd = TWO_PI * 18e9
+        x = np.concatenate([np.geomspace(1e-8, 0.5, 40), 1.0 - np.geomspace(0.5, 2e-9, 40)])
+        beta = np.geomspace(1e-8, 1e6, 80)
+        worldlines = [params("sm", xi * V * wd, 18e9) for xi in x.tolist()]
+        worldlines += [params("sa", 0.5 * b * V * wd, 18e9) for b in beta.tolist()]
+        calls = []
+        for name in ("ellip_e", "ellip_f", "_check_elliptic_domain"):
+            original = getattr(trajectories, name)
+            monkeypatch.setattr(
+                trajectories, name,
+                lambda *args, f=original, n=name, **kw: calls.append(n) or f(*args, **kw),
+            )
+        got = [(average_acceleration(p), proper_period(p)) for p in worldlines]
+        assert calls == []
+        monkeypatch.undo()
+        ellip_e, ellip_f = trajectories.ellip_e, trajectories.ellip_f
+        for p, (abar, tau_p) in zip(worldlines, got):
+            w = p.omega_d
+            if p.kind is TrajectoryKind.SM:
+                xi = p.R * w / p.v
+                assert abar == p.v * w * math.atanh(xi) / ellip_e(math.pi / 2.0, xi**2)
+                assert tau_p == ellip_e(2.0 * math.pi, (p.R * w / p.v) ** 2) / w
+            else:
+                b = trajectories._sa_velocity_ratio(p)
+                assert abar == p.v * w * math.asinh(b) / ellip_f(math.pi / 2.0, -(b**2))
+                assert tau_p == ellip_f(2.0 * math.pi, -(b**2)) / w
+
 
 class TestSolveAccelerationParameter:
     def test_aua_identity(self):
@@ -297,6 +329,18 @@ class TestSolveAccelerationParameter:
         A = solve_acceleration_parameter(kind, target, wd, V)
         p = TrajectoryParams(kind, A, wd, V)
         assert average_acceleration(p) == pytest.approx(target, rel=1e-8)
+
+    @given(
+        log_A=st.floats(3.0, 25.0),
+        log_fd=st.floats(6.0, 12.0),
+    )
+    def test_sa_average_over_A_lies_between_4_over_pi_and_2(self, log_A, log_fd):
+        # The SA solve brackets A by [abar/2.05, abar] on this invariant.
+        # beta spans 3e-18 to 3e10; as beta -> 0 the ratio reaches 4/pi to
+        # round-off.
+        A = 10.0**log_A
+        ratio = average_acceleration(params("sa", A, 10.0**log_fd)) / A
+        assert 4.0 / math.pi * (1.0 - 8.0 * np.finfo(float).eps) < ratio < 2.0
 
 
 class TestLimitsAndEstimators:
