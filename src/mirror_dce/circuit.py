@@ -459,15 +459,14 @@ def _report(point: _Quantities) -> ValidityReport:
 
 def validate(
     d: DriveSpectrum,
-    p: TrajectoryParams,
     c: CircuitParams,
     *,
     omega_probe=None,
     temperature: float | None = None,
 ) -> ValidityReport:
-    """Physical-validity report for the drive d synthesized from p: every
-    row of the bounds table with a report line, at the highest probe
-    frequency and, given one, the temperature. Nothing raises."""
+    """Physical-validity report for the drive d on circuit c: every row of
+    the bounds table with a report line, at the highest probe frequency
+    and, given one, the temperature. Nothing raises."""
     probes = np.atleast_1d(np.asarray([] if omega_probe is None else omega_probe, dtype=float))
     return _report(_Quantities(
         ratio=np.maximum(np.abs(d.a), np.abs(d.b)) / d.a0, omega_d=d.omega_d, c=c,

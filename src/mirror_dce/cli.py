@@ -303,19 +303,9 @@ def _cmd_spectrum(cfg: RunConfig) -> list[Path]:
     out = Path(_require(cfg.out_path, "output path (--out)"))
     upto = max(cfg.n_max, 1)
     grid = upto * p.omega_d * np.arange(1, cfg.points + 1) / cfg.points
-    spec = SweepSpec(
-        figure_id="spectrum",
-        axis=SweepAxis.OMEGA,
-        x=grid,
-        trajectories=(p.kind,),
-        temperatures=(cfg.temperature,),
-        n_max=cfg.n_max,
-        omega_d=p.omega_d,
-        A={p.kind: p.A},
-        ejo_ratio={p.kind: cfg.circuit.EJ0_ratio},
+    return _write_sweep(
+        cfg, p.kind, SweepAxis.OMEGA, grid, out, omega_d=p.omega_d, A={p.kind: p.A}
     )
-    datasets = run_sweep(spec, cfg.circuit)
-    return write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
 
 
 def _cmd_sweep(cfg: RunConfig) -> list[Path]:
@@ -329,27 +319,25 @@ def _cmd_sweep(cfg: RunConfig) -> list[Path]:
     grid = np.linspace(lo, hi, cfg.points)
     if axis in (SweepAxis.OMEGA, SweepAxis.OMEGA_D):
         grid = 2.0 * math.pi * grid  # flags are linear Hz
-    kwargs = dict(
-        figure_id="sweep",
-        axis=axis,
-        x=grid,
-        trajectories=(kind,),
-        temperatures=(cfg.temperature,),
-        n_max=cfg.n_max,
-        ejo_ratio={kind: cfg.circuit.EJ0_ratio},
-    )
+    fixed = {}
     if axis is not SweepAxis.OMEGA_D:
-        kwargs["omega_d"] = _require(cfg.omega_d, "drive frequency (--fd)")
+        fixed["omega_d"] = _require(cfg.omega_d, "drive frequency (--fd)")
     if axis is not SweepAxis.OMEGA:
-        kwargs["omega"] = _require(cfg.probe_omega, "probe frequency (--w)")
-    if axis is SweepAxis.ABAR:
-        if cfg.A is not None:
-            raise ConfigError("an abar sweep re-solves A; give --abar bounds instead")
-    elif cfg.A is not None:
-        kwargs["A"] = {kind: cfg.A}
-    else:
-        kwargs["abar"] = _require(cfg.abar_target, "acceleration (--A or --abar)")
-    spec = SweepSpec(**kwargs)
+        fixed["omega"] = _require(cfg.probe_omega, "probe frequency (--w)")
+    if cfg.A is not None:  # SweepSpec rejects a pinned A on the abar axis
+        fixed["A"] = {kind: cfg.A}
+    elif axis is not SweepAxis.ABAR:
+        fixed["abar"] = _require(cfg.abar_target, "acceleration (--A or --abar)")
+    return _write_sweep(cfg, kind, axis, grid, out, **fixed)
+
+
+def _write_sweep(cfg: RunConfig, kind, axis, grid, out: Path, **fixed) -> list[Path]:
+    """Run one kind's sweep at the config's T, n_max and bias; write it to out."""
+    spec = SweepSpec(
+        figure_id=cfg.command, axis=axis, x=grid, trajectories=(kind,),
+        temperatures=(cfg.temperature,), n_max=cfg.n_max,
+        ejo_ratio={kind: cfg.circuit.EJ0_ratio}, **fixed,
+    )
     datasets = run_sweep(spec, cfg.circuit)
     _report_failed_points(datasets)
     return write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")

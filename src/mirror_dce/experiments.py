@@ -44,7 +44,7 @@ import contextlib
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -366,15 +366,7 @@ def _fmt(value) -> str:
 
 
 def _circuit_metadata(c: CircuitParams) -> dict[str, str]:
-    return {
-        "circuit.C_J": _fmt(c.C_J),
-        "circuit.I_c": _fmt(c.I_c),
-        "circuit.Z0": _fmt(c.Z0),
-        "circuit.v": _fmt(c.v),
-        "circuit.omega_s": _fmt(c.omega_s),
-        "circuit.EJ0_ratio": _fmt(c.EJ0_ratio),
-        "circuit.phi0": _fmt(c.phi0),
-    }
+    return {f"circuit.{f.name}": _fmt(getattr(c, f.name)) for f in fields(c)}
 
 
 def _report_metadata(report: ValidityReport) -> dict[str, str]:
@@ -901,12 +893,7 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
         return ("worldlines", dict(abar=1.2e19, omega_d=2.0 * math.pi * 28e9, v=c.v))
 
     if fid == "fourier":
-        configs = {}
-        for kind in _SA_AUA:
-            A = solve_acceleration_parameter(kind, abar_rel, wd_rel, c.v)
-            p = TrajectoryParams(kind, A, wd_rel, c.v)
-            configs[kind] = (p, drive_normalized_bias(p, c))
-        return ("fourier", configs)
+        return ("fourier", _relativistic_configs(c))
 
     if fid == "nout_vs_w_T":
         return [
@@ -944,7 +931,7 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
         ]
 
     if fid == "nout_vs_wd":
-        ejo = _relativistic_bias_ratios(c)
+        ejo = {kind: cb.EJ0_ratio for kind, (_, cb) in _relativistic_configs(c).items()}
         grid = tuple(
             2.0 * math.pi * f for f in np.linspace(10e9, 30e9, 401)
         )
@@ -963,7 +950,7 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
         ]
 
     if fid == "nout_vs_abar":
-        ejo = _relativistic_bias_ratios(c)
+        ejo = {kind: cb.EJ0_ratio for kind, (_, cb) in _relativistic_configs(c).items()}
         grid = np.linspace(5e18, 30e18, 401)
         return [
             SweepSpec(
@@ -1008,15 +995,15 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
     raise ValueError(f"unknown figure preset {figure_id!r}")
 
 
-def _relativistic_bias_ratios(c: CircuitParams) -> dict[TrajectoryKind, float]:
-    """Fixed bias ratios of the relativistic comparison point, one per kind."""
+def _relativistic_configs(c: CircuitParams) -> dict[TrajectoryKind, tuple]:
+    """SA and AUA at the relativistic point: {kind: (worldline, biased circuit)}."""
     abar_rel, wd_rel = relativistic_point()
-    out = {}
+    configs = {}
     for kind in _SA_AUA:
         A = solve_acceleration_parameter(kind, abar_rel, wd_rel, c.v)
         p = TrajectoryParams(kind, A, wd_rel, c.v)
-        out[kind] = drive_normalized_bias(p, c).EJ0_ratio
-    return out
+        configs[kind] = (p, drive_normalized_bias(p, c))
+    return configs
 
 
 def reproduce(
@@ -1029,11 +1016,11 @@ def reproduce(
     later sweep or write fails, the files already written are removed."""
     if c is None:
         c = CircuitParams()
+    fid = FIGURE_ALIASES.get(figure_id, figure_id)
+    preset = figure_preset(fid, c)
+    canonical = {v: k for k, v in FIGURE_ALIASES.items()}[fid]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fid = FIGURE_ALIASES.get(figure_id, figure_id)
-    canonical = {v: k for k, v in FIGURE_ALIASES.items()}[fid]
-    preset = figure_preset(fid, c)
 
     if isinstance(preset, tuple) and preset[0] == "worldlines":
         ds = worldline_dataset(**preset[1])

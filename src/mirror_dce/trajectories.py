@@ -91,12 +91,16 @@ def _check_elliptic_domain(phi, m, strict: bool) -> None:
             )
 
 
-def _agm(m, sqrt=np.sqrt):
-    """K(m) and E(m), m < 1, by the arithmetic-geometric mean (DLMF 19.8.1,
-    19.8.6), with c_{n+1} = c_n^2 / (4 a_{n+1}), which does not cancel.
-    A float m takes math.sqrt: scalar solves call this 8-10 times."""
+def _agm(m):
+    """K(m) and E(m), m < 1, by the arithmetic-geometric mean (DLMF 19.8.1, 19.8.6),
+    with c_{n+1} = c_n^2 / (4 a_{n+1}), which does not cancel. A float m stays in
+    `math`: scalar solves call this 8-10 times. Past `_AGM_STEPS` steps it goes on
+    while |a - b| > eps a anywhere, up to 64 steps: m = 1 never converges."""
+    sqrt, pending = (math.sqrt, bool) if isinstance(m, float) else (np.sqrt, np.any)
     a, b, c_sq, total = 1.0, sqrt(1.0 - m), m, 0.5 * m
-    for n in range(_AGM_STEPS):
+    for n in range(64):
+        if n >= _AGM_STEPS and not pending(abs(a - b) > _EPS * a):
+            break
         a, b, c = 0.5 * (a + b), sqrt(a * b), c_sq / (2.0 * (a + b))
         c_sq = c * c
         total += 2.0**n * c_sq
@@ -298,9 +302,9 @@ def _aua_segment_sinh(p: TrajectoryParams) -> float:
 def proper_period(p: TrajectoryParams) -> float:
     """Proper time elapsed over one coordinate period."""
     if p.kind is TrajectoryKind.SM:
-        return 4.0 * _agm((p.R * p.omega_d / p.v) ** 2, math.sqrt)[1] / p.omega_d
+        return 4.0 * _agm((p.R * p.omega_d / p.v) ** 2)[1] / p.omega_d
     if p.kind is TrajectoryKind.SA:
-        return 4.0 * _agm(-(_sa_velocity_ratio(p) ** 2), math.sqrt)[0] / p.omega_d
+        return 4.0 * _agm(-(_sa_velocity_ratio(p) ** 2))[0] / p.omega_d
     s = _aua_segment_sinh(p)
     return (4.0 * p.v / p.A) * math.asinh(s)
 
@@ -392,10 +396,10 @@ def average_acceleration(p: TrajectoryParams) -> float:
     w = p.omega_d
     if p.kind is TrajectoryKind.SM:
         x = p.R * w / p.v
-        return p.v * w * math.atanh(x) / _agm(x**2, math.sqrt)[1]
+        return p.v * w * math.atanh(x) / _agm(x**2)[1]
     if p.kind is TrajectoryKind.SA:
         beta = _sa_velocity_ratio(p)
-        return p.v * w * math.asinh(beta) / _agm(-(beta**2), math.sqrt)[0]
+        return p.v * w * math.asinh(beta) / _agm(-(beta**2))[0]
     return p.A
 
 

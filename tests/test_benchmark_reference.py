@@ -1,8 +1,9 @@
-"""The benchmark checks every `presets` pass against frozen reference values
-(perfbench/reference/presets.json). A program change that moves those
-values fails the benchmark; this test shows it in the suite. It loads the
-benchmark's workload runner and checker by path, runs one pass into a
-temporary directory and writes nothing under the checkout."""
+"""The benchmark checks every pass against frozen reference values
+(perfbench/reference/<workload>.json). A program change that moves those
+values fails the benchmark; these tests show it in the suite for the
+`presets` and `edge_sweeps` workloads. They load the benchmark's workload
+runner and checker by path, run one pass into a temporary directory and
+write nothing under the checkout."""
 
 import importlib.util
 import sys
@@ -28,5 +29,19 @@ def test_presets_pass_matches_the_benchmark_reference(tmp_path):
     out.mkdir()
     result = workloads.run_pass("presets", workloads.make_inputs("presets", 0), tmp_path, out)
     res = check.check_pass(result.outputs, check.load_reference("presets", 0))
+    assert res.rows > 0
+    assert res.bad_rows == 0, res.problems
+
+
+def test_edge_sweeps_pass_matches_the_benchmark_reference(tmp_path):
+    # The CLI sweep path, with 18% of its points past the realizability
+    # edge: the reference pins which points fail, with which class, and
+    # where the NaN rows fall.
+    workloads, check = _load("workloads"), _load("check")
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = workloads.make_inputs("edge_sweeps", 0)
+    result = workloads.run_pass("edge_sweeps", inputs, tmp_path, out)
+    res = check.check_pass(result.outputs, check.load_reference("edge_sweeps", 0))
     assert res.rows > 0
     assert res.bad_rows == 0, res.problems

@@ -357,7 +357,6 @@ class TestValidate:
         d = trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
         report = validate(
             d,
-            sm_baseline,
             reference_circuit,
             omega_probe=np.array([0.5 * sm_baseline.omega_d]),
             temperature=0.0,
@@ -370,7 +369,7 @@ class TestValidate:
         # The wall speed is no row: TrajectoryParams rejects SM at v first.
         d = trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
         report = validate(
-            d, sm_baseline, reference_circuit,
+            d, reference_circuit,
             omega_probe=np.array([0.5 * sm_baseline.omega_d]), temperature=0.025,
         )
         assert str(report).splitlines() == [
@@ -383,7 +382,7 @@ class TestValidate:
         ]
         d = trajectory_to_drive(sa_comparison, sa_comparison_circuit, n_max=3)
         report = validate(
-            d, sa_comparison, sa_comparison_circuit,
+            d, sa_comparison_circuit,
             omega_probe=np.array([0.5 * sa_comparison.omega_d]), temperature=0.3,
         )
         assert [(ch.name, ch.status) for ch in report.checks] == [
@@ -406,7 +405,7 @@ class TestValidate:
 
         c = dataclasses.replace(reference_circuit, EJ0_ratio=0.05)
         d = single_tone_drive(c, sa_comparison.omega_d)
-        report = validate(d, sa_comparison, c)
+        report = validate(d, c)
         assert not report.ok
         assert any(ch.name == "bias_floor" for ch in report.failures)
 
@@ -414,7 +413,6 @@ class TestValidate:
         d = trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
         report = validate(
             d,
-            sm_baseline,
             reference_circuit,
             omega_probe=np.array([1.5 * reference_circuit.omega_s]),
         )
@@ -425,16 +423,16 @@ class TestValidate:
     ):
         # 3 x 14.6 GHz = 43.8 GHz sits above the 37.3 GHz plasma frequency
         d = trajectory_to_drive(sa_comparison, sa_comparison_circuit, n_max=3)
-        report = validate(d, sa_comparison, sa_comparison_circuit)
+        report = validate(d, sa_comparison_circuit)
         assert report.ok
         assert any(ch.name == "harmonics_below_plasma" for ch in report.warnings)
 
     def test_warm_bath_warns(self, sm_baseline, reference_circuit):
         d = trajectory_to_drive(sm_baseline, reference_circuit, n_max=3)
         hot = 0.3 * 1.0545718176461565e-34 * sm_baseline.omega_d / 1.380649e-23
-        report = validate(d, sm_baseline, reference_circuit, temperature=hot)
+        report = validate(d, reference_circuit, temperature=hot)
         assert any(ch.name == "cold_input" for ch in report.warnings)
-        cold = validate(d, sm_baseline, reference_circuit, temperature=0.025)
+        cold = validate(d, reference_circuit, temperature=0.025)
         assert not any(ch.name == "cold_input" for ch in cold.warnings)
 
 

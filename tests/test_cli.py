@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import shlex
@@ -24,7 +25,7 @@ from mirror_dce.cli import (
     parse_config,
 )
 from mirror_dce.constants import C_LIGHT
-from mirror_dce.experiments import SpectrumDataset, read_spectrum_datasets, read_table
+from mirror_dce.experiments import SpectrumDataset, _fmt, read_spectrum_datasets, read_table
 from mirror_dce.scattering import ThermalInput, output_spectrum
 from mirror_dce.trajectories import TrajectoryKind, TrajectoryParams, solve_acceleration_parameter
 
@@ -300,6 +301,39 @@ class TestCommands:
         (ds,) = read_spectrum_datasets(out)
         assert len(ds.x) == 7
         assert np.all(np.diff(ds.n_out) > 0.0)  # monotone in abar
+
+    def test_sweep_over_abar_with_a_pinned_A_exits_1_without_a_file(self, tmp_path, capsys):
+        # SweepSpec's own check rejects it; the command adds none of its own.
+        out = tmp_path / "sweep.csv"
+        rc = main(
+            [
+                "sweep", "--kind", "sa", "--axis", "abar", "--A", "1e19",
+                "--min", "5e18", "--max", "3e19", "--points", "7",
+                "--fd", "14.6e9", "--w", "7.3e9", "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "mirror-dce: error: an abar-axis sweep re-solves A; do not pin it\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_circuit_metadata_follows_the_circuit_fields(self, tmp_path):
+        cfg = tmp_path / "bias.ini"
+        cfg.write_text("[circuit]\nej0_ratio = 0.1\n")
+        out = tmp_path / "sweep.csv"
+        argv = [
+            "sweep", "--config", str(cfg), "--kind", "aua", "--axis", "omega_d",
+            "--min", "10e9", "--max", "20e9", "--points", "5",
+            "--abar", "2e19", "--w", "7.3e9", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        prefix = "# aua@0:circuit."
+        lines = [ln for ln in out.read_text().splitlines() if ln.startswith(prefix)]
+        c = CircuitParams(EJ0_ratio=0.1)
+        names = [f.name for f in dataclasses.fields(CircuitParams)]
+        assert names == ["C_J", "I_c", "Z0", "v", "omega_s", "EJ0_ratio", "phi0"]
+        assert lines == [f"{prefix}{name}={_fmt(getattr(c, name))}" for name in names]
 
     @pytest.mark.parametrize(
         "bias, probe, failure",

@@ -184,7 +184,7 @@ class TestSelectParameters:
         c = dataclasses.replace(reference_circuit, EJ0_ratio=sel.ejo_ratio)
         p = TrajectoryParams(TrajectoryKind.SA, sel.A, sel.omega_d, c.v)
         d = trajectory_to_drive(p, c, n_max=3)
-        report = validate(d, p, c, omega_probe=np.array([0.5 * sel.omega_d]))
+        report = validate(d, c, omega_probe=np.array([0.5 * sel.omega_d]))
         assert report.ok, str(report)
 
     def test_infeasible_criteria_raise(self, reference_circuit):
@@ -929,6 +929,12 @@ class TestReproduce:
     def test_descriptive_names_accepted(self, reference_circuit, tmp_path):
         paths = reproduce("worldlines", tmp_path, reference_circuit)
         assert paths and paths[0].exists()
+
+    def test_unknown_figure_raises_before_creating_the_directory(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown figure preset 'fig9'"):
+            reproduce("fig9", out)
+        assert not out.exists()
 
     def test_fourier_preset_contains_both_kinds(self, reference_circuit, tmp_path):
         (path,) = reproduce("fig2", tmp_path, reference_circuit)

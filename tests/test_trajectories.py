@@ -286,6 +286,34 @@ class TestAverageAcceleration:
                 assert tau_p == ellip_f(2.0 * math.pi, -(b**2)) / w
 
 
+    @pytest.mark.parametrize("beta", [1e12, 1e20, 1e42, 1e154])
+    def test_agm_converges_for_large_sa_beta(self, beta):
+        # Seven fixed AGM steps left K(-beta^2) 1.4e-9 off at beta = 1e12 and
+        # 6.4e-3 at 1e42, and the SA ratio past 2 from beta = 4e42 on.
+        mpmath = pytest.importorskip("mpmath")
+        m = -(beta**2)
+        with mpmath.workdps(40):
+            want = mpmath.ellipk(mpmath.mpf(m))
+            for k in (trajectories._agm(m)[0], trajectories._agm(np.array([m, -1.0]))[0][0]):
+                assert abs(float(k / want - 1)) <= 4e-15
+                assert 4.0 / math.pi < 2.0 * math.asinh(beta) / (beta * k) < 2.0
+
+    def test_scalar_agm_makes_no_numpy_call(self, monkeypatch):
+        # Scalar solves call `_agm` 8-10 times; a numpy call in each pass
+        # nearly doubles their time. The SA worldline (beta = 2.6e15) takes
+        # the steps past the fixed seven.
+        worldlines = [params("sm", 9.054e17, 18e9), params("sa", 1e30, 1e6)]
+
+        def numpy_called(*args, **kwargs):
+            raise AssertionError("numpy call on the scalar AGM path")
+
+        monkeypatch.setattr(np, "sqrt", numpy_called)
+        monkeypatch.setattr(np, "any", numpy_called)
+        got = [(average_acceleration(p), proper_period(p)) for p in worldlines]
+        monkeypatch.undo()
+        assert got == [(average_acceleration(p), proper_period(p)) for p in worldlines]
+
+
 class TestSolveAccelerationParameter:
     def test_aua_identity(self):
         assert solve_acceleration_parameter(TrajectoryKind.AUA, 3.3e18, 1e11, V) == 3.3e18
@@ -308,6 +336,21 @@ class TestSolveAccelerationParameter:
         A = solve_acceleration_parameter(TrajectoryKind(kind), target, wd, V)
         p = TrajectoryParams(TrajectoryKind(kind), A, wd, V)
         assert average_acceleration(p) == pytest.approx(target, rel=1e-6)
+
+    @pytest.mark.parametrize("abar", [1e25, 1e30])
+    def test_sa_solve_at_large_beta_matches_a_40_digit_root(self, abar):
+        # beta = 1.4e10 and 1.4e15 at 1 MHz, where seven fixed AGM steps left
+        # A 3.2e-11 and 1.1e-7 off.
+        mpmath = pytest.importorskip("mpmath")
+        wd = TWO_PI * 1e6
+        A = solve_acceleration_parameter(TrajectoryKind.SA, abar, wd, V)
+        with mpmath.workdps(40):
+            def excess(ratio):  # abar(A) / abar - 1 at A = ratio * abar
+                b = 2 * ratio * abar / (mpmath.mpf(V) * wd)
+                return V * wd * mpmath.asinh(b) / mpmath.ellipk(-(b**2)) / abar - 1
+
+            want = mpmath.findroot(excess, mpmath.mpf(A) / abar) * abar
+            assert abs(float(A / want - 1)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["sm", "sa", "aua"])
     def test_infinite_target_rejected(self, kind):
