@@ -420,17 +420,14 @@ def _judge(q: _Quantities, rows=_BOUNDS, stacklevel: int = 2) -> dict[int, tuple
     row warns at every other point that crosses it, `stacklevel` frames up
     as in warnings.warn."""
     failed: dict[int, tuple[type, str]] = {}
-    warned = []
-    for row, value, limit, crossed in _crossings(q, [r for r in rows if r[5] is not None]):
-        crossing, text = row[4], row[5]
+    # Error rows first (sorted is stable): warnings are formatted at unfailed points only.
+    listed = sorted((r for r in rows if r[5] is not None), key=lambda r: issubclass(r[4], Warning))
+    for row, value, limit, crossed in _crossings(q, listed):
         for i in np.flatnonzero(crossed).tolist():
-            if issubclass(crossing, Warning):
-                warned.append((crossing, i, text(q.at(i), value[i], limit)))
+            if i not in failed and issubclass(row[4], Warning):
+                warnings.warn(row[5](q.at(i), value[i], limit), row[4], stacklevel=stacklevel)
             elif i not in failed:
-                failed[i] = (crossing, text(q.at(i), value[i], limit))
-    for category, i, message in warned:
-        if i not in failed:
-            warnings.warn(message, category, stacklevel=stacklevel)
+                failed[i] = (row[4], row[5](q.at(i), value[i], limit))
     return failed
 
 

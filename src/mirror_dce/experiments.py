@@ -932,9 +932,7 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
 
     if fid == "nout_vs_wd":
         ejo = {kind: cb.EJ0_ratio for kind, (_, cb) in _relativistic_configs(c).items()}
-        grid = tuple(
-            2.0 * math.pi * f for f in np.linspace(10e9, 30e9, 401)
-        )
+        grid = 2.0 * math.pi * np.linspace(10e9, 30e9, 401)
         return [
             SweepSpec(
                 figure_id=fid,
@@ -973,7 +971,6 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
                 axis=SweepAxis.OMEGA,
                 x=_omega_grid(wd_base, 2.0),
                 trajectories=_ALL,
-                temperatures=(0.0,),
                 omega_d=wd_base,
                 abar=abar_base,
             )
@@ -986,7 +983,6 @@ def figure_preset(figure_id: str, c: CircuitParams | None = None):
                 axis=SweepAxis.ABAR,
                 x=np.linspace(1e17, 1.5e18, 401),
                 trajectories=_ALL,
-                temperatures=(0.0,),
                 omega_d=wd_base,
                 omega=2.0 * math.pi * 9e9,
             )

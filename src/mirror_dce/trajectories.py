@@ -18,7 +18,8 @@ K and E from one arithmetic-geometric mean pass (`_agm`, DLMF 19.8); their
 proper times are incomplete ones (`ellip_e`, `ellip_f`: Carlson's
 duplication, DLMF 19.36). `solve_acceleration_parameter` inverts the average
 with Brent's method (`find_root`). All functions are pure functions of
-immutable parameter values.
+immutable parameter values. Sweeps use array kernels: the inversion, and
+the harmonics on one shared phase table (SM in closed form).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -289,14 +289,14 @@ def coordinate_period(p: TrajectoryParams) -> float:
     return 2.0 * math.pi / p.omega_d
 
 
-def _sa_velocity_ratio(p: TrajectoryParams) -> float:
+def _sa_velocity_ratio(A, omega_d, v):
     # Peak |dz/dt| / v for SA is beta / sqrt(1 + beta^2) with this beta.
-    return 2.0 * p.A / (p.v * p.omega_d)
+    return 2.0 * A / (v * omega_d)
 
 
-def _aua_segment_sinh(p: TrajectoryParams) -> float:
+def _aua_segment_sinh(A, omega_d, v):
     # sinh(A tau_p / 4v); fixed by requiring the coordinate period 2 pi/omega_d.
-    return p.A * math.pi / (2.0 * p.v * p.omega_d)
+    return A * math.pi / (2.0 * v * omega_d)
 
 
 def proper_period(p: TrajectoryParams) -> float:
@@ -304,8 +304,8 @@ def proper_period(p: TrajectoryParams) -> float:
     if p.kind is TrajectoryKind.SM:
         return 4.0 * _agm((p.R * p.omega_d / p.v) ** 2)[1] / p.omega_d
     if p.kind is TrajectoryKind.SA:
-        return 4.0 * _agm(-(_sa_velocity_ratio(p) ** 2))[0] / p.omega_d
-    s = _aua_segment_sinh(p)
+        return 4.0 * _agm(-(_sa_velocity_ratio(p.A, p.omega_d, p.v) ** 2))[0] / p.omega_d
+    s = _aua_segment_sinh(p.A, p.omega_d, p.v)
     return (4.0 * p.v / p.A) * math.asinh(s)
 
 
@@ -313,32 +313,27 @@ def _aua_segment_index(p: TrajectoryParams, t):
     return np.floor(2.0 * np.asarray(t, dtype=float) / coordinate_period(p) + 0.5)
 
 
-# Also takes SM and SA parameters as arrays that broadcast against t.
 def _raw_position(p: TrajectoryParams, t):
     t = np.asarray(t, dtype=float)
     w = p.omega_d
     if p.kind is TrajectoryKind.SM:
         return -(p.A / w**2) * np.cos(w * t)
     if p.kind is TrajectoryKind.SA:
-        beta = _sa_velocity_ratio(p)
-        return -(p.v / w) * np.arcsin(
-            beta * np.cos(w * t) / np.sqrt(1.0 + beta**2)
-        )
+        beta = _sa_velocity_ratio(p.A, p.omega_d, p.v)
+        return -(p.v / w) * np.arcsin(beta * np.cos(w * t) / np.sqrt(1.0 + beta**2))
     # AUA: per segment n, sinh((A/v)(tau - n tau_p/2)) = A t / v - 2 n s,
     # so the position is closed-form in coordinate time.
-    s = _aua_segment_sinh(p)
+    s = _aua_segment_sinh(p.A, p.omega_d, p.v)
     n = _aua_segment_index(p, t)
     xi = p.A * t / p.v - 2.0 * n * s
     sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
-    return sign * (p.v**2 / p.A) * (
-        np.hypot(1.0, xi) + (sign - 1.0) * math.hypot(1.0, s)
-    )
+    return sign * (p.v**2 / p.A) * (np.hypot(1.0, xi) + (sign - 1.0) * math.hypot(1.0, s))
 
 
 def _period_mean(p: TrajectoryParams) -> float:
     """Mean of the raw position over one coordinate period (closed form)."""
     if p.kind is TrajectoryKind.AUA:
-        s = _aua_segment_sinh(p)
+        s = _aua_segment_sinh(p.A, p.omega_d, p.v)
         return (p.v**2 / p.A) * math.hypot(1.0, s)
     return 0.0  # SM and SA oscillate symmetrically about zero
 
@@ -373,10 +368,10 @@ def proper_time(p: TrajectoryParams, t):
         m = (p.R * w / p.v) ** 2
         out = ellip_e(w * t_arr, m) / w
     elif p.kind is TrajectoryKind.SA:
-        beta = _sa_velocity_ratio(p)
+        beta = _sa_velocity_ratio(p.A, p.omega_d, p.v)
         out = ellip_f(w * t_arr, -(beta**2)) / w
     else:
-        s = _aua_segment_sinh(p)
+        s = _aua_segment_sinh(p.A, p.omega_d, p.v)
         tau_p = proper_period(p)
         n = _aua_segment_index(p, t_arr)
         xi = p.A * t_arr / p.v - 2.0 * n * s
@@ -398,7 +393,7 @@ def average_acceleration(p: TrajectoryParams) -> float:
         x = p.R * w / p.v
         return p.v * w * math.atanh(x) / _agm(x**2)[1]
     if p.kind is TrajectoryKind.SA:
-        beta = _sa_velocity_ratio(p)
+        beta = _sa_velocity_ratio(p.A, p.omega_d, p.v)
         return p.v * w * math.asinh(beta) / _agm(-(beta**2))[0]
     return p.A
 
@@ -413,7 +408,7 @@ def solve_acceleration_parameter(
     root find converges. For SM the bracket in R*omega_d/v stays inside the
     subluminal bound, and a target above the average at its end raises
     ValueError. For SA abar/A lies in (4/pi, 2), so the root lies in
-    [abar/2.05, abar]."""
+    [abar/2.05, abar]; a target whose beta^2 overflows raises ValueError."""
     kind = TrajectoryKind(kind)
     if not 0.0 < abar_target < math.inf:
         raise ValueError(f"abar_target must be positive and finite, got {abar_target}")
@@ -442,7 +437,10 @@ def solve_acceleration_parameter(
         return x * v * omega_d
 
     # SA: abar/A lies in (4/pi, 2), so A lies in (abar/2.05, abar).
-    return find_root(lambda a: abar_of(a) - abar_target, abar_target / 2.05, abar_target, tol=1e-13)
+    try:
+        return find_root(lambda a: abar_of(a) - abar_target, abar_target / 2.05, abar_target, 1e-13)
+    except OverflowError:  # beta^2 past the float range
+        raise ValueError(f"abar_target={abar_target:.4g} m/s^2 is past the SA range") from None
 
 
 def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
@@ -500,37 +498,46 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     return out
 
 
-def _grid_harmonics(kind, A, omega_d, v: float, n_max: int):
-    """Cosine coefficients z_n (rows, n_max) and peaks max|z| (rows,) of
-    the worldlines of one kind at parameter arrays A, omega_d, sampled as
-    `position` is on the SYNTHESIS_SAMPLES uniform times of a period.
+_phase = None  # (u_k, cos theta_k, basis) of `_grid_harmonics`, built on first use
 
-    Each worldline is even in t and flips sign over half a period: the sine
-    and even cosine coefficients vanish (returned as 0), and for the odd
-    a_n the trapezoid rule over the first quarter period (samples/4 + 1
-    points) equals the full-period rule."""
-    samples = SYNTHESIS_SAMPLES
-    # The fields of TrajectoryParams, one worldline per row, for `_raw_position`.
-    p = SimpleNamespace(
-        kind=TrajectoryKind(kind), A=np.asarray(A, dtype=float)[:, None],
-        omega_d=np.asarray(omega_d, dtype=float)[:, None], v=v,
-    )
-    k = np.arange(samples // 4 + 1)
-    t = k * (coordinate_period(p) / samples)
-    if p.kind is TrajectoryKind.AUA:
-        # The first quarter period lies in segment 0, where the centered
-        # z = (v^2/A) (hypot(1, xi) - hypot(1, s)); written without that
-        # difference, slow worldlines keep their digits.
-        s = _aua_segment_sinh(p)
-        xi = p.A * t / p.v
-        z = (p.v**2 / p.A) * (xi - s) * (xi + s) / (np.hypot(1.0, xi) + np.hypot(1.0, s))
+
+def _grid_harmonics(kind, A, omega_d, v: float, n_max: int):
+    """Cosine coefficients z_n (rows, n_max) and peaks max|z| (rows,) of the
+    worldlines of one kind at parameter arrays A, omega_d. Even worldlines
+    that flip sign every half period have only odd a_n, from the trapezoid
+    rule over a quarter of the N = SYNTHESIS_SAMPLES times t_k = k T/N. Their
+    phases omega_d t_k = 2 pi k/N are the same on every row: one table, kept
+    up to N/16 odd n (2.1 MB), holds u_k = 4k/N, cos(2 pi k/N) and the
+    weighted basis, and SM needs no samples. Each a_n is one dot product of a
+    row's samples, so no other row and no n_max enters it."""
+    global _phase
+    n_odd, table = (n_max + 1) // 2, _phase
+    if table is None or len(table[2]) < n_odd:
+        k = np.arange(SYNTHESIS_SAMPLES // 4 + 1)
+        n = np.arange(1, 2 * max(n_odd, 1), 2)
+        basis = np.cos(np.multiply.outer(n, k) * (2.0 * math.pi / SYNTHESIS_SAMPLES))
+        table = (k * (4.0 / SYNTHESIS_SAMPLES), basis[0].copy(), basis)
+        basis[:, [0, -1]] *= 0.5  # the trapezoid rule's end weights
+        _phase = table if n_odd <= SYNTHESIS_SAMPLES // 16 else _phase
+    u, cos_theta, basis = table[0], table[1], table[2][:n_odd]
+    kind = TrajectoryKind(kind)
+    A, w = np.asarray(A, dtype=float)[:, None], np.asarray(omega_d, dtype=float)[:, None]
+    a = np.zeros((A.shape[0], n_max))
+    dots = lambda x: np.matmul(x[:, None, None, :], basis[:, :, None])[:, :, 0, 0]
+    if kind is TrajectoryKind.SM:
+        R = A / w**2
+        a[:, ::2] = (-(8.0 / SYNTHESIS_SAMPLES) * R) * dots(cos_theta[None, :])
+        return a, R[:, 0]
+    if kind is TrajectoryKind.SA:
+        beta = _sa_velocity_ratio(A, w, v)
+        z = -(v / w) * np.arcsin(beta / np.sqrt(1.0 + beta**2) * cos_theta)
     else:
-        z = _raw_position(p, t)  # centered already
-    basis = np.cos(np.multiply.outer(k, np.arange(1, n_max + 1, 2)) * (2.0 * math.pi / samples))
-    basis[[0, -1]] *= 0.5  # the trapezoid rule's end weights
-    a = np.zeros((z.shape[0], n_max))
-    a[:, ::2] = (8.0 / samples) * (z @ basis)
-    return a, np.max(np.abs(z), axis=1)
+        # In segment 0, xi = s u_k; (v^2/A)(hypot(1, xi) - hypot(1, s)) would cancel.
+        s, u_sq = _aua_segment_sinh(A, w, v), u * u
+        den = np.sqrt(s**2 * u_sq + 1.0) + np.sqrt(1.0 + s**2)
+        z = np.divide((v**2 / A) * s**2 * (u_sq - 1.0), den, out=den)
+    a[:, ::2] = (8.0 / SYNTHESIS_SAMPLES) * dots(z)
+    return a, np.abs(z[:, 0])
 
 
 def relativity_estimator(p: TrajectoryParams) -> float:

@@ -12,6 +12,10 @@ by one; `output_spectrum` sums their squares in closed form.
 bisection on scipy's complete elliptic integrals, the package's own
 kernels left out.
 
+`grid_harmonics_per_row` is the quarter-period harmonic kernel as it was
+before its shared phase table: each worldline sampled on its own times
+k T/N through `_raw_position`, projected on an `np.cos` basis.
+
 `integrate` (adaptive Simpson) interprets its tolerance relative to the
 magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
 relative target for O(1) integrals and an absolute one for tiny ones.
@@ -31,6 +35,7 @@ from mirror_dce.trajectories import (
     SUBLUMINAL_MARGIN,
     TrajectoryKind,
     TrajectoryParams,
+    _raw_position,
     coordinate_period,
     directional_acceleration,
     ellip_e,
@@ -237,6 +242,30 @@ def grid_acceleration_parameter_bisected(kind, abar, omega_d, v: float):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     out[ok] = scale * mid * v * omega_d[ok]
     return out
+
+
+def grid_harmonics_per_row(kind, A, omega_d, v: float, n_max: int, samples: int = 4096):
+    """Odd cosine coefficients z_n (rows, n_max; 0 elsewhere) and max|z|
+    (rows,) of each worldline (A[i], omega_d[i]) by the trapezoid rule over
+    its first quarter period: z sampled at t_k = k T/N, k = 0..N/4, from
+    `_raw_position` (AUA in segment 0 as (v^2/A)(xi - s)(xi + s) /
+    (hypot(1, xi) + hypot(1, s)), which keeps slow worldlines' digits),
+    against cos(n 2 pi k/N) with halved end weights."""
+    k = np.arange(samples // 4 + 1)
+    basis = np.cos(np.multiply.outer(k, np.arange(1, n_max + 1, 2)) * (2.0 * math.pi / samples))
+    basis[[0, -1]] *= 0.5
+    a, peaks = np.zeros((len(A), n_max)), np.empty(len(A))
+    for i, (A_i, w) in enumerate(zip(A, omega_d)):
+        p = TrajectoryParams(kind, float(A_i), float(w), v)
+        t = k * (coordinate_period(p) / samples)
+        if p.kind is TrajectoryKind.AUA:
+            s, xi = p.A * math.pi / (2.0 * v * w), p.A * t / v
+            z = (v**2 / p.A) * (xi - s) * (xi + s) / (np.hypot(1.0, xi) + np.hypot(1.0, s))
+        else:
+            z = _raw_position(p, t)
+        a[i, ::2] = (8.0 / samples) * (z @ basis)
+        peaks[i] = np.max(np.abs(z))
+    return a, peaks
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,42 @@ class TestValidate:
         ]
         assert report.checks[-1].message == "k_B T / (hbar omega_d) = 0.428"
 
+    def test_grid_judgement_keeps_its_failures_and_warnings(self, reference_circuit):
+        # Eight points: clean (0, 7), warning only (1-3), and failing an error
+        # row (4: depth, 5: harmonic ratio, 6: tuning ceiling) while crossing
+        # warning rows too. A failed point does not warn; the rest warn row by
+        # row, in point order. The lists are the ones the table gave before
+        # warning texts were formatted at unfailed points only.
+        ratio = np.array([[0.1, 0.0, 0.005], [0.1, 0.0, 0.02], [0.28, 0.0, 0.0], [0.3, 0.0, 0.1],
+                          [0.3, 0.0, 0.1], [0.6, 0.0, 0.1], [0.3, 0.0, 0.0], [0.2, 0.0, 0.0]])
+        depth = np.array([0.2, 0.2, 0.2, 0.2, 0.6, 0.2, 0.2, 0.1])
+        bias = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.9, 0.5])
+        leff = 1e-4 / bias
+        q = circuit._Quantities(
+            ratio=ratio, A=np.full(8, 1e18), omega_d=np.full(8, 2e11), c=reference_circuit,
+            bias=bias, leff=leff, z_peak=depth * leff,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            failed = circuit._judge(q)
+        assert [(i, error.__name__, text) for i, (error, text) in failed.items()] == [
+            (4, "RealizabilityError", "trajectory amplitude 0.00012 m is 0.6 of the effective "
+             "length 0.0002 m; exceeds the 0.5 margin"),
+            (6, "RealizabilityError", "peak E_J(t) = 9.38e-22 J exceeds the flux-tuning ceiling "
+             "2 E_J = 8.228e-22 J"),
+            (5, "RealizabilityError", "harmonic ratio |c_n|/a0 = 0.6 exceeds the hard bound 0.5"),
+        ]
+        assert [(w.category.__name__, str(w.message)) for w in caught] == [
+            ("AliasingWarning", "harmonic n=3 still carries 3.85% of the harmonic power; "
+             "the requested truncation may alias"),
+            ("AliasingWarning", "harmonic n=3 still carries 10.00% of the harmonic power; "
+             "the requested truncation may alias"),
+            ("DriveWarning", "harmonic ratio |c_n|/a0 = 0.28 exceeds 0.25; first-order "
+             "treatment degrades"),
+            ("DriveWarning", "harmonic ratio |c_n|/a0 = 0.3 exceeds 0.25; first-order "
+             "treatment degrades"),
+        ]
+
     def test_sm_amplitude_bound_at_max_frequency(self, reference_circuit):
         # at a 40 GHz drive the subluminal wall caps the amplitude near 0.4775 mm
         wd = TWO_PI * 40e9

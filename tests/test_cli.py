@@ -302,6 +302,27 @@ class TestCommands:
         assert len(ds.x) == 7
         assert np.all(np.diff(ds.n_out) > 0.0)  # monotone in abar
 
+    def test_traj_past_the_sa_range_exits_1_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["traj", "--kind", "sa", "--abar", "1e175", "--fd", "1e9", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mirror-dce: error: abar_target=1e+175 m/s^2 is past the SA range")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sa_sweep_past_the_range_of_beta_squared_finishes(self, tmp_path):
+        # The grid path raises no OverflowError (numpy's beta^2 is inf): the
+        # sweep still writes its curve.
+        out = tmp_path / "sweep.csv"
+        rc = main(
+            [
+                "sweep", "--kind", "sa", "--axis", "abar", "--min", "1e160",
+                "--max", "1e200", "--points", "41", "--fd", "1e9", "--w", "0.5e9",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0 and out.exists()
+
     def test_sweep_over_abar_with_a_pinned_A_exits_1_without_a_file(self, tmp_path, capsys):
         # SweepSpec's own check rejects it; the command adds none of its own.
         out = tmp_path / "sweep.csv"

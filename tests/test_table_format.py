@@ -8,8 +8,9 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mirror_dce
 from mirror_dce import cli
 from mirror_dce.circuit import (
     _BLOCK_ROWS,
@@ -430,36 +432,58 @@ _LONG_ROWS = 200_000
 _NAMES = ("t", "z", "alpha_dir", "tau", "trajectory")
 
 
-@pytest.fixture(scope="module")
-def long_table(tmp_path_factory):
-    """Columns of a 200k-row worldline-like table and the file they make."""
+def _long_columns():
+    """The columns of a 200k-row worldline-like table."""
     rng = np.random.default_rng(7)
     quarter = _LONG_ROWS // 4
-    columns = tuple(rng.standard_normal(_LONG_ROWS) for _ in range(4)) + (
+    return tuple(rng.standard_normal(_LONG_ROWS) for _ in range(4)) + (
         _text_column(["sm", "sa", "aua", "sm"], [quarter] * 4),
     )
-    path = _write_table(tmp_path_factory.mktemp("long") / "long.csv", {}, _NAMES, columns)
-    return columns, path
 
 
-def _peak_mb(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+@pytest.fixture(scope="module")
+def long_table(tmp_path_factory):
+    """The file of a 200k-row worldline-like table."""
+    return _write_table(tmp_path_factory.mktemp("long") / "long.csv", {}, _NAMES, _long_columns())
 
 
-# Bounds are about 3x the peaks measured with numpy 2.4 on Python 3.11
-# (2.7 MB written, 35 MB read: the read returns 800k floats). Formatting
-# the whole file in memory, or splitting every row into cell strings,
-# takes 62 MB and 124 MB.
-def test_writing_a_long_table_streams_it(long_table, tmp_path):
-    columns, _ = long_table
-    assert _peak_mb(_write_table, tmp_path / "w.csv", {}, _NAMES, columns) < 10.0
+def _rss_rise_mb(setup: str, call: str) -> float:
+    """The rise of the peak resident set (ru_maxrss, KiB on Linux) across
+    `call`, run after `setup` in a fresh interpreter, in MB. Unlike
+    tracemalloc it slows no allocation, and it counts numpy's buffers too.
+    An exec'd process's ru_maxrss starts at the peak of the process that
+    spawned it, so the call runs in a fork of the interpreter, whose
+    ru_maxrss starts at its own size."""
+    code = "\n".join([
+        "import os, resource", setup,
+        "if os.fork() == 0:",
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        f"    {call}",
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, flush=True)",
+        "    os._exit(0)",
+        "os.wait()",
+    ])
+    paths = [str(Path(__file__).resolve().parent), str(Path(mirror_dce.__file__).parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return int(out.stdout) * 1024 / 1e6
+
+
+# Bounds from ten runs with numpy 2.4 on Python 3.11, Linux: the write rose
+# by 4.9-5.6 MB, the read by 42.9-43.0 MB (it returns 800k floats). A writer
+# that formats the whole file in memory rose by 80-81 MB, a reader that
+# splits every row into cell strings by 153 MB.
+def test_writing_a_long_table_streams_it(tmp_path):
+    setup = (
+        "from test_table_format import _NAMES, _long_columns, _write_table\n"
+        "columns = _long_columns()"
+    )
+    call = f"_write_table({str(tmp_path / 'w.csv')!r}, {{}}, _NAMES, columns)"
+    assert _rss_rise_mb(setup, call) < 16.0
 
 
 def test_reading_a_long_table_parses_it_in_place(long_table):
-    _, path = long_table
-    assert _peak_mb(read_table, path) < 110.0
+    call = f"read_table({str(long_table)!r})"
+    assert _rss_rise_mb("from mirror_dce.experiments import read_table", call) < 90.0

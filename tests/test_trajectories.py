@@ -30,6 +30,7 @@ from mirror_dce.trajectories import (
 from oracles import (
     abar_quadrature,
     grid_acceleration_parameter_bisected,
+    grid_harmonics_per_row,
     period_mean_quadrature,
     velocity_fd,
 )
@@ -281,7 +282,7 @@ class TestAverageAcceleration:
                 assert abar == p.v * w * math.atanh(xi) / ellip_e(math.pi / 2.0, xi**2)
                 assert tau_p == ellip_e(2.0 * math.pi, (p.R * w / p.v) ** 2) / w
             else:
-                b = trajectories._sa_velocity_ratio(p)
+                b = trajectories._sa_velocity_ratio(p.A, w, p.v)
                 assert abar == p.v * w * math.asinh(b) / ellip_f(math.pi / 2.0, -(b**2))
                 assert tau_p == ellip_f(2.0 * math.pi, -(b**2)) / w
 
@@ -336,6 +337,12 @@ class TestSolveAccelerationParameter:
         A = solve_acceleration_parameter(TrajectoryKind(kind), target, wd, V)
         p = TrajectoryParams(TrajectoryKind(kind), A, wd, V)
         assert average_acceleration(p) == pytest.approx(target, rel=1e-6)
+
+    def test_sa_solve_past_the_float_range_of_beta_squared_raises_value_error(self):
+        # At 1 GHz, abar = 1e175 m/s^2 puts beta near 1e165; beta^2 overflowed
+        # as an OverflowError that the CLI did not catch.
+        with pytest.raises(ValueError, match="past the SA range"):
+            solve_acceleration_parameter(TrajectoryKind.SA, 1e175, TWO_PI * 1e9, V)
 
     @pytest.mark.parametrize("abar", [1e25, 1e30])
     def test_sa_solve_at_large_beta_matches_a_40_digit_root(self, abar):
@@ -463,6 +470,43 @@ class TestGridKernels:
             assert np.max(np.abs(dense_a[1::2])) <= 1e-15 * scale
             z = position(p, np.arange(4096) * (coordinate_period(p) / 4096))
             assert peak == pytest.approx(float(np.max(np.abs(z))), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    def test_grid_harmonics_match_the_per_row_kernel(self, kind, n_max):
+        # The shared phase table against each worldline sampled on its own
+        # times: odd a_n within 4e-15 max|a_n| (both are rounded sums of 1025
+        # terms), max|z| within 1e-15. The grid spans abar 1e16-8e19 m/s^2 and
+        # f_d 2-40 GHz, with slow AUA at 1e16 m/s^2 and 18 GHz; SM worldlines
+        # past the light speed are left out.
+        abar, f_d = np.meshgrid(np.geomspace(1e16, 8e19, 9), np.append(np.geomspace(2e9, 40e9, 5), 18e9))
+        A = _grid_acceleration_parameter(kind, abar.ravel(), TWO_PI * f_d.ravel(), V)
+        keep = np.isfinite(A)
+        A, omega_d = A[keep], TWO_PI * f_d.ravel()[keep]
+        assert A.size >= (30 if kind is TrajectoryKind.SM else 54)
+        a, peaks = _grid_harmonics(kind, A, omega_d, V, n_max)
+        want_a, want_peaks = grid_harmonics_per_row(kind, A, omega_d, V, n_max)
+        assert a.shape == want_a.shape and np.all(a[:, 1::2] == 0.0)
+        scale = np.max(np.abs(want_a), axis=1, keepdims=True)
+        assert np.all(np.abs(a - want_a) <= 4e-15 * scale)
+        np.testing.assert_allclose(peaks, want_peaks, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind))
+    def test_a_rows_harmonics_depend_on_that_row_alone(self, kind):
+        # A scalar bias (one row, n_max = 1) and a sweep's (16-row blocks,
+        # any n_max) must agree exactly, whatever table an earlier call kept.
+        omega_d = TWO_PI * 14.6e9
+        A = _grid_acceleration_parameter(kind, np.linspace(5e18, 30e18, 9), omega_d, V)
+        wide, wide_peaks = _grid_harmonics(kind, A, np.full(A.size, omega_d), V, 12)
+        for i in range(A.size):
+            for n_max in (1, 3, 6):
+                a, peak = _grid_harmonics(kind, A[i : i + 1], [omega_d], V, n_max)
+                assert np.array_equal(a[0], wide[i, :n_max]) and peak[0] == wide_peaks[i]
+
+    def test_the_kept_phase_table_stays_bounded(self):
+        _grid_harmonics("sa", [1e19], [TWO_PI * 14.6e9], V, 6)
+        _grid_harmonics("sa", [1e19], [TWO_PI * 14.6e9], V, 1001)
+        assert trajectories._phase[2].shape[0] <= 4096 // 16
 
     def test_slow_aua_harmonics_keep_their_digits(self):
         omega_d = TWO_PI * 18e9
