@@ -479,7 +479,8 @@ class TestGridKernels:
         # terms), max|z| within 1e-15. The grid spans abar 1e16-8e19 m/s^2 and
         # f_d 2-40 GHz, with slow AUA at 1e16 m/s^2 and 18 GHz; SM worldlines
         # past the light speed are left out.
-        abar, f_d = np.meshgrid(np.geomspace(1e16, 8e19, 9), np.append(np.geomspace(2e9, 40e9, 5), 18e9))
+        f_d = np.append(np.geomspace(2e9, 40e9, 5), 18e9)
+        abar, f_d = np.meshgrid(np.geomspace(1e16, 8e19, 9), f_d)
         A = _grid_acceleration_parameter(kind, abar.ravel(), TWO_PI * f_d.ravel(), V)
         keep = np.isfinite(A)
         A, omega_d = A[keep], TWO_PI * f_d.ravel()[keep]
