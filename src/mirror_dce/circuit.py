@@ -346,13 +346,13 @@ class _Quantities:
 
 
 def _harmonic_ratio(q):
-    return np.max(q.ratio, axis=-1, initial=0.0)
+    return q.ratio.max(-1, initial=0.0)
 
 
 def _top_power_share(q):
-    power = q.ratio**2
-    total, top = np.sum(power, axis=-1), np.sum(power[..., -1:], axis=-1)
-    return np.where(total > 0.0, top / np.where(total > 0.0, total, 1.0), 0.0)
+    power = q.ratio * q.ratio
+    total = power.sum(-1)  # 0 only where every power is, the top one too: the share is 0
+    return (power[..., -1] if power.shape[-1] else total) / (total + (total == 0.0))
 
 
 _GHZ = 2e9 * math.pi
@@ -404,30 +404,38 @@ def _rows(*names: str) -> tuple:
 
 
 def _crossings(q: _Quantities, rows):
-    """Each of the rows whose value applies at q (is not None): the row, its
-    value at every point of q (flat), its limit and where the value crosses it."""
+    """Each of the rows whose value applies at q (is not None): the row, its value at
+    every point of q (flat; a 1-tuple at one point), its limit and the crossing points."""
+    shape = q.ratio.shape[:-1]
     for row in rows:
         value = row[1](q)
         if value is not None:
             limit = row[2](q.c) if callable(row[2]) else row[2]
-            value = np.broadcast_to(value, q.ratio.shape[:-1]).reshape(-1)
-            yield row, value, limit, ~row[3](value, limit)
+            if shape:
+                value = np.broadcast_to(value, shape).reshape(-1)
+                yield row, value, limit, np.flatnonzero(~row[3](value, limit)).tolist()
+            else:  # one point: nothing to broadcast
+                yield row, (value,), limit, [] if row[3](value, limit) else [0]
 
 
 def _judge(q: _Quantities, rows=_BOUNDS, stacklevel: int = 2) -> dict[int, tuple[type, str]]:
     """The error and warning rows at every point of q: by point index, the
     class and text of the first error row the point crosses. Each warning
     row warns at every other point that crosses it, `stacklevel` frames up
-    as in warnings.warn."""
+    as in warnings.warn. A text reads its point of a grid from lists of the
+    per-point fields, taken once per call: `q.at(i)` costs more."""
     failed: dict[int, tuple[type, str]] = {}
+    fields = vars(q).items() if q.ratio.ndim > 1 else ()  # a point's texts read q as it is
+    lists = {n: f if n == "ratio" else f.tolist() for n, f in fields if np.ndim(f)}
     # Error rows first (sorted is stable): warnings are formatted at unfailed points only.
     listed = sorted((r for r in rows if r[5] is not None), key=lambda r: issubclass(r[4], Warning))
     for row, value, limit, crossed in _crossings(q, listed):
-        for i in np.flatnonzero(crossed).tolist():
-            if i not in failed and issubclass(row[4], Warning):
-                warnings.warn(row[5](q.at(i), value[i], limit), row[4], stacklevel=stacklevel)
-            elif i not in failed:
-                failed[i] = (row[4], row[5](q.at(i), value[i], limit))
+        for i in [i for i in crossed if i not in failed]:
+            text = row[5](q.updated(**{n: f[i] for n, f in lists.items()}), value[i], limit)
+            if issubclass(row[4], Warning):
+                warnings.warn(text, row[4], stacklevel=stacklevel)
+            else:
+                failed[i] = (row[4], text)
     return failed
 
 
@@ -441,7 +449,7 @@ def _report(point: _Quantities) -> ValidityReport:
     """The listed rows of the table at one point, passing or not."""
     checks = []
     listed = [row for row in _BOUNDS if row[6] is not None]
-    for row, (value,), limit, (crossed,) in _crossings(point, listed):
+    for row, (value,), limit, crossed in _crossings(point, listed):
         name, crossing, line = row[0], row[4], row[6]
         if not crossed:
             status = "pass"

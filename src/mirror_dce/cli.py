@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import re
 import sys
@@ -343,38 +344,30 @@ def _write_sweep(cfg: RunConfig, kind, axis, grid, out: Path, **fixed) -> list[P
     return write_spectrum_datasets(datasets, out, long_format=cfg.out_format == "long")
 
 
-# One entry of a dataset's `failures` metadata: "<index>:<ExceptionClass>: "
-# then the message, entries joined by "|" (messages may contain "|" too).
-_FAILURE_ENTRY = re.compile(r"(?:^|\|)(\d+|validity):([A-Za-z_]\w*): ")
+# One entry of "|" + a dataset's `failures`: "|<index>:<ExceptionClass>: " and its message
+# (messages may contain "|" too); the leading literal "|" lets the regex scan ahead fast.
+_FAILURE_ENTRY = re.compile(r"\|(\d+|validity):([A-Za-z_]\w*): ")
 
 
 def _report_failed_points(datasets) -> None:
-    """Raise when every sweep point failed; otherwise, when some did, print
-    their count and exception classes to stderr."""
+    """Raise when every sweep point failed, with the first point's message; otherwise,
+    when some did, print their count and exception classes (one `findall` each) to stderr."""
     total = sum(ds.x.size for ds in datasets)
     failed = sum(int(np.count_nonzero(np.isnan(ds.n_out))) for ds in datasets)
-    if not failed:
-        return
-    entries = []  # (point index, exception class, message)
-    for ds in datasets:
-        text = ds.metadata.get("failures", "")
-        found = list(_FAILURE_ENTRY.finditer(text))
-        ends = [m.start() for m in found[1:]] + [len(text)]
-        entries.extend(
-            (m.group(1), m.group(2), text[m.end():end])
-            for m, end in zip(found, ends)
-            if m.group(1) != "validity"
-        )
+    texts = ["|" + ds.metadata.get("failures", "") for ds in datasets]
     if failed == total:
-        index, cls, message = entries[0]
-        raise ValueError(
-            f"all {total} sweep points failed; the first (point {index}): {cls}: {message}"
+        text, first = next(
+            (t, m) for t in texts for m in _FAILURE_ENTRY.finditer(t) if m[1] != "validity"
         )
-    classes = dict.fromkeys(cls for _, cls, _ in entries)
-    print(
-        f"mirror-dce: {failed} of {total} points failed ({', '.join(classes)})",
-        file=sys.stderr,
-    )
+        after = _FAILURE_ENTRY.search(text, first.end())
+        raise ValueError(
+            f"all {total} sweep points failed; the first (point {first[1]}): {first[2]}: "
+            + text[first.end() : after.start() if after else None]
+        )
+    if failed:
+        found = (entry for text in texts for entry in _FAILURE_ENTRY.findall(text))
+        classes = ", ".join(dict.fromkeys(cls for index, cls in found if index != "validity"))
+        print(f"mirror-dce: {failed} of {total} points failed ({classes})", file=sys.stderr)
 
 
 def _realized_tone_ratio(s, c: CircuitParams) -> float:
@@ -441,7 +434,9 @@ def dispatch(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and kept: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="mirror-dce",
         description="Relativistic mirror trajectories on a flux-driven SQUID "

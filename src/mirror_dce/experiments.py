@@ -488,23 +488,17 @@ def _entry(failure: tuple[type, str]) -> str:
 
 def _grid_values(omega: float, curve: _Curve, T: float) -> tuple[np.ndarray, list[str]]:
     """n_out at the fixed probe omega for every grid point, in one batch over
-    the points that passed the bounds, and the `i:<message>` failures. A
-    spectrum domain error fails every such point."""
-    size = curve.bounds.A.size
-    vals = np.full(size, np.nan)
-    spectrum_error = None
+    the points that passed the bounds, and the `i:<message>` failures by
+    point index. A spectrum domain error fails every such point."""
+    vals = np.full(curve.bounds.A.size, np.nan)
+    failures = curve.failures
     if curve.ok.size:
         try:
             wd = curve.bounds.omega_d[curve.ok]
             vals[curve.ok] = _n_out(np.full(curve.ok.size, omega), T, wd, curve.weights)
         except _POINT_ERRORS as exc:
-            spectrum_error = (type(exc), str(exc))
-    failures = []
-    for i in range(size):
-        failure = curve.failures.get(i, spectrum_error)
-        if failure is not None:
-            failures.append(f"{i}:{_entry(failure)}")
-    return vals, failures
+            failures = {**failures, **dict.fromkeys(curve.ok.tolist(), (type(exc), str(exc)))}
+    return vals, [f"{i}:{_entry(failures[i])}" for i in sorted(failures)]
 
 
 def _evaluate_sweep(

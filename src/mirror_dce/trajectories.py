@@ -414,9 +414,9 @@ def solve_acceleration_parameter(
         raise ValueError(f"abar_target must be positive and finite, got {abar_target}")
     if not omega_d > 0.0 or not 0.0 < v <= C_LIGHT:
         raise ValueError("omega_d must be positive and v in (0, c]")
-
+    abar_target, omega_d = float(abar_target), float(omega_d)  # numpy's beta^2 would be inf
     if kind is TrajectoryKind.AUA:
-        return float(abar_target)
+        return abar_target
 
     def abar_of(a_param: float) -> float:
         return average_acceleration(TrajectoryParams(kind, a_param, omega_d, v))
@@ -460,6 +460,9 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     )
     out = np.full(abar.shape, np.nan)
     ok = (abar > 0.0) & (abar < math.inf) & (omega_d > 0.0) & (omega_d < math.inf)
+    if kind is TrajectoryKind.SA:  # the scalar solve raises where beta^2 overflows
+        with np.errstate(over="ignore"):
+            ok &= _sa_velocity_ratio(abar, omega_d, v) ** 2 < math.inf
     if kind is TrajectoryKind.AUA:
         out[ok] = abar[ok]
         return out

@@ -391,21 +391,26 @@ class TestValidate:
         ]
         assert report.checks[-1].message == "k_B T / (hbar omega_d) = 0.428"
 
-    def test_grid_judgement_keeps_its_failures_and_warnings(self, reference_circuit):
+    @staticmethod
+    def eight_point_grid(c):
         # Eight points: clean (0, 7), warning only (1-3), and failing an error
         # row (4: depth, 5: harmonic ratio, 6: tuning ceiling) while crossing
-        # warning rows too. A failed point does not warn; the rest warn row by
-        # row, in point order. The lists are the ones the table gave before
-        # warning texts were formatted at unfailed points only.
+        # warning rows too.
         ratio = np.array([[0.1, 0.0, 0.005], [0.1, 0.0, 0.02], [0.28, 0.0, 0.0], [0.3, 0.0, 0.1],
                           [0.3, 0.0, 0.1], [0.6, 0.0, 0.1], [0.3, 0.0, 0.0], [0.2, 0.0, 0.0]])
         depth = np.array([0.2, 0.2, 0.2, 0.2, 0.6, 0.2, 0.2, 0.1])
         bias = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.9, 0.5])
         leff = 1e-4 / bias
-        q = circuit._Quantities(
-            ratio=ratio, A=np.full(8, 1e18), omega_d=np.full(8, 2e11), c=reference_circuit,
+        return circuit._Quantities(
+            ratio=ratio, A=np.full(8, 1e18), omega_d=np.full(8, 2e11), c=c,
             bias=bias, leff=leff, z_peak=depth * leff,
         )
+
+    def test_grid_judgement_keeps_its_failures_and_warnings(self, reference_circuit):
+        # A failed point does not warn; the rest warn row by row, in point
+        # order. The lists are the ones the table gave before warning texts
+        # were formatted at unfailed points only.
+        q = self.eight_point_grid(reference_circuit)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             failed = circuit._judge(q)
@@ -426,6 +431,51 @@ class TestValidate:
             ("DriveWarning", "harmonic ratio |c_n|/a0 = 0.3 exceeds 0.25; first-order "
              "treatment degrades"),
         ]
+
+    def test_each_point_judged_alone_gives_the_grids_failure_and_warnings(
+        self, reference_circuit
+    ):
+        # One point at a time takes the unbroadcast path of `_crossings`: its
+        # scalar fields and 1-d ratio must give the texts the grid gives there.
+        grid = self.eight_point_grid(reference_circuit)
+        by_point, failed = [], {}
+        for i in range(8):
+            point = circuit._Quantities(
+                ratio=grid.ratio[i], A=float(grid.A[i]), omega_d=float(grid.omega_d[i]),
+                c=reference_circuit, bias=float(grid.bias[i]), leff=float(grid.leff[i]),
+                z_peak=float(grid.z_peak[i]),
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                failed.update({i: f for f in circuit._judge(point).values()})
+            by_point += [(i, w.category, str(w.message)) for w in caught]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert failed == circuit._judge(grid)
+        assert [i for i, _, _ in by_point] == [1, 2, 3, 3]
+        # The grid warns row by row: sorted by row, the points' warnings are its own.
+        rows = [AliasingWarning, DriveWarning]
+        assert sorted(by_point, key=lambda w: rows.index(w[1])) == [
+            (i, w.category, str(w.message))
+            for i, w in zip([1, 3, 2, 3], caught)
+        ]
+
+    @pytest.mark.parametrize("rows", [
+        ("drive_depth", "tuning_ceiling"), ("aliasing",), ("harmonic_ratio", "perturbative_drive"),
+    ])
+    def test_one_point_judgement_does_not_broadcast(self, reference_circuit, monkeypatch, rows):
+        # The scalar drive path judges one point per call; it takes no
+        # broadcast and no flatnonzero, whatever the row.
+        leff = effective_length(reference_circuit)
+        point = circuit._Quantities(
+            ratio=np.array([0.3, 0.01, 0.02]), omega_d=2e11, c=reference_circuit,
+            bias=reference_circuit.EJ0_ratio, leff=leff, z_peak=0.6 * leff,
+        )
+        for name in ("broadcast_to", "flatnonzero"):
+            monkeypatch.setattr(circuit.np, name, None)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert list(circuit._judge(point, circuit._rows(*rows))) in ([], [0])
 
     def test_sm_amplitude_bound_at_max_frequency(self, reference_circuit):
         # at a 40 GHz drive the subluminal wall caps the amplitude near 0.4775 mm

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mirror_dce
+from mirror_dce import cli
 from mirror_dce.circuit import CircuitParams, trajectory_to_drive
 from mirror_dce.cli import (
     _SETTINGS,
@@ -310,9 +311,10 @@ class TestCommands:
         assert err.startswith("mirror-dce: error: abar_target=1e+175 m/s^2 is past the SA range")
         assert list(tmp_path.iterdir()) == []
 
-    def test_sa_sweep_past_the_range_of_beta_squared_finishes(self, tmp_path):
-        # The grid path raises no OverflowError (numpy's beta^2 is inf): the
-        # sweep still writes its curve.
+    def test_sa_sweep_past_the_range_of_beta_squared_finishes(self, tmp_path, capsys):
+        # Point 0 (1e160 m/s^2) is too deep a drive; the other 40 lie past the
+        # SA range, where the grid inversion fails as the scalar solve does
+        # instead of giving n_out = 0. So every point fails.
         out = tmp_path / "sweep.csv"
         rc = main(
             [
@@ -321,7 +323,10 @@ class TestCommands:
                 "--out", str(out),
             ]
         )
-        assert rc == 0 and out.exists()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mirror-dce: error: all 41 sweep points failed; the first (point 0): ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_over_abar_with_a_pinned_A_exits_1_without_a_file(self, tmp_path, capsys):
         # SweepSpec's own check rejects it; the command adds none of its own.
@@ -418,6 +423,26 @@ class TestCommands:
             r"RealizabilityError: harmonic ratio \|c_n\|/a0 = 0\.6 exceeds$",
         ):
             _report_failed_points([ds])
+
+    def test_failure_report_reads_a_leading_validity_entry(self, capsys):
+        # The mid point's entry may stand first, and messages may hold "|".
+        failures = (
+            "validity:RealizabilityError: |c_n| too big|"
+            "1:ValueError: a | b|2:RealizabilityError: |c_n|/a0 = 0.6"
+        )
+        ds = SpectrumDataset(
+            axis="abar", x=[1.0, 2.0, 3.0], n_out=[0.5, math.nan, math.nan],
+            metadata={"failures": failures},
+        )
+        _report_failed_points([ds])
+        err = capsys.readouterr().err
+        assert err == "mirror-dce: 2 of 3 points failed (ValueError, RealizabilityError)\n"
+        ds.n_out[0] = math.nan
+        with pytest.raises(ValueError) as info:
+            _report_failed_points([ds])
+        assert str(info.value) == (
+            "all 3 sweep points failed; the first (point 1): ValueError: a | b"
+        )
 
     def test_params_prints_resolved_table(self, capsys):
         rc = main(["params", "--kind", "sa", "--abar", "20e18"])
@@ -646,6 +671,49 @@ class TestCommands:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+
+class TestKeptParser:
+    """`main` builds its parser once per process and reuses it."""
+
+    def test_kept_parser_helps_as_a_fresh_one(self, capsys):
+        kept = _build_parser()
+        assert _build_parser() is kept
+        kept.parse_args(["reproduce", "fig1", "--out", "x"])
+        fresh = _build_parser.__wrapped__()
+        assert fresh is not kept
+        assert kept.format_help() == fresh.format_help()
+        for name in COMMANDS:
+            helps = []
+            for parser in (kept, fresh):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([name, "-h"])
+                helps.append(capsys.readouterr().out)
+            assert helps[0] == helps[1]
+
+    def test_sweep_after_a_pinned_A_run_takes_no_A(self, tmp_path, monkeypatch):
+        # A kept --A would make the second run give both --A and --abar (exit 1).
+        sweep = ["sweep", "--kind", "sa", "--axis", "omega_d", "--min", "12e9",
+                 "--max", "16e9", "--points", "5", "--w", "7.3e9"]
+        assert main(sweep + ["--A", "2e17", "--out", str(tmp_path / "pinned.csv")]) == 0
+        assert main(sweep + ["--abar", "3e17", "--out", str(tmp_path / "kept.csv")]) == 0
+        monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+        assert main(sweep + ["--abar", "3e17", "--out", str(tmp_path / "fresh.csv")]) == 0
+        kept, fresh = (tmp_path / "kept.csv").read_bytes(), (tmp_path / "fresh.csv").read_bytes()
+        assert kept == fresh
+        assert kept != (tmp_path / "pinned.csv").read_bytes()
+
+    def test_traj_after_reproduce_takes_no_figure(self, tmp_path, monkeypatch):
+        traj = ["traj", "--kind", "sm", "--abar", "9.054e17", "--fd", "18e9", "--points", "16"]
+        assert main(["reproduce", "fig1", "--out", str(tmp_path / "fig")]) == 0
+        assert main(traj + ["--out", str(tmp_path / "kept.csv")]) == 0
+        fresh = _build_parser.__wrapped__()
+        argv = traj + ["--out", "x.csv"]
+        assert vars(_build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        assert "figure" not in vars(_build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_build_parser", lambda: fresh)
+        assert main(traj + ["--out", str(tmp_path / "fresh.csv")]) == 0
+        assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 # Runs every command family in one interpreter where importing any scipy

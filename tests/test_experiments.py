@@ -412,6 +412,36 @@ class TestRunSweep:
             assert [i for i, _ in entries] == [1, 3]
             assert all("abar_target must be positive and finite" in m for _, m in entries)
 
+    def test_sa_points_past_the_range_of_beta_squared_fail_with_the_scalar_text(self):
+        # Past the cut, beta^2 of the SA solve overflows and the scalar solve
+        # raises; the grid inversion gives NaN there, not a worldline with
+        # n_out = 0. The cut is found by bisection over float abar.
+        c, wd, sa = CircuitParams(), TWO_PI * 1e9, TrajectoryKind.SA
+
+        def past(abar):
+            try:
+                solve_acceleration_parameter(sa, abar, wd, c.v)
+            except ValueError:
+                return True
+            return False
+
+        below, above = 1e150, 1e200
+        while math.nextafter(below, above) != above:
+            mid = 0.5 * (below + above)
+            below, above = (below, mid) if past(mid) else (mid, above)
+        x = (1e150, math.nextafter(below, 0.0), below, above,
+             math.nextafter(above, math.inf), 1e180, 1e200)
+        spec = SweepSpec(
+            figure_id="t", axis=SweepAxis.ABAR, x=x, trajectories=(sa,), omega_d=wd,
+            omega=0.5 * wd, ejo_ratio={sa: c.EJ0_ratio},
+        )
+        ds, entries = self.assert_failures_match_scalar_apis(spec, c)
+        cut = [i for i, message in entries if "is past the SA range" in message]
+        assert cut == [3, 4, 5, 6]
+        with np.errstate(all="ignore"):
+            A = experiments._grid_acceleration_parameter(sa, spec.x, wd, c.v)
+        assert np.flatnonzero(np.isnan(A)).tolist() == cut
+
     def test_pinned_sm_amplitude_past_the_wall_speed_fails_with_the_scalar_text(
         self, reference_circuit
     ):
