@@ -363,9 +363,10 @@ _GHZ = 2e9 * math.pi
 # with that class, or only give the status "fail" or "warn" in the report;
 # the text of the error or warning; and the row's line in the report of
 # `validate` (None: not listed). Texts and lines are functions of (point,
-# value, limit). Error and warning rows stand in the order the scalar path
-# meets them. No row bounds the SM wall speed: `TrajectoryParams` rejects a
-# worldline that reaches v before it has any point quantities.
+# value, limit). Error rows stand before warning rows (`_judge` warns only at
+# points no error row failed), each in the order the scalar path meets them.
+# No row bounds the SM wall speed: `TrajectoryParams` rejects a worldline that
+# reaches v before it has any point quantities.
 _BOUNDS = (
     ("bias_floor", lambda q: q.bias, EJ0_RATIO_FLOOR, operator.gt, "fail", None,
      lambda q, x, lim: f"E_J^0/E_J = {x:.4g} (floor {lim})"),
@@ -385,11 +386,11 @@ _BOUNDS = (
      lambda c: 2.0 * c.E_J, operator.le, RealizabilityError,
      lambda q, x, lim: f"peak E_J(t) = {x:.4g} J exceeds the flux-tuning ceiling "
      f"2 E_J = {lim:.4g} J", None),
+    ("harmonic_ratio", _harmonic_ratio, MAX_DRIVE_DEPTH, operator.le, RealizabilityError,
+     lambda q, x, lim: f"harmonic ratio |c_n|/a0 = {x:.4g} exceeds the hard bound {lim}", None),
     ("aliasing", _top_power_share, ALIASING_POWER_SHARE, operator.le, AliasingWarning,
      lambda q, x, lim: f"harmonic n={q.ratio.shape[-1]} still carries {100.0 * x:.2f}% of the "
      "harmonic power; the requested truncation may alias", None),
-    ("harmonic_ratio", _harmonic_ratio, MAX_DRIVE_DEPTH, operator.le, RealizabilityError,
-     lambda q, x, lim: f"harmonic ratio |c_n|/a0 = {x:.4g} exceeds the hard bound {lim}", None),
     ("perturbative_drive", _harmonic_ratio, SOFT_HARMONIC_RATIO, operator.le, DriveWarning,
      lambda q, x, lim: f"harmonic ratio |c_n|/a0 = {x:.4g} exceeds {lim}; first-order "
      "treatment degrades",
@@ -427,8 +428,7 @@ def _judge(q: _Quantities, rows=_BOUNDS, stacklevel: int = 2) -> dict[int, tuple
     failed: dict[int, tuple[type, str]] = {}
     fields = vars(q).items() if q.ratio.ndim > 1 else ()  # a point's texts read q as it is
     lists = {n: f if n == "ratio" else f.tolist() for n, f in fields if np.ndim(f)}
-    # Error rows first (sorted is stable): warnings are formatted at unfailed points only.
-    listed = sorted((r for r in rows if r[5] is not None), key=lambda r: issubclass(r[4], Warning))
+    listed = [row for row in rows if row[5] is not None]  # error rows first, as in the table
     for row, value, limit, crossed in _crossings(q, listed):
         for i in [i for i in crossed if i not in failed]:
             text = row[5](q.updated(**{n: f[i] for n, f in lists.items()}), value[i], limit)
