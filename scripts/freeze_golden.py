@@ -2,7 +2,7 @@
 """Freeze golden values of the bundled presets fig1..fig8, or of the CLI
 drive exports.
 
-Usage: python scripts/freeze_golden.py [--check] {presets,cli} [OUT_JSON]
+Usage: python scripts/freeze_golden.py [--check | --only FIGURE] {presets,cli} [OUT_JSON]
 
 `presets` writes tests/golden/presets.json (or OUT_JSON):
 
@@ -21,6 +21,10 @@ so the test replays the same command.
 tests/test_golden.py compares the current code against that file. Rerun
 this only when the outputs are meant to change.
 
+A presets freeze records, per figure under `frozen_from`, the commit of
+`src/` it froze from, so it refuses while `src/` differs from HEAD.
+`--only FIGURE` refreezes that one figure's section and keeps the others.
+
 `--check` writes nothing. It computes the section afresh and prints, for each
 curve or table, the largest |delta| / (RTOL |golden| + floor) against the
 golden file (or OUT_JSON), with the tolerances of tests/test_golden.py; a
@@ -33,6 +37,7 @@ import contextlib
 import io
 import json
 import math
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -44,7 +49,8 @@ from mirror_dce.experiments import read_spectrum_datasets, read_table, reproduce
 FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 TABLE_STEP = {"fig1": 10, "fig2": 1}
 STEP = 10
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 # The tolerances of tests/test_golden.py (which checks that they match): rtol,
 # and an absolute floor of FLOOR_OF_PEAK times a peak (a curve's, a column's,
@@ -121,17 +127,30 @@ def _cli(tmp: Path) -> dict:
     return golden
 
 
+def _section(figure: str, tmp: Path) -> tuple[str, dict]:
+    """("figures" or "tables", the figure's golden entry)."""
+    if figure in TABLE_STEP:
+        step = TABLE_STEP[figure]
+        return "tables", {path.name: _table_file(path, step) for path in reproduce(figure, tmp)}
+    return "figures", {path.name: _spectrum_file(path) for path in reproduce(figure, tmp)}
+
+
 def _presets(tmp: Path) -> dict:
     golden = {"step": STEP, "figures": {}, "table_step": TABLE_STEP, "tables": {}}
-    for figure in FIGURES:
-        golden["figures"][figure] = {
-            path.name: _spectrum_file(path) for path in reproduce(figure, tmp)
-        }
-    for figure, step in TABLE_STEP.items():
-        golden["tables"][figure] = {
-            path.name: _table_file(path, step) for path in reproduce(figure, tmp)
-        }
+    for figure in (*FIGURES, *TABLE_STEP):
+        part, entry = _section(figure, tmp)
+        golden[part][figure] = entry
     return golden
+
+
+def _source_commit() -> str:
+    """The commit `src/` is checked out at; SystemExit if it differs."""
+    git = lambda *args: subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+    if git("status", "--porcelain", "--", "src"):
+        raise SystemExit("src/ differs from HEAD: commit it before freezing a section")
+    return git("rev-parse", "HEAD")
 
 
 def _ratio(got, want, floor: float = 0.0, rtol: float = RTOL) -> float:
@@ -223,13 +242,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Freeze golden values (only on purpose).")
     parser.add_argument("section", choices=("presets", "cli"))
     parser.add_argument("out", nargs="?", type=Path, help="output JSON (or, with --check, input)")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check", action="store_true", help="compare against the golden file; write nothing"
     )
+    mode.add_argument(
+        "--only", choices=(*FIGURES, *TABLE_STEP), metavar="FIGURE",
+        help="presets: refreeze this figure alone and record the commit of src/",
+    )
     args = parser.parse_args(argv)
+    if args.only and args.section != "presets":
+        parser.error("--only applies to the presets section")
     out = args.out or GOLDEN_DIR / f"{args.section}.json"
+    commit = _source_commit() if args.section == "presets" and not args.check else None
     with tempfile.TemporaryDirectory() as tmp:
-        golden = (_presets if args.section == "presets" else _cli)(Path(tmp))
+        if args.only:
+            golden = json.loads(out.read_text(encoding="utf-8"))
+            part, golden[part][args.only] = _section(args.only, Path(tmp))
+            golden.setdefault("frozen_from", {})[args.only] = commit
+        else:
+            golden = (_presets if args.section == "presets" else _cli)(Path(tmp))
+            if commit:
+                golden["frozen_from"] = dict.fromkeys((*FIGURES, *TABLE_STEP), commit)
     if args.check:
         return check(args.section, golden, json.loads(out.read_text(encoding="utf-8")))
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -69,6 +69,7 @@ from .circuit import (
 from .scattering import _n_out, output_spectrum
 from .trajectories import (
     SUBLUMINAL_MARGIN,
+    SYNTHESIS_SAMPLES,
     TrajectoryKind,
     TrajectoryParams,
     _grid_acceleration_parameter,
@@ -393,8 +394,10 @@ def _synthesis_key(spec: SweepSpec, c: CircuitParams) -> tuple:
     )
 
 
-# Grid points per block of z(t) samples, rows x (SYNTHESIS_SAMPLES/4 + 1).
-_BLOCK_ROWS = 16
+# The most z(t) samples the harmonic kernel holds at once, rows x samples
+# per row: 16 rows of the 1025-sample quarter period, or 496 rows of the
+# 33-sample rule of SA at beta <= 3.1.
+_BLOCK_SAMPLES = 16 * (SYNTHESIS_SAMPLES // 4 + 1)
 
 
 class _Curve(NamedTuple):
@@ -417,15 +420,11 @@ def _gate(
 
     Returns the exception class and message of each worldline that crosses
     an error row, by index; the quantities of every worldline (z_n and
-    max|z| from the quarter-period kernel, in blocks of `_BLOCK_ROWS`); and
+    max|z| from the quarter-period kernel, `_BLOCK_SAMPLES` at a time); and
     the weights |z_n|^2 / v^2, shape (n_max, worldlines). A worldline that
     crosses a warning row warns and keeps its weights."""
     n_max = spec.n_max
-    a = np.empty((A.size, max(n_max, 1)))
-    z_peak = np.empty(A.size)
-    for start in range(0, A.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        a[rows], z_peak[rows] = _grid_harmonics(kind, A[rows], wd[rows], c.v, max(n_max, 1))
+    a, z_peak = _grid_harmonics(kind, A, wd, c.v, max(n_max, 1), _BLOCK_SAMPLES)
     pins = spec.ejo_ratio or {}
     if kind in pins:
         bias = float(pins[kind])

@@ -476,7 +476,7 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
 
         def newton(b):  # by dK/dm = (E - (1 - m) K) / (2 m (1 - m))
             (k, e), s, asinh_b = _agm(-(b**2)), 1.0 + b**2, np.arcsinh(b)
-            return b - (asinh_b / k - r) * k**2 / (k / np.sqrt(s) + asinh_b * (s * k - e) / (b * s))
+            return b - (asinh_b / k - r) * k**2 / (k / np.sqrt(s) + asinh_b * (k - e / s) / b)
     else:  # on the scalar solver's bracket
         f = lambda x: np.arctanh(x) / _agm(x**2)[1]
         lo, hi, scale = 1e-12, 1.0 - 16.0 * SUBLUMINAL_MARGIN, 1.0
@@ -501,46 +501,141 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
     return out
 
 
-_phase = None  # (u_k, cos theta_k, basis) of `_grid_harmonics`, built on first use
+# The rules of `_grid_harmonics`, in powers of two: SA samples a period
+# (trapezoid, 128 to 2^16) and AUA Gauss-Legendre nodes on the quarter (32 to
+# 1024). Each takes beta (SA: N >= 40/asinh(1/beta)) or s (AUA: nodes >=
+# 10 sqrt(s)) up to its bound, the last one the rest; harmonic n needs 8n
+# samples or 2n nodes.
+_SA_SIZES, _AUA_SIZES = 128 * 2 ** np.arange(10), 32 * 2 ** np.arange(6)
+_RULES = {
+    TrajectoryKind.SA: (_SA_SIZES, np.append(1.0 / np.sinh(40.0 / _SA_SIZES[:-1]), math.inf), 8),
+    TrajectoryKind.AUA: (_AUA_SIZES, np.append((0.1 * _AUA_SIZES[:-1]) ** 2, math.inf), 2),
+}
+
+# Floats of weighted basis kept over all rules: 2.1 MB, the 256 odd
+# harmonics of the 4096-sample trapezoid. Rows past it are built per call.
+# The kept nodes add at most 0.6 MB.
+_KEPT_BASIS = 256 * (SYNTHESIS_SAMPLES // 4 + 1)
+
+_tables: dict = {}  # (kind, size) -> [nodes, (m, c), weights, basis], built on first use
 
 
-def _grid_harmonics(kind, A, omega_d, v: float, n_max: int):
+def _gauss_legendre(size: int):
+    """Nodes (ascending) and weights of the size-point Gauss-Legendre rule on
+    [-1, 1], size even: Newton's method on the three-term recurrence from
+    Tricomi's estimate of the positive nodes, mirrored."""
+    x = np.cos(math.pi * (np.arange(size // 2) + 0.75) / (size + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, size + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = size * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= _EPS:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
+
+
+def _table(kind: TrajectoryKind, size: int, n_odd: int):
+    """Nodes and weighted basis rows of the first n_odd odd harmonics of one
+    rule, nodes kept and basis kept within `_KEPT_BASIS`.
+    SA, size samples a period: (cos theta_k,) at theta_k = 2 pi k/size,
+    k = 0..size/4, and (8/size) cos(n theta_k), end weights halved.
+    AUA, size nodes u_j on [0, 1]: (u_j^2, u_j^2 - 1), and w_j cos(n pi u_j/2)."""
+    entry = _tables.get((kind, size))
+    if entry is None:
+        if kind is TrajectoryKind.SA:
+            k = np.arange(size // 4 + 1)
+            weight = np.full(k.size, 8.0 / size)
+            weight[[0, -1]] *= 0.5
+            nodes, phase = (np.cos(k * (2.0 * math.pi / size)),), (k, 2.0 * math.pi / size)
+        else:
+            x, weight = _gauss_legendre(size)
+            u = 0.5 * (1.0 + x)
+            nodes, phase = (u * u, -(0.5 * (1.0 - x)) * (0.5 * (3.0 + x))), (u, 0.5 * math.pi)
+        entry = _tables[(kind, size)] = [nodes, phase, weight, np.empty((0, weight.size))]
+    nodes, (m, c), weight, basis = entry
+    if len(basis) < n_odd:
+        basis = weight * np.cos(np.multiply.outer(np.arange(1, 2 * n_odd, 2), m) * c)
+        kept = sum(e[3].size for key, e in _tables.items() if key != (kind, size))
+        if kept + basis.size <= _KEPT_BASIS:
+            entry[3] = basis
+    return nodes, basis[:n_odd]
+
+
+def _dots(z, basis):
+    # One dot product per (row, harmonic): no other row enters a row's a_n.
+    return np.matmul(z[:, None, None, :], basis[:, :, None])[:, :, 0, 0]
+
+
+def _grid_harmonics(kind, A, omega_d, v: float, n_max: int, block: int | None = None):
     """Cosine coefficients z_n (rows, n_max) and peaks max|z| (rows,) of the
-    worldlines of one kind at parameter arrays A, omega_d. Even worldlines
-    that flip sign every half period have only odd a_n, from the trapezoid
-    rule over a quarter of the N = SYNTHESIS_SAMPLES times t_k = k T/N. Their
-    phases omega_d t_k = 2 pi k/N are the same on every row: one table, kept
-    up to N/16 odd n (2.1 MB), holds u_k = 4k/N, cos(2 pi k/N) and the
-    weighted basis, and SM needs no samples. Each a_n is one dot product of a
-    row's samples, so no other row and no n_max enters it."""
-    global _phase
-    n_odd, table = (n_max + 1) // 2, _phase
-    if table is None or len(table[2]) < n_odd:
-        k = np.arange(SYNTHESIS_SAMPLES // 4 + 1)
-        n = np.arange(1, 2 * max(n_odd, 1), 2)
-        basis = np.cos(np.multiply.outer(n, k) * (2.0 * math.pi / SYNTHESIS_SAMPLES))
-        table = (k * (4.0 / SYNTHESIS_SAMPLES), basis[0].copy(), basis)
-        basis[:, [0, -1]] *= 0.5  # the trapezoid rule's end weights
-        _phase = table if n_odd <= SYNTHESIS_SAMPLES // 16 else _phase
-    u, cos_theta, basis = table[0], table[1], table[2][:n_odd]
+    worldlines of one kind at parameter arrays A, omega_d.
+
+    The worldlines flip sign every half period, so only the odd
+    a_n = (4/pi) int_0^{pi/2} z cos(n theta) dtheta (theta = omega_d t) are
+    nonzero. SM is closed form: -R times the 4096-sample trapezoid's
+    coefficients of cos theta. SA and AUA rows take a rule sized from the
+    row's own beta or s (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
+
+    - SA: z = -(v/omega_d) asin(kappa cos theta) is periodic and analytic
+      within asinh(1/beta) of the real axis, where the trapezoid rule with N
+      samples a period errs by about exp(-N asinh(1/beta)). N is a power of
+      two >= 40/asinh(1/beta) (about 40 beta at large beta), at least 128.
+    - AUA: z = (v^2/A)(sqrt(1 + s^2 u^2) - sqrt(1 + s^2)), u = 2 theta/pi,
+      is analytic on the quarter, with the acceleration jump at its end u = 1:
+      Gauss-Legendre, a power of two >= 10 sqrt(s) nodes, at least 32. z is
+      written without a power of s, so no finite s overflows it.
+
+    Harmonic n takes the larger of its row's rule and 8n samples (2n nodes),
+    within 2^16 samples or 1024 nodes (`_RULES`), so raising n_max only adds
+    harmonics. Rows are grouped by rule, and each a_n is one dot product of
+    the row's samples with a kept basis (`_table`): no other row, no n_max
+    and no `block` (the most rows x samples at once; default all) enters
+    it. The peaks are closed forms, at theta = 0: (v/omega_d) asin(kappa)
+    for SA, (v^2/A) s^2/(1 + sqrt(1 + s^2)) for AUA."""
     kind = TrajectoryKind(kind)
-    A, w = np.asarray(A, dtype=float)[:, None], np.asarray(omega_d, dtype=float)[:, None]
-    a = np.zeros((A.shape[0], n_max))
-    dots = lambda x: np.matmul(x[:, None, None, :], basis[:, :, None])[:, :, 0, 0]
+    A, w = np.asarray(A, dtype=float), np.asarray(omega_d, dtype=float)
+    a = np.zeros((A.size, n_max))
     if kind is TrajectoryKind.SM:
         R = A / w**2
-        a[:, ::2] = (-(8.0 / SYNTHESIS_SAMPLES) * R) * dots(cos_theta[None, :])
-        return a, R[:, 0]
+        (cos_theta,), basis = _table(TrajectoryKind.SA, SYNTHESIS_SAMPLES, (n_max + 1) // 2)
+        a[:, ::2] = -R[:, None] * _dots(cos_theta[None, :], basis)
+        return a, R
     if kind is TrajectoryKind.SA:
         beta = _sa_velocity_ratio(A, w, v)
-        z = -(v / w) * np.arcsin(beta / np.sqrt(1.0 + beta**2) * cos_theta)
+        kappa = beta / np.sqrt(1.0 + beta**2)
+        peak, size_by = (v / w) * np.arcsin(kappa), beta
+
+        def samples(rows, cos_theta):
+            return -(v / w[rows, None]) * np.arcsin(kappa[rows, None] * cos_theta)
     else:
-        # In segment 0, xi = s u_k; (v^2/A)(hypot(1, xi) - hypot(1, s)) would cancel.
-        s, u_sq = _aua_segment_sinh(A, w, v), u * u
-        den = np.sqrt(s**2 * u_sq + 1.0) + np.sqrt(1.0 + s**2)
-        z = np.divide((v**2 / A) * s**2 * (u_sq - 1.0), den, out=den)
-    a[:, ::2] = (8.0 / SYNTHESIS_SAMPLES) * dots(z)
-    return a, np.abs(z[:, 0])
+        # z = (v^2/A) s p (u^2 - 1) / (sqrt(q^2 + p^2 u^2) + sqrt(q^2 + p^2))
+        # with p = min(s, 1) and q = min(1/s, 1): no power of s.
+        s = _aua_segment_sinh(A, w, v)
+        p, q = np.minimum(s, 1.0), np.minimum(1.0 / s, 1.0)
+        scale, p_sq, q_sq = (v**2 / A) * s * p, p * p, q * q
+        root = np.sqrt(q_sq + p_sq)
+        peak, size_by = scale / (q + root), s
+
+        def samples(rows, u_sq, u_sq_m1):
+            den = np.sqrt(q_sq[rows, None] + p_sq[rows, None] * u_sq) + root[rows, None]
+            return scale[rows, None] * u_sq_m1 / den
+    sizes, bounds, per_n = _RULES[kind]
+    rule = np.searchsorted(bounds, np.fmax(size_by, 0.0))  # NaN rows: the first rule
+    first = np.minimum(np.searchsorted(sizes, per_n * np.arange(1, n_max + 1, 2)), sizes.size - 1)
+    for r in np.flatnonzero(np.bincount(rule)).tolist():
+        rows, use = np.flatnonzero(rule == r), np.maximum(first, r)
+        for k in np.unique(use).tolist():
+            cols = np.flatnonzero(use == k)
+            nodes, basis = _table(kind, int(sizes[k]), int(cols[-1]) + 1)
+            step = rows.size if block is None else max(1, block // nodes[0].size)
+            for start in range(0, rows.size, step):
+                part = rows[start : start + step]
+                a[part[:, None], 2 * cols] = _dots(samples(part, *nodes), basis[cols])
+    return a, peak
 
 
 def relativity_estimator(p: TrajectoryParams) -> float:

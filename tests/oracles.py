@@ -12,15 +12,23 @@ by one; `output_spectrum` sums their squares in closed form.
 bisection on scipy's complete elliptic integrals, the package's own
 kernels left out.
 
-`grid_harmonics_per_row` is the quarter-period harmonic kernel as it was
-before its shared phase table: each worldline sampled on its own times
-k T/N through `_raw_position`, projected on an `np.cos` basis.
+`grid_harmonics_per_row` is the quarter-period trapezoid rule of the
+harmonic kernel before it sized its rules per worldline: each SM or SA
+worldline sampled on its own times k T/N through `_raw_position`, projected
+on an `np.cos` basis.
+
+`harmonics_integral` gives the odd cosine coefficients z_n as 30-digit
+mpmath integrals over the quarter period (`mpmath.quad`, split toward the
+branch point next to theta = 0); `aua_harmonics_quadrature` gives AUA's in
+double precision by composite Gauss-Legendre (numpy's `leggauss`) on the
+same split.
 
 `integrate` (adaptive Simpson) interprets its tolerance relative to the
 magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
 relative target for O(1) integrals and an absolute one for tiny ones.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -246,25 +254,102 @@ def grid_acceleration_parameter_bisected(kind, abar, omega_d, v: float):
 
 def grid_harmonics_per_row(kind, A, omega_d, v: float, n_max: int, samples: int = 4096):
     """Odd cosine coefficients z_n (rows, n_max; 0 elsewhere) and max|z|
-    (rows,) of each worldline (A[i], omega_d[i]) by the trapezoid rule over
-    its first quarter period: z sampled at t_k = k T/N, k = 0..N/4, from
-    `_raw_position` (AUA in segment 0 as (v^2/A)(xi - s)(xi + s) /
-    (hypot(1, xi) + hypot(1, s)), which keeps slow worldlines' digits),
-    against cos(n 2 pi k/N) with halved end weights."""
+    (rows,) of each SM or SA worldline (A[i], omega_d[i]) by the trapezoid
+    rule over its first quarter period: z sampled at t_k = k T/N,
+    k = 0..N/4, from `_raw_position`, against cos(n 2 pi k/N) with halved
+    end weights."""
     k = np.arange(samples // 4 + 1)
     basis = np.cos(np.multiply.outer(k, np.arange(1, n_max + 1, 2)) * (2.0 * math.pi / samples))
     basis[[0, -1]] *= 0.5
     a, peaks = np.zeros((len(A), n_max)), np.empty(len(A))
     for i, (A_i, w) in enumerate(zip(A, omega_d)):
         p = TrajectoryParams(kind, float(A_i), float(w), v)
-        t = k * (coordinate_period(p) / samples)
-        if p.kind is TrajectoryKind.AUA:
-            s, xi = p.A * math.pi / (2.0 * v * w), p.A * t / v
-            z = (v**2 / p.A) * (xi - s) * (xi + s) / (np.hypot(1.0, xi) + np.hypot(1.0, s))
-        else:
-            z = _raw_position(p, t)
+        z = _raw_position(p, k * (coordinate_period(p) / samples))
         a[i, ::2] = (8.0 / samples) * (z @ basis)
         peaks[i] = np.max(np.abs(z))
+    return a, peaks
+
+
+def _split_toward_zero(scale: float, end: float) -> list[float]:
+    """0, scale, 2 scale, 4 scale, ... < end, end: pieces on which an
+    integrand with a branch point at distance `scale` from 0 is analytic
+    well beyond each piece."""
+    points, x = [0.0], scale
+    while x < end:
+        points.append(x)
+        x *= 2.0
+    return points + [end]
+
+
+@functools.lru_cache(maxsize=None)
+def harmonics_integral(kind, A: float, omega_d: float, v: float, n_max: int = 5, dps: int = 30):
+    """(a_1..a_n_max, max|z|) of the centered worldline, as floats of the
+    30-digit integrals a_n = (4/pi) int_0^{pi/2} z(theta) cos(n theta)
+    dtheta, theta = omega_d t (even n: 0), and |z(0)|. Each piece of the
+    quarter period is one `mpmath.quad` (tanh-sinh); the pieces double away
+    from theta = 0, next to which z has its branch point: at asinh(1/beta)
+    for SA, at (pi/2)/s for AUA. z is evaluated once per node for all n."""
+    import mpmath
+
+    kind = TrajectoryKind(kind)
+    with mpmath.workdps(dps):
+        A, w, v = mpmath.mpf(A), mpmath.mpf(omega_d), mpmath.mpf(v)
+        quarter = mpmath.pi / 2
+        if kind is TrajectoryKind.SM:
+            z = lambda th: -(A / w**2) * mpmath.cos(th)
+            points = [0, quarter]
+        elif kind is TrajectoryKind.SA:
+            beta = 2 * A / (v * w)
+            kappa = beta / mpmath.sqrt(1 + beta**2)
+            z = lambda th: -(v / w) * mpmath.asin(kappa * mpmath.cos(th))
+            points = _split_toward_zero(mpmath.asinh(1 / beta), quarter)
+        else:
+            s = A * mpmath.pi / (2 * v * w)
+
+            def z(th):  # (v^2/A)(sqrt(1 + s^2 u^2) - sqrt(1 + s^2)), u = theta/quarter
+                u = th / quarter
+                return (v**2 / A) * s**2 * (u * u - 1) / (
+                    mpmath.sqrt(1 + (s * u) ** 2) + mpmath.sqrt(1 + s**2)
+                )
+
+            points = _split_toward_zero(quarter / s, quarter)
+        z = functools.lru_cache(maxsize=None)(z)
+        a = [
+            float(4 / mpmath.pi * mpmath.quad(lambda th: z(th) * mpmath.cos(n * th), points))
+            if n % 2 else 0.0
+            for n in range(1, n_max + 1)
+        ]
+        return tuple(a), float(abs(z(mpmath.mpf(0))))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre_48():
+    from mpmath import mp
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    return np.array(GaussLegendre(mp).calc_nodes(5, 120), dtype=float).T
+
+
+def aua_harmonics_quadrature(A, omega_d, v: float, n_max: int):
+    """Odd cosine coefficients z_n (rows, n_max; 0 elsewhere) and max|z|
+    (rows,) of AUA worldlines in double precision: composite 48-point
+    Gauss-Legendre in u = 4t/T over [0, 1], on the pieces of
+    `_split_toward_zero` at 1/s, with z = (v^2/A)(xi - s)(xi + s) /
+    (hypot(1, xi) + hypot(1, s)), xi = s u. The peak is |z(0)|. The rule is
+    mpmath's, rounded: numpy's `leggauss` weights are off by up to 1.3e-12
+    relative at 48 nodes, which puts a_n off by 4e-15."""
+    x, weight = _gauss_legendre_48()
+    n = np.arange(1, n_max + 1, 2)
+    a, peaks = np.zeros((len(A), n_max)), np.empty(len(A))
+    for i, (A_i, w) in enumerate(zip(A, omega_d)):
+        A_i, w = float(A_i), float(w)
+        s = A_i * math.pi / (2.0 * v * w)
+        z_of = lambda xi: (v**2 / A_i) * (xi - s) * (xi + s) / (np.hypot(1.0, xi) + np.hypot(1.0, s))
+        points = _split_toward_zero(1.0 / s, 1.0)
+        for lo, hi in zip(points, points[1:]):
+            u = lo + (hi - lo) * 0.5 * (1.0 + x)
+            a[i, ::2] += (hi - lo) * (np.cos(np.multiply.outer(n, u) * (0.5 * math.pi)) @ (weight * z_of(s * u)))
+        peaks[i] = abs(z_of(0.0))
     return a, peaks
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -327,6 +328,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("mirror-dce: error: all 41 sweep points failed; the first (point 0): ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_huge_aua_spectrum_agrees_with_drive(self, tmp_path, capsys):
+        # At 9.17e175 m/s^2 and 1.4966 THz, s = 1.3e155, so s^2 overflows;
+        # the harmonic kernel forms no power of s. `spectrum` then passes the
+        # gate as `drive` does (before, with "trajectory amplitude nan m"),
+        # and no message reads nan.
+        point = ["--kind", "aua", "--abar", "9.17e175", "--fd", "1.4966e12"]
+        status = {
+            command: main([command, *point, "--out", str(tmp_path / f"{command}.csv")])
+            for command in ("drive", "spectrum")
+        }
+        assert status == {"drive": 0, "spectrum": 0}
+        assert not re.search(r"\bnan\b", capsys.readouterr().err, re.IGNORECASE)
+        (ds,) = read_spectrum_datasets(tmp_path / "spectrum.csv")
+        assert np.all(np.isfinite(ds.n_out))
 
     def test_sweep_over_abar_with_a_pinned_A_exits_1_without_a_file(self, tmp_path, capsys):
         # SweepSpec's own check rejects it; the command adds none of its own.
@@ -763,6 +779,18 @@ class TestWithoutScipy:
         out = _run_python(
             "import sys, mirror_dce.cli, mirror_dce.experiments; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_harmonic_rules_load_no_numpy_polynomial(self):
+        # The Gauss-Legendre nodes come from the package's own Newton
+        # iteration: importing numpy.polynomial costs about 1 MB of RSS.
+        out = _run_python(
+            "import sys, mirror_dce.cli\n"
+            "from mirror_dce.trajectories import _grid_harmonics\n"
+            "_grid_harmonics('aua', [1e19, 1e22, 1e25], [1e11] * 3, 1.2e8, 40)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"

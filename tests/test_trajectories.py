@@ -1,5 +1,7 @@
 import math
-from decimal import Decimal, localcontext
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from mirror_dce.trajectories import (
 )
 from oracles import (
     abar_quadrature,
+    aua_harmonics_quadrature,
     grid_acceleration_parameter_bisected,
     grid_harmonics_per_row,
+    harmonics_integral,
     period_mean_quadrature,
     velocity_fd,
 )
@@ -419,39 +423,18 @@ class TestLimitsAndEstimators:
         assert relativity_estimator(aua_comparison) == pytest.approx(11.42, rel=1e-3)
 
 
-def _aua_trapezoid_a1(A, omega_d, v, samples):
-    """a_1 of the centered AUA worldline by the full-period trapezoid rule,
-    from samples of the raw position computed with 40 significant digits
-    (the float `position` loses digits to the centering of slow
-    worldlines)."""
-    with localcontext() as ctx:
-        ctx.prec = 40
-        pi = Decimal("3.141592653589793238462643383279502884197")
-        A, w, v = Decimal(A), Decimal(omega_d), Decimal(v)
-        period = 2 * pi / w
-        s = A * pi / (2 * v * w)
-        mean = (v * v / A) * (1 + s * s).sqrt()
-        total = Decimal(0)
-        for k in range(samples):
-            t = k * period / samples
-            n = int((2 * t / period + Decimal("0.5")).to_integral_value(rounding="ROUND_FLOOR"))
-            xi = A * t / v - 2 * n * s
-            sign = 1 if n % 2 == 0 else -1
-            raw = sign * (v * v / A) * ((1 + xi * xi).sqrt() + (sign - 1) * (1 + s * s).sqrt())
-            total += (raw - mean) * Decimal(math.cos(TWO_PI * k / samples))
-        return float(2 * total / samples)
-
-
 class TestGridKernels:
     """The array kernels of whole-grid sweeps against the scalar APIs."""
 
     @pytest.mark.parametrize("kind", list(TrajectoryKind))
     def test_grid_harmonics_match_the_dense_projection(self, kind):
-        # Odd a_n within a few ulps of max|a_n| of the dense projection: both
-        # are rounded sums of 1025 or 4096 terms, and against a 40-digit
-        # trapezoid the grid's a_n are off by up to 1.8e-15 max|a_n| (SM at
-        # 1e17 m/s^2, 14.6 GHz), so the bound is 4e-15, not 1e-15. The
-        # sine and even cosine coefficients vanish by symmetry.
+        # Odd a_n within a few ulps of max|a_n| of the dense projection (SM,
+        # SA) or of the 30-digit integral (AUA, whose 4096-sample projection
+        # carries the trapezoid's end error at the acceleration jump, up to
+        # 1.6e-13 of |a_1|): against a 40-digit trapezoid the grid's SM a_n
+        # are off by up to 1.8e-15 max|a_n| (1e17 m/s^2, 14.6 GHz), so the
+        # bound is 4e-15, not 1e-15. The sine and even cosine coefficients of
+        # the projection vanish by symmetry.
         omega_d = TWO_PI * 14.6e9
         A = np.array([
             solve_acceleration_parameter(kind, abar, omega_d, V)
@@ -465,7 +448,10 @@ class TestGridKernels:
                 position(p, np.arange(4096) * ((2.0 * np.pi / omega_d) / 4096)), omega_d, 6
             )
             scale = float(np.max(np.abs(dense_a)))
-            np.testing.assert_allclose(row[::2], dense_a[::2], rtol=0, atol=4e-15 * scale)
+            want = dense_a
+            if kind is TrajectoryKind.AUA:
+                want = np.array(harmonics_integral(kind, float(A_i), omega_d, V, 6)[0])
+            np.testing.assert_allclose(row[::2], want[::2], rtol=0, atol=4e-15 * scale)
             assert np.max(np.abs(dense_b)) <= 1e-15 * scale
             assert np.max(np.abs(dense_a[1::2])) <= 1e-15 * scale
             z = position(p, np.arange(4096) * (coordinate_period(p) / 4096))
@@ -474,11 +460,13 @@ class TestGridKernels:
     @pytest.mark.parametrize("n_max", range(1, 7))
     @pytest.mark.parametrize("kind", list(TrajectoryKind))
     def test_grid_harmonics_match_the_per_row_kernel(self, kind, n_max):
-        # The shared phase table against each worldline sampled on its own
-        # times: odd a_n within 4e-15 max|a_n| (both are rounded sums of 1025
-        # terms), max|z| within 1e-15. The grid spans abar 1e16-8e19 m/s^2 and
-        # f_d 2-40 GHz, with slow AUA at 1e16 m/s^2 and 18 GHz; SM worldlines
-        # past the light speed are left out.
+        # The kept tables against each worldline on its own: SM and SA
+        # sampled on its own times by the 4096-sample trapezoid, AUA
+        # integrated by composite Gauss-Legendre (the integral to double
+        # precision). Odd a_n within 4e-15 max|a_n|, max|z| within 1e-15.
+        # The grid spans abar 1e16-8e19 m/s^2 and f_d 2-40 GHz, with slow AUA
+        # at 1e16 m/s^2 and 18 GHz; SM worldlines past the light speed are
+        # left out.
         f_d = np.append(np.geomspace(2e9, 40e9, 5), 18e9)
         abar, f_d = np.meshgrid(np.geomspace(1e16, 8e19, 9), f_d)
         A = _grid_acceleration_parameter(kind, abar.ravel(), TWO_PI * f_d.ravel(), V)
@@ -486,7 +474,10 @@ class TestGridKernels:
         A, omega_d = A[keep], TWO_PI * f_d.ravel()[keep]
         assert A.size >= (30 if kind is TrajectoryKind.SM else 54)
         a, peaks = _grid_harmonics(kind, A, omega_d, V, n_max)
-        want_a, want_peaks = grid_harmonics_per_row(kind, A, omega_d, V, n_max)
+        if kind is TrajectoryKind.AUA:
+            want_a, want_peaks = aua_harmonics_quadrature(A, omega_d, V, n_max)
+        else:
+            want_a, want_peaks = grid_harmonics_per_row(kind, A, omega_d, V, n_max)
         assert a.shape == want_a.shape and np.all(a[:, 1::2] == 0.0)
         scale = np.max(np.abs(want_a), axis=1, keepdims=True)
         assert np.all(np.abs(a - want_a) <= 4e-15 * scale)
@@ -505,14 +496,18 @@ class TestGridKernels:
                 assert np.array_equal(a[0], wide[i, :n_max]) and peak[0] == wide_peaks[i]
 
     def test_the_kept_phase_table_stays_bounded(self):
-        _grid_harmonics("sa", [1e19], [TWO_PI * 14.6e9], V, 6)
-        _grid_harmonics("sa", [1e19], [TWO_PI * 14.6e9], V, 1001)
-        assert trajectories._phase[2].shape[0] <= 4096 // 16
+        # The kept weighted bases of all rules together hold at most the 256
+        # odd harmonics of the 4096-sample trapezoid (2.1 MB).
+        for kind, A in (("sa", 1e19), ("aua", 1e19), ("sa", 4e20), ("aua", 4e21), ("sm", 1e17)):
+            for n_max in (6, 1001, 512):
+                _grid_harmonics(kind, [A], [TWO_PI * 14.6e9], V, n_max)
+        kept = sum(entry[-1].size for entry in trajectories._tables.values())
+        assert kept <= 256 * (4096 // 4 + 1)
 
     def test_slow_aua_harmonics_keep_their_digits(self):
         omega_d = TWO_PI * 18e9
         (a,), _ = _grid_harmonics("aua", [1e17], [omega_d], V, 1)
-        want = _aua_trapezoid_a1(1e17, omega_d, V, 4096)
+        want = harmonics_integral("aua", 1e17, omega_d, V, 1)[0][0]
         # abs=0: pytest.approx's default 1e-12 absolute tolerance would
         # admit a relative error of 1e-7 at |z_1| ~ 1e-5 m.
         assert a[0] == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -592,3 +587,120 @@ class TestGridKernels:
         assert {kind for kind, _ in per_inversion} == set(TrajectoryKind)
         for kind, n in per_inversion:
             assert n <= (0 if kind is TrajectoryKind.AUA else 16), kind
+
+    def test_sa_newton_steps_stay_finite_past_beta_cubed(self, monkeypatch):
+        # At 1 GHz, beta passes 5.6e102 (beta^3 overflows) near 2e120 m/s^2.
+        # The Newton step must not form beta^3: at 1e150 and 5e171 m/s^2 the
+        # inversion takes the 14 AGM passes it takes at 1e100, not 59, and
+        # warns of no overflow.
+        calls, agm = [0], trajectories._agm
+
+        def counted_agm(*args):
+            calls[0] += 1
+            return agm(*args)
+
+        monkeypatch.setattr(trajectories, "_agm", counted_agm)
+        for abar in (1e100, 1e150, 5e171):
+            calls[0] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (A,) = _grid_acceleration_parameter("sa", [abar], TWO_PI * 1e9, V)
+            assert calls[0] == 14, abar
+            want = solve_acceleration_parameter("sa", abar, TWO_PI * 1e9, V)
+            assert A == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_gauss_legendre_rule_matches_leggauss(self):
+        # Newton on the recurrence against numpy's rule: nodes to an ulp.
+        # The weights near the ends are conditioned like 1/(1 - x^2): one
+        # ulp of the node moves them by 4e-14 relative at 32 nodes, and
+        # leggauss's own are off by up to 1.2e-9 at 1024.
+        for size in (32, 64, 1024):
+            x, w = trajectories._gauss_legendre(size)
+            want_x, want_w = np.polynomial.legendre.leggauss(size)
+            assert np.max(np.abs(x - want_x)) <= 1.2e-16, size
+            if size == 32:
+                np.testing.assert_allclose(w, want_w, rtol=2e-13, atol=0)
+            k = np.arange(0, 2 * size, 2)  # x^k integrates to 2/(k + 1)
+            np.testing.assert_allclose(np.power.outer(x, k[:40]).T @ w, 2.0 / (k[:40] + 1.0),
+                                       rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("kind", ["sa", "aua"])
+    def test_rows_of_every_rule_depend_on_that_row_alone(self, kind):
+        # beta and s from 1e-3 to 1e3 take every rule from the least to 2^16
+        # samples or 1024 nodes, and n_max = 40 sends the top harmonics to
+        # larger rules than their rows'. One call over all rows, in blocks of
+        # 1025 samples, gives each row's floats as a call with that row alone
+        # and n_max = 1 or 40 does.
+        omega_d = TWO_PI * 1e9
+        size = np.geomspace(1e-3, 1e3, 13)
+        A = size * (V * omega_d / 2.0 if kind == "sa" else 2.0 * V * omega_d / math.pi)
+        w = np.full(A.size, omega_d)
+        a, peaks = _grid_harmonics(kind, A, w, V, 40, block=1025)
+        assert np.all(np.isfinite(a)) and np.all(a[:, 1::2] == 0.0)
+        for i in range(A.size):
+            for n_max in (1, 40):
+                row, peak = _grid_harmonics(kind, A[i : i + 1], w[:1], V, n_max)
+                assert np.array_equal(row[0], a[i, :n_max]) and peak[0] == peaks[i]
+
+    def test_huge_aua_worldlines_do_not_overflow(self):
+        # s = 1.3e155 (9.17e175 m/s^2, 1.4966 THz): s^2 overflows, and the
+        # worldline is the triangle wave of speed v, with max|z| = v T/4 and
+        # a_n = -4 v / (pi omega_d n^2).
+        omega_d = TWO_PI * 1.4966e12
+        (a,), (peak,) = _grid_harmonics("aua", [9.17e175], [omega_d], V, 7)
+        assert peak == pytest.approx(V * math.pi / (2.0 * omega_d), rel=1e-15, abs=0.0)
+        n = np.arange(1, 8, 2)
+        np.testing.assert_allclose(a[::2], -4.0 * V / (math.pi * omega_d * n**2), rtol=1e-14, atol=0)
+
+
+def _beta_A(beta, f_d=1e9):
+    return beta * V * TWO_PI * f_d / 2.0
+
+
+def _s_A(s, f_d=1e9):
+    return s * 2.0 * V * TWO_PI * f_d / math.pi
+
+
+# Worldlines of the accuracy budget: (kind, A [m/s^2] or the abar the preset
+# solves A from, f_d [Hz], whether A is abar to solve from).
+HARMONIC_POINTS = {
+    "sm-baseline": ("sm", 9.054e17, 18e9, True),
+    "sm-fig8-top": ("sm", 1.5e18, 18e9, True),
+    "sa-baseline": ("sa", 9.054e17, 18e9, True),
+    "aua-baseline": ("aua", 9.054e17, 18e9, True),
+    "sa-relativistic": ("sa", 20e18, 14.6e9, True),
+    "aua-relativistic": ("aua", 20e18, 14.6e9, True),
+    "sa-fig6-top": ("sa", 30e18, 14.6e9, True),
+    "aua-fig6-top": ("aua", 30e18, 14.6e9, True),
+    # fig4's 5 GHz curve pins A at the relativistic abar solved at 15 GHz.
+    "sa-fig4-5GHz": ("sa", solve_acceleration_parameter("sa", 20e18, TWO_PI * 15e9, V), 5e9, False),
+    "aua-fig4-5GHz": ("aua", 20e18, 5e9, False),
+    # The largest beta and s of the edge_sweeps benchmark inputs (seeds 0-2).
+    "sa-beta-1.4": ("sa", _beta_A(1.4), 1e9, False),
+    "aua-s-2.6": ("aua", _s_A(2.6), 1e9, False),
+    **{f"sa-beta-{b:g}": ("sa", _beta_A(b), 1e9, False) for b in (10, 100, 300, 1000)},
+    **{f"aua-s-{s:g}": ("aua", _s_A(s), 1e9, False) for s in (10, 100, 300, 1000)},
+    # Slow AUA (s = 1.25e-8), where a centered position loses every digit.
+    "aua-slow": ("aua", 1.3382e8, 2.2347e7, False),
+}
+
+
+class TestHarmonicsAgainstTheIntegrals:
+    @pytest.mark.parametrize("point", sorted(HARMONIC_POINTS))
+    def test_harmonics_are_within_budget_of_the_integrals(self, point):
+        # Budget: odd a_1..a_7 within 1e-15 |a_1| of the 30-digit integrals
+        # (the 4096-sample rule before: AUA up to 1.6e-13 at the baseline
+        # point, SA 5.5e-9 at beta = 1000), even a_n exactly 0, and max|z|
+        # within 2 ulp of |z(0)|, times sqrt(1 + beta^2) for SA: asin(kappa)
+        # near kappa = 1 magnifies kappa's rounding by that much.
+        pytest.importorskip("mpmath")
+        kind, A, f_d, solve = HARMONIC_POINTS[point]
+        omega_d = TWO_PI * f_d
+        if solve:
+            A = solve_acceleration_parameter(kind, A, omega_d, V)
+        want, want_peak = harmonics_integral(kind, A, omega_d, V, 7)
+        (a,), (peak,) = _grid_harmonics(kind, [A], [omega_d], V, 7)
+        assert np.all(np.abs(a - want) <= 1e-15 * abs(want[0])), (a - want) / want[0]
+        assert np.all(a[1::2] == 0.0)
+        beta = 2.0 * A / (V * omega_d) if kind == "sa" else 0.0
+        assert peak == pytest.approx(want_peak, rel=4.5e-16 * math.hypot(1.0, beta), abs=0.0)
