@@ -1,14 +1,16 @@
 """Golden values of the bundled presets fig1..fig8.
 
 tests/golden/presets.json was frozen by scripts/freeze_golden.py before the
-sweep pipeline was restructured. It holds every 10th point of each
+sweep pipeline was restructured, and its fig2 section again since, from the
+commit its `frozen_from` entry names. It holds every 10th point of each
 spectrum curve (fig3..fig8) plus its `failures` and `validity.*` metadata,
 and sampled rows plus the metadata of the table presets fig1 and fig2.
 Values must agree at rtol 1e-12, with an absolute floor of 1e-12 times a
 peak (round-off of the Fourier synthesis sits below it): the curve's peak
 for spectra, the column's peak for fig1, and the largest |c_n| of the
 trajectory kind for the fig2 coefficients, whose zero-by-symmetry entries
-are pure round-off.
+are pure round-off. fig2 is also pinned to its section bit for bit, and
+checked against the benchmark's reference by the benchmark's criterion.
 
 tests/golden/cli.json holds the `drive` and `flux` CLI outputs of each
 trajectory kind at the baseline point, with the argv that wrote them; the
@@ -18,12 +20,14 @@ coefficients floored at 1e-12 times the kind's largest |c_n|).
 
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirror_dce.experiments import read_spectrum_datasets, read_table, reproduce
+from test_benchmark_reference import _load as _load_perfbench
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "presets.json").read_text(encoding="utf-8")
@@ -110,27 +114,36 @@ def test_table_preset_matches_golden(figure, reference_circuit, tmp_path):
                 )
 
 
-def test_fig2_is_the_benchmark_reference_bit_for_bit(tmp_path):
-    # The benchmark's presets check compares fig2 at rtol 1e-12 with a floor
-    # of 1e-12 times each column's own peak, and b_n is ~1e-39 J of round-off:
-    # any change to the SA worldline's A moves it. This reads that reference
-    # (and the A the golden file holds) and compares exactly.
-    reference = json.loads(
-        (Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "presets.json")
-        .read_text(encoding="utf-8")
-    )["outputs"]["fig2_fourier.csv"]["curves"]
+def test_fig2_is_its_golden_section_bit_for_bit(tmp_path):
+    # fig2's b_n are ~1e-39 J of round-off, and the AUA rows scale with the
+    # bias that the harmonic kernel's z_1 sets: any change to a worldline's
+    # A or z_1 moves them. So fig2 is pinned exactly to its golden section,
+    # which records the commit it was frozen from.
+    assert GOLDEN["frozen_from"]["fig2"]
     (path,) = reproduce("fig2", tmp_path)
     meta, columns = read_table(path)
-    assert meta["A.sa"] == GOLDEN["tables"]["fig2"]["fig2_fourier.csv"]["metadata"]["A.sa"]
+    (want,) = GOLDEN["tables"]["fig2"].values()
+    assert meta == want["metadata"]
     assert meta["A.sa"] == "1.3690497768574747e+19"
     kinds = columns.pop("trajectory")
-    assert sorted(reference) == sorted(f"fig2_fourier.csv|{kind}" for kind in set(kinds))
-    for name, curve in reference.items():
-        rows = [i for i, k in enumerate(kinds) if k == name.split("|")[1]]
-        for column, frozen in curve["series"].items():
-            got = [columns[column][rows[i]] for i in frozen["idx"]]
-            assert got == frozen["values"], f"{name} {column}"
-        assert "b_n" in curve["series"]
+    assert list(dict.fromkeys(kinds)) == list(want["rows"])
+    for kind, rows in want["rows"].items():
+        picks = [i for i, k in enumerate(kinds) if k == kind]
+        for column, frozen in rows.items():
+            assert [columns[column][i] for i in picks] == frozen, f"{kind} {column}"
+
+
+def test_fig2_meets_the_benchmark_reference(tmp_path):
+    # The benchmark checks fig2 against its own frozen values at rtol 1e-12
+    # with a floor of 1e-12 times each column's peak; this applies that
+    # check, perfbench/check.py's, to fig2 as reproduced here.
+    check = _load_perfbench("check")
+    reference = check.load_reference("presets", check.DEFAULT_SEED)["outputs"]["fig2_fourier.csv"]
+    (path,) = reproduce("fig2", tmp_path)
+    output = types.SimpleNamespace(name=path.name, kind="table", parsed=read_table(path))
+    res = check._against_reference(path.name, check.curves(output), reference)
+    assert res.bad_rows == 0, res.problems
+    assert all("b_n" in curve["series"] for curve in reference["curves"].values())
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN["outputs"]))
