@@ -507,10 +507,16 @@ def _grid_acceleration_parameter(kind, abar, omega_d, v: float):
 # 1024). Each takes beta (SA: N >= 40/asinh(1/beta)) or s (AUA: nodes >=
 # 10 sqrt(s)) up to its bound, the last one the rest; harmonic n needs 8n
 # samples or 2n nodes.
-_SA_SIZES, _AUA_SIZES = 128 * 2 ** np.arange(10), 32 * 2 ** np.arange(6)
+# (The bounds are computed in `math`: a first numpy sinh at import would add
+# 0.4 MB of resident library code.)
+_SA_SIZES, _AUA_SIZES = [128 << k for k in range(10)], [32 << k for k in range(6)]
 _RULES = {
-    TrajectoryKind.SA: (_SA_SIZES, np.append(1.0 / np.sinh(40.0 / _SA_SIZES[:-1]), math.inf), 8),
-    TrajectoryKind.AUA: (_AUA_SIZES, np.append((0.1 * _AUA_SIZES[:-1]) ** 2, math.inf), 2),
+    TrajectoryKind.SA: (
+        np.array(_SA_SIZES), np.array([1.0 / math.sinh(40.0 / n) for n in _SA_SIZES[:-1]] + [math.inf]), 8
+    ),
+    TrajectoryKind.AUA: (
+        np.array(_AUA_SIZES), np.array([(0.1 * n) ** 2 for n in _AUA_SIZES[:-1]] + [math.inf]), 2
+    ),
 }
 
 # Floats of weighted basis kept over all rules: 2.1 MB, the 256 odd
@@ -629,7 +635,7 @@ def _grid_harmonics(kind, A, omega_d, v: float, n_max: int, block: int | None = 
     first = np.minimum(np.searchsorted(sizes, per_n * np.arange(1, n_max + 1, 2)), sizes.size - 1)
     for r in np.flatnonzero(np.bincount(rule)).tolist():
         rows, use = np.flatnonzero(rule == r), np.maximum(first, r)
-        for k in np.unique(use).tolist():
+        for k in sorted(set(use.tolist())):  # np.unique would import numpy.ma (0.5 MB)
             cols = np.flatnonzero(use == k)
             nodes, basis = _table(kind, int(sizes[k]), int(cols[-1]) + 1)
             step = rows.size if block is None else max(1, block // nodes[0].size)
