@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 import warnings
 
 import numpy as np
