@@ -653,10 +653,6 @@ def drive_coefficient_dataset(
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-# printf format of one cell by numpy dtype kind; anything else is text.
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
-
-
 def _write_table(
     path, meta: Mapping[str, str], names: Sequence[str], columns: Sequence[np.ndarray]
 ) -> Path:
@@ -666,10 +662,9 @@ def _write_table(
     the file back reproduces them exactly. The rows are formatted and
     streamed to the file in fixed blocks, never held whole in memory."""
     path = Path(path)
-    row = ",".join(_CELL_FORMATS.get(col.dtype.kind, "%s") for col in columns)
     head = [FORMAT_HEADER, *(f"# {key}={value}" for key, value in meta.items())]
     head.append(",".join(names))
-    _atomic_write(path, _csv_chunks("\n".join(head), row, columns))
+    _atomic_write(path, _csv_chunks("\n".join(head), columns))
     return path
 
 

@@ -23,6 +23,9 @@ branch point next to theta = 0); `aua_harmonics_quadrature` gives AUA's in
 double precision by composite Gauss-Legendre (numpy's `leggauss`) on the
 same split.
 
+`csv_text_per_row` is the CSV writer before its numpy cell kernel: each row
+printed by Python's `%` from a row format built of the columns' dtypes.
+
 `integrate` (adaptive Simpson) interprets its tolerance relative to the
 magnitude of the integral, floored at 1, so the default 1e-12 behaves as a
 relative target for O(1) integrals and an absolute one for tiny ones.
@@ -422,3 +425,11 @@ def scatter_amplitudes(
         omega=w, r=reflection(w, leff0, v), conv=tuple(conv)
     )
 
+
+def csv_text_per_row(head: str, columns) -> str:
+    """The text of a CSV file as the per-row writer printed it: the head
+    line(s), then `row % cells` for every index of the equal-length columns,
+    a cell `%.17g` for floats, `%d` for ints and `%s` for anything else."""
+    formats = {"f": "%.17g", "i": "%d", "u": "%d"}
+    line = ",".join(formats.get(col.dtype.kind, "%s") for col in columns) + "\n"
+    return head + "\n" + "".join(map(line.__mod__, zip(*(col.tolist() for col in columns))))

@@ -401,10 +401,11 @@ def test_rows_across_block_edges_are_written_once(tmp_path):
     size = 2 * _BLOCK_ROWS + 3
     n = np.arange(size)
     x = n / 7.0
-    label = _text_column(["sa", "aua"], [_BLOCK_ROWS, size - _BLOCK_ROWS])
+    label = _text_column(["sa", "µ", "aua"], [_BLOCK_ROWS, 1, size - _BLOCK_ROWS - 1])
     path = _write_table(tmp_path / "b.csv", {"k": "v"}, ("n", "x", "trajectory"), (n, x, label))
     rows = "\n".join("%d,%.17g,%s" % cells for cells in zip(n, x, label)) + "\n"
-    assert path.read_text() == f"{FORMAT_HEADER}\n# k=v\nn,x,trajectory\n" + rows
+    text = f"{FORMAT_HEADER}\n# k=v\nn,x,trajectory\n" + rows
+    assert path.read_bytes() == text.encode("utf-8")
     _, columns = read_table(path)
     assert columns["n"] == n.tolist()
     assert columns["trajectory"] == label.tolist()
@@ -482,6 +483,22 @@ def test_writing_a_long_table_streams_it(tmp_path):
     )
     call = f"_write_table({str(tmp_path / 'w.csv')!r}, {{}}, _NAMES, columns)"
     assert _rss_rise_mb(setup, call) < 16.0
+
+
+# Bound from ten runs with numpy 2.4 on Python 3.11, Linux: the first write
+# rose by 4.0-4.1 MB, most of it numpy code that the fork maps in again, 0.1
+# MB the kernel's tables; the per-row writer it replaced rose by 1.4-1.5 MB.
+# A digit table built from a 10000-entry Python list rose by 4.5-4.6 MB.
+def test_first_table_write_stays_small(tmp_path):
+    setup = (
+        "import numpy as np\n"
+        "from mirror_dce.experiments import _text_column, _write_table\n"
+        "columns = (np.linspace(1e9, 2e9, 1001), np.random.default_rng(3).random(1001),\n"
+        "           _text_column(['sa'], [1001]), _text_column(['0.025'], [1001]))"
+    )
+    names = ("x", "n_out", "trajectory", "temperature")
+    call = f"_write_table({str(tmp_path / 'f.csv')!r}, {{}}, {names!r}, columns)"
+    assert _rss_rise_mb(setup, call) < 4.5
 
 
 def test_reading_a_long_table_parses_it_in_place(long_table):
