@@ -498,8 +498,7 @@ def export_flux_waveform(
     _atomic_write(path, _csv_chunks("t,phi_ext", (t, phi)))
 
 
-# Rows formatted per chunk: bounds the memory alive at once, whatever the
-# length of the table.
+# Rows per chunk: bounds the memory alive at once, whatever the table's length.
 _BLOCK_ROWS = 8192
 
 # printf format of one cell by numpy dtype kind; anything else is text.
@@ -512,9 +511,10 @@ def _csv_chunks(head: str, columns: Sequence[np.ndarray]) -> Iterator[str | byte
     `_BLOCK_ROWS` rows at a time, each cell as its `_CELL_FORMATS` entry prints it."""
     yield head + "\n"
     for a in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.hstack([_cells(col[a : a + _BLOCK_ROWS]) for col in columns])
-        block[:, -1] = ord("\n")  # the comma after the last cell
-        yield block.tobytes().translate(None, _PAD)
+        rows = np.concatenate([_cells(col[a : a + _BLOCK_ROWS]) for col in columns], axis=1)
+        rows[:, -1] = ord("\n")  # the comma after the last cell
+        rows = rows.tobytes()  # each copy lets go of the one before
+        yield rows.translate(None, _PAD)
 
 
 def _cells(col: np.ndarray) -> np.ndarray:
@@ -539,7 +539,7 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
     # 10**(16 - e) as hi + lo, each the double nearest to what it stands for
     exact = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(297, -265, -1)]
     hi = [(num / den).as_integer_ratio() for num, den in exact]
-    lo = [(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(exact, hi)]
+    lo = np.array([(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(exact, hi)])
     digits = np.full((10, 10, 10, 10, 8), 46, np.uint8)  # 4 digits, each then a point
     for k in range(4):
         digits[..., 2 * k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
@@ -557,9 +557,8 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
             hidden.append(bytes(0 if f else 255 for f in shown + [c == 21] * 7 + [True]))
     hi = np.array([n / d for n, d in hi])
     h1 = (v := hi * 134217729.0) - (v - hi)  # Veltkamp's split, as in _float_cells
-    words = (np.frombuffer(t, np.uint64) for t in (lead, expo))
-    hide = np.frombuffer(b"".join(hidden), "V48")
-    tables = h1, hi - h1, np.array(lo), digits.view(np.uint64).ravel(), *words, hide
+    lead, expo, hide = (np.frombuffer(t, np.uint64) for t in (lead, expo, b"".join(hidden)))
+    tables = h1, hi - h1, lo, digits.view(np.uint64).ravel(), lead, expo, hide.reshape(-1, 6)
     for table in tables:
         table.flags.writeable = False  # one copy serves every call
     return tables
@@ -585,16 +584,18 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     d = s + (r - below > 0.5)
     fast &= (s >= 10**16) & (d < 10**17) & (np.abs(r - below - 0.5) >= 1e-9)
     d = np.where(fast, d, 10**16)
-    groups = np.stack([d // 10**k % 10**4 for k in (12, 8, 4, 0)])
-    words = lead.take(d // 10**16 + 10 * (x < 0)), digits.take(groups.T), expo.take(e + 281)
-    out = np.column_stack(words).view(np.uint8)
-    last = 17 - np.argmax(out[:, 38:5:-2] != 48, axis=1)  # digits through the last nonzero one
-    notation = np.where((e >= -4) & (e <= 16), e + 4, 21)
-    out |= hide.take(notation * 17 + last - 1).view(np.uint8).reshape(-1, 48)
+    del a, v, h1, h2, a1, a2, p, r, below, s  # before the cells take their room
+    out = np.empty((len(x), 6), np.uint64)  # cell words: lead, 4 x 4 digits, exponent
+    out[:, 0] = lead.take(d // 10**16 + 10 * (x < 0))
+    out[:, 1:5] = digits.take(d[:, None] // np.array([10**12, 10**8, 10**4, 1]) % 10**4)
+    out[:, 5] = expo.take(e + 281)
+    cells = out.view(np.uint8)
+    last = 17 - np.argmax(cells[:, 38:5:-2] != 48, axis=1)  # digits through the last nonzero one
+    out |= hide.take(np.where((e >= -4) & (e <= 16), e + 4, 21) * 17 + last - 1, axis=0)
     if not fast.all():
         text = _cells(np.array(["%.17g" % v for v in x[~fast].tolist()], object))
-        out[~fast, : 48 - text.shape[1]], out[~fast, 48 - text.shape[1] :] = 255, text
-    return out
+        cells[~fast, : 48 - text.shape[1]], cells[~fast, 48 - text.shape[1] :] = 255, text
+    return cells
 
 
 def _atomic_write(path, chunks: Iterable[str | bytes]) -> None:

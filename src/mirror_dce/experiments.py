@@ -662,8 +662,7 @@ def _write_table(
     the file back reproduces them exactly. The rows are formatted and
     streamed to the file in fixed blocks, never held whole in memory."""
     path = Path(path)
-    head = [FORMAT_HEADER, *(f"# {key}={value}" for key, value in meta.items())]
-    head.append(",".join(names))
+    head = [FORMAT_HEADER, *(f"# {key}={value}" for key, value in meta.items()), ",".join(names)]
     _atomic_write(path, _csv_chunks("\n".join(head), columns))
     return path
 

@@ -486,7 +486,7 @@ def test_writing_a_long_table_streams_it(tmp_path):
 
 
 # Bound from ten runs with numpy 2.4 on Python 3.11, Linux: the first write
-# rose by 4.0-4.1 MB, most of it numpy code that the fork maps in again, 0.1
+# rose by 3.9-4.1 MB, most of it numpy code that the fork maps in again, 0.1
 # MB the kernel's tables; the per-row writer it replaced rose by 1.4-1.5 MB.
 # A digit table built from a 10000-entry Python list rose by 4.5-4.6 MB.
 def test_first_table_write_stays_small(tmp_path):
