@@ -533,13 +533,30 @@ def _cells(col: np.ndarray) -> np.ndarray:
     return cells.reshape(len(texts), -1).take(np.cumsum(new) - 1, axis=0)
 
 
+# Exponents p of the 10**p both float kernels scale by: the writer's 16 - e for
+# e in [-281, 280], the reader's down to 10**-291, below which lo is subnormal.
+_P_MIN, _P_MAX = -291, 297
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**p for p in [_P_MIN, _P_MAX] as h1 + h2 + lo, built on first use:
+    h1 + h2 is the double nearest 10**p, cut by Veltkamp's split for Dekker's
+    exact product, and lo the double nearest to the rest."""
+    exact = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(_P_MIN, _P_MAX + 1)]
+    hi = [(num / den).as_integer_ratio() for num, den in exact]
+    lo = np.array([(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(exact, hi)])
+    hi = np.array([n / d for n, d in hi])
+    h1 = (v := hi * 134217729.0) - (v - hi)
+    tables = h1, hi - h1, lo
+    for table in tables:
+        table.flags.writeable = False  # one copy serves every call
+    return tables
+
+
 @functools.cache
 def _cell_tables() -> tuple[np.ndarray, ...]:
     """The tables of `_float_cells`, built on first use."""
-    # 10**(16 - e) as hi + lo, each the double nearest to what it stands for
-    exact = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(297, -265, -1)]
-    hi = [(num / den).as_integer_ratio() for num, den in exact]
-    lo = np.array([(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(exact, hi)])
     digits = np.full((10, 10, 10, 10, 8), 46, np.uint8)  # 4 digits, each then a point
     for k in range(4):
         digits[..., 2 * k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
@@ -555,12 +572,10 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
             shown = [True] + [c < 4 and b < 6 - c for b in range(1, 6)]
             shown += [f for i in range(17) for f in (i < kept, i == point - 1 < kept - 1)]
             hidden.append(bytes(0 if f else 255 for f in shown + [c == 21] * 7 + [True]))
-    hi = np.array([n / d for n, d in hi])
-    h1 = (v := hi * 134217729.0) - (v - hi)  # Veltkamp's split, as in _float_cells
     lead, expo, hide = (np.frombuffer(t, np.uint64) for t in (lead, expo, b"".join(hidden)))
-    tables = h1, hi - h1, lo, digits.view(np.uint64).ravel(), lead, expo, hide.reshape(-1, 6)
+    tables = digits.view(np.uint64).ravel(), lead, expo, hide.reshape(-1, 6)
     for table in tables:
-        table.flags.writeable = False  # one copy serves every call
+        table.flags.writeable = False
     return tables
 
 
@@ -568,23 +583,25 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """(rows, 48) bytes: each x as `'%.17g' % x` prints it, padded, then a comma.
     Rounding to 17 digits is proved by Dekker's exact product (1971); a cell
     within 1e-9 of a tie, next to 10**k, outside 1e±280, 0 or nan uses `%`."""
-    hi1, hi2, lo, digits, lead, expo, hide = _cell_tables()
+    hi1, hi2, lo = _powers_of_ten()
+    digits, lead, expo, hide = _cell_tables()
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)  # may be one off next to a power of ten
     # a * 10**(16 - e) = p + r: p = fl(a * hi), r its exact error (Dekker) + a * lo
-    h1, h2 = hi1.take(e + 281), hi2.take(e + 281)
+    k = 16 - _P_MIN - e
+    h1, h2 = hi1.take(k), hi2.take(k)
     a1 = (v := a * 134217729.0) - (v - a)
     a2 = a - a1
     p = a * (h1 + h2)
-    r = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo.take(e + 281)
+    r = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo.take(k)
     below = np.floor(r)
     s = p.astype(np.int64) + below.astype(np.int64)  # p is an integer from 2**53 on
     d = s + (r - below > 0.5)
     fast &= (s >= 10**16) & (d < 10**17) & (np.abs(r - below - 0.5) >= 1e-9)
     d = np.where(fast, d, 10**16)
-    del a, v, h1, h2, a1, a2, p, r, below, s  # before the cells take their room
+    del a, v, k, h1, h2, a1, a2, p, r, below, s  # before the cells take their room
     out = np.empty((len(x), 6), np.uint64)  # cell words: lead, 4 x 4 digits, exponent
     out[:, 0] = lead.take(d // 10**16 + 10 * (x < 0))
     out[:, 1:5] = digits.take(d[:, None] // np.array([10**12, 10**8, 10**4, 1]) % 10**4)
@@ -596,6 +613,142 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         text = _cells(np.array(["%.17g" % v for v in x[~fast].tolist()], object))
         cells[~fast, : 48 - text.shape[1]], cells[~fast, 48 - text.shape[1] :] = 255, text
     return cells
+
+
+_BYTES = 0x0101010101010101  # one in each byte of a word
+_ZEROS = 0x30 * _BYTES  # eight ASCII zeros
+
+
+@functools.cache
+def _parse_tables() -> tuple[np.ndarray, ...]:
+    """The tables of `_float_values`, built on first use."""
+    # bytes from the e on, by the flags of the e's among a cell's last 5 bytes
+    suffix = np.array([6 - f.bit_length() if f else 0 for f in range(32)])
+    # By 2 * suffix + signed: which of the last 3 bytes are exponent digits,
+    # '0' for the others and for the 5 bytes above them, and whether the count is 1 to 3
+    count = np.arange(12) // 2 - 1 - np.arange(12) % 2
+    shown = [sum(0xFF << 8 * i for i in range(3 - c, 3)) if 1 <= c <= 3 else 0 for c in count]
+    keep = np.array(shown, np.uint64)
+    fill = np.array([0x3030303030303030 & ~k for k in shown], np.uint64)
+    legal = (count >= 1) & (count <= 3) | (np.arange(12) < 2)
+    # By byte count b, per mantissa word: the bytes below b
+    below = [[(1 << 8 * min(max(b - 8 * j, 0), 8)) - 1 for b in range(26)] for j in range(3)]
+    below = np.array(below, np.uint64)
+    # nan and inf as `%` prints them: the int of the bytes with the width in the top byte
+    special = {b"nan": math.nan, b"-nan": -math.nan, b"inf": math.inf, b"-inf": -math.inf}
+    keys = {int.from_bytes(t, "little") | len(t) << 56: v for t, v in special.items()}
+    keys, values = np.array(sorted(keys), np.uint64), np.array([keys[k] for k in sorted(keys)])
+    tables = suffix, keep, fill, legal, below, keys, values
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _flags(words: np.ndarray, byte: int) -> np.ndarray:
+    """Bit mask of the bytes of each word equal to byte (bit i: byte i). A
+    byte equal to byte ^ 1 just above a flagged one may be flagged too."""
+    v = words ^ (byte * _BYTES)
+    v = (v - _BYTES) & ~v & 0x80 * _BYTES  # 0x80 where equal
+    return (v * 0x0002040810204081) >> 56
+
+
+def _digit_words(words: np.ndarray) -> np.ndarray:
+    """Whether all 8 bytes of each word are ASCII digits (Lemire 2021)."""
+    return ((words + 0x4646464646464646) | (words - _ZEROS)) & 0x80 * _BYTES == 0
+
+
+def _float_values(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """float64 of each cell data[start:end] as np.loadtxt reads it; data is
+    uint8 with 24 bytes before the first cell. The twin of `_float_cells`:
+    a cell [+-]d[.d][e[+-]d{1,3}] of up to 24 bytes is N * 10**q, N the int
+    of its digits (SWAR, 8 a word), rounded by Dekker's exact product and
+    proved when p + (r -+ p 1e-30) round alike. nan and inf as `%` prints
+    them are read here too; any other cell, one not proved, or one outside
+    1e±280 but 0, is read by np.loadtxt itself."""
+    hi1, hi2, lo = _powers_of_ten()
+    suffixes, keeps, fills, legal, below, keys, values = _parse_tables()
+    width = end - start
+    # 24 bytes up to each cell's end as 3 words, the cell's last byte the top one
+    w = np.ndarray((len(data) - 23,), "V24", data, 0, (1,))[end - 24].view(np.uint64)
+    w = w.reshape(-1, 3).T.copy()
+    last = w[2]
+    # The exponent: the last e or E among the cell's last 5 bytes, a sign or none, 1 to 3 digits
+    suffix = suffixes.take(_flags((last >> 24) | 0x20 * _BYTES, 0x65))
+    shift = (8 * suffix).astype(np.uint64)
+    sign = (last >> (72 - shift)) & 0xFF  # the byte after the e
+    signed = (sign == 43) | (sign == 45)
+    form = 2 * suffix + signed
+    digits = (last >> 40) & keeps.take(form) | fills.take(form)
+    ok = legal.take(form) & _digit_words(digits)
+    digits &= 0x0F0F0F  # 3 digits, the first the lowest byte
+    exponent = (((digits * 10 + (digits >> 8)) & 0xFF) * 10 + (digits >> 16)).view(np.int64)
+    exponent *= 1 - 2 * (sign == 45)
+    # The mantissa right-aligned in 3 words
+    m = w << shift
+    m[1:] |= w[:-1] >> (64 - shift)
+    first = data[start]
+    negative = first == 45
+    body = 24 - width + suffix + (negative | (first == 43))  # where its digits start
+    dots = _flags(m, 0x2E)
+    # the last point: the top bit of the flags, the exponent of their float
+    point = ((dots[0] | dots[1] << 8 | dots[2] << 16).astype(float).view(np.int64) >> 52) - 1023
+    point = np.where(point >= body, point, -1)  # -1 for none in the body
+    dotted = point >= 0
+    lead = body + dotted  # where the digits start once the point is out
+    # bytes up to the point take the byte before them; bytes before lead are '0'
+    shifted = m << 8
+    shifted[1:] |= m[:-1] >> 56
+    words = m ^ ((m ^ shifted) & below.take(point + 1, axis=1))
+    words ^= (words ^ _ZEROS) & below.take(lead, axis=1, mode="clip")
+    ok &= (width <= 24) & (lead < 24) & _digit_words(words).all(axis=0)
+    words &= 0x0F0F0F0F0F0F0F0F  # SWAR (Lemire 2021): 2, 4 then 8 digits a lane
+    words = (words * 2561) >> 8 & 0x00FF00FF00FF00FF
+    words = (words * 6553601) >> 16 & 0x0000FFFF0000FFFF
+    words = (words * 42949672960001) >> 32
+    q = exponent - np.where(dotted, 23 - point, 0)
+    ok &= (words[0] < 1000) & (q >= _P_MIN) & (q <= 280)
+    n = np.minimum(words[0], 999) * 10**16 + words[1] * 10**8 + words[2]
+    # n * 10**q = p + r: p = fl(nh * hi), r its exact error (Dekker) + the lo terms
+    nh = n.astype(np.float64)
+    nl = (n - nh.astype(np.uint64)).view(np.int64).astype(np.float64)  # n - nh, exact
+    k = np.minimum(q, 280) - _P_MIN  # no overflow where q is out of range
+    h1, h2 = hi1.take(k, mode="clip"), hi2.take(k, mode="clip")
+    h = h1 + h2
+    n1 = (v := nh * 134217729.0) - (v - nh)  # Veltkamp's split
+    n2 = nh - n1
+    p = nh * h
+    r = (((n1 * h1 - p) + n1 * h2 + n2 * h1) + n2 * h2) + (nh * lo.take(k, mode="clip") + nl * h)
+    slack = p * 1e-30  # far above the error of r
+    x = p + (r - slack)
+    ok &= (x == p + (r + slack)) & ((n == 0) | ((x >= 1e-280) & (x <= 1e280)))
+    x = (x.view(np.uint64) | negative.astype(np.uint64) << 63).view(np.float64)
+    if not ok.all():
+        slow = np.flatnonzero(~ok)
+        size = np.minimum(width[slow], 9)  # nan and inf: the key of `_parse_tables`
+        key = last[slow] >> (8 * (8 - np.minimum(size, 8))).astype(np.uint64)
+        key |= size.astype(np.uint64) << 56
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        special = keys[at] == key
+        x[slow[special]] = values[at[special]]
+        slow = slow[~special]
+        if len(slow):
+            cells = zip(start[slow].tolist(), end[slow].tolist())
+            x[slow] = _loadtxt_cells([data[a:b].tobytes().decode("utf-8") for a, b in cells])
+    return x
+
+
+def _loadtxt_cells(texts: list[str]) -> np.ndarray:
+    """float64 of each text as np.loadtxt reads a float cell, one line a
+    cell. ValueError names the first text it rejects."""
+    try:
+        if "" in texts:  # loadtxt skips an empty line, where a row's empty cell is an error
+            raise ValueError
+        return np.loadtxt(texts, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        if len(texts) > 1:
+            for text in texts:
+                _loadtxt_cells([text])
+        raise ValueError(f"could not convert string {texts[0]!r} to float64") from None
 
 
 def _atomic_write(path, chunks: Iterable[str | bytes]) -> None:

@@ -41,13 +41,13 @@ index, so results are bitwise identical across runs.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .circuit import (
     _atomic_write,
     _check_n_max,
     _csv_chunks,
+    _float_values,
     _judge,
     _Quantities,
     _report,
@@ -740,39 +741,142 @@ def write_spectrum_datasets(
     return [_write_table(path, meta, ("x", "n_out", "trajectory", "temperature"), columns)]
 
 
-def _read_table(path, text: Sequence[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """(metadata, column names, rows): the `# key=value` lines up to the
-    column line, then the rows in one C pass as a structured array of float
-    fields and, for the columns named in text, interned str fields."""
+# Bytes read at a time: bounds what the row parse holds, whatever the table's length.
+_READ_BYTES = 1 << 17
+# Before each block of rows, so that every cell's window (`_float_values`,
+# `_text_cells`) starts inside the block's array.
+_GAP = b" " * 64
+_CR_AS_LF = bytes.maketrans(b"\r", b"\n")
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The bytes of a binary file in blocks of whole lines, each ending in a
+    newline. A carriage return ends a line too, as in text mode; the empty
+    line it makes of a CRLF is skipped like any other."""
+    rest = b""
+    while data := fh.read(_READ_BYTES):
+        data = rest + (data.translate(_CR_AS_LF) if b"\r" in data else data)
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+def _lines(blocks: Iterator[bytes]) -> Iterator[tuple[bytes, int, int]]:
+    """Each line of the blocks as (block, start, end)."""
+    for block in blocks:
+        at = 0
+        while at < len(block):
+            end = block.index(b"\n", at)
+            yield block, at, end
+            at = end + 1
+
+
+def _read_head(path, blocks: Iterator[bytes]) -> tuple[dict[str, str], list[str], bytes]:
+    """The metadata and column names from the first lines of the blocks, and
+    what follows the column line in its block."""
+    lines = _lines(blocks)
+    block, start, end = next(lines, (b"", 0, 0))
+    if block[start:end].decode("utf-8") != FORMAT_HEADER:
+        raise ValueError(f"{path}: not a {FORMAT_HEADER!r} file")
     meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != FORMAT_HEADER:
-            raise ValueError(f"{path}: not a {FORMAT_HEADER!r} file")
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: missing column header")
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-            elif line:
-                names = line.split(",")
-                break
+    for block, start, end in lines:
+        line = block[start:end].decode("utf-8")
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            meta[key] = value
+        elif line:
+            return meta, line.split(","), block[end + 1 :]
+    raise ValueError(f"{path}: missing column header")
+
+
+def _row_cells(block: bytes, columns: int, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, start, end): the block after `_GAP` as uint8, and where each
+    cell of its rows starts and ends in it, (rows, columns) each. Empty lines
+    are skipped; ValueError names the first row (counted from row) that has
+    not `columns` cells."""
+    data = np.frombuffer(_GAP + block, np.uint8)
+    end = np.flatnonzero((data == 44) | (data == 10))
+    if not len(end):
+        return data, end.reshape(0, columns), end.reshape(0, columns)
+    newline = data[end] == 10
+    start = np.empty_like(end)
+    start[0], start[1:] = len(_GAP), end[:-1] + 1
+    empty = newline & (start == end)  # an empty line: one empty cell after a newline
+    empty[1:] &= newline[:-1]
+    if empty.any():
+        start, end, newline = start[~empty], end[~empty], newline[~empty]
+    rows = np.count_nonzero(newline)
+    if len(end) != rows * columns or not newline[columns - 1 :: columns].all():
+        counts = np.diff(np.flatnonzero(newline), prepend=-1)
+        bad = np.flatnonzero(counts != columns)[0]
+        raise ValueError(f"row {row + bad + 1} has {counts[bad]} cells, not {columns}")
+    return data, start.reshape(rows, columns), end.reshape(rows, columns)
+
+
+def _text_cells(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The cells data[start:end] as an object array of interned str. Each
+    run of equal cells is decoded once: a cell of up to 64 bytes is compared
+    with the one before it in a window of the widest cell, one wider starts
+    a run."""
+    width = end - start
+    span = int(min(width.max(initial=1), 64))
+    window = np.ndarray((len(data) - span + 1,), f"V{span}", data, 0, (1,))[end - span]
+    if width.min(initial=span) < span:  # clear the bytes before the narrower cells
+        shown = np.arange(span) >= span - np.arange(span + 1)[:, None]
+        window = window.view(np.uint8).reshape(-1, span)
+        window *= shown[np.minimum(width, span)]
+    text = window.view(f"S{span}").ravel()
+    new = np.empty(len(start), bool)
+    new[:1] = True
+    new[1:] = (text[1:] != text[:-1]) | (width[1:] != width[:-1]) | (width[1:] > span)
+    heads = np.flatnonzero(new)
+    texts = [
+        sys.intern(data[a:b].tobytes().decode("utf-8"))
+        for a, b in zip(start[heads].tolist(), end[heads].tolist())
+    ]
+    return _text_column(texts, np.diff(heads, append=len(start)))
+
+
+def _read_table(
+    path, text: Sequence[str]
+) -> tuple[dict[str, str], list[str], dict[str, np.ndarray]]:
+    """(metadata, column names, columns): the `# key=value` lines up to the
+    column line, then the rows, parsed `_READ_BYTES` at a time, each block
+    in one pass of numpy calls. The columns named in text hold interned str
+    (object arrays, `_text_cells`), the others float64, each cell as
+    np.loadtxt reads it (`_float_values`)."""
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh)
+        meta, names, rest = _read_head(path, blocks)
+        if len(set(names)) < len(names):
+            raise ValueError(f"{path}: repeated column names {names}")
+        floats = [i for i, name in enumerate(names) if name not in text]
+        texts = [i for i, name in enumerate(names) if name in text]
+        parts: list[list[np.ndarray]] = [[] for _ in names]
+        rows = 0
         try:
-            dtype = [(name, object if name in text else float) for name in names]
-            # One shared str per distinct label, not one per row.
-            intern = {i: sys.intern for i, name in enumerate(names) if name in text}
-            with warnings.catch_warnings():
-                # A table without rows is valid.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    fh, delimiter=",", comments=None, dtype=dtype, ndmin=1,
-                    converters=intern, encoding="utf-8",  # str, not bytes, on numpy 1.x
-                )
+            for block in itertools.chain([rest], blocks):
+                data, start, end = _row_cells(block, len(names), rows)
+                if not len(start):
+                    continue
+                if floats:  # one kernel call for the block's float cells, column by column
+                    cells = start[:, floats].T.ravel(), end[:, floats].T.ravel()
+                    values = _float_values(data, *cells)
+                    for i, column in zip(floats, values.reshape(len(floats), -1)):
+                        parts[i].append(column)
+                for i in texts:
+                    parts[i].append(_text_cells(data, start[:, i], end[:, i]))
+                rows += len(start)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    return meta, names, rows
+    columns = {}
+    for name, part in zip(names, parts):
+        empty = np.empty(0, object if name in text else float)
+        columns[name] = np.concatenate(part) if part else empty
+    return meta, names, columns
 
 
 def read_table(path) -> tuple[dict[str, str], dict[str, list]]:
@@ -780,10 +884,12 @@ def read_table(path) -> tuple[dict[str, str], dict[str, list]]:
     (metadata, columns): every file this package writes except the flux
     waveform of `export_flux_waveform`, a bare `t,phi_ext` CSV.
 
-    Numeric columns come back as float lists (lossless at 17 significant
-    digits); the trajectory column stays as strings. Blank lines are
-    skipped. ValueError, naming the path, is raised for a short, long or
-    non-numeric row and for a `# key=value` line after the column line."""
+    Numeric columns come back as float lists, each cell as np.loadtxt
+    reads it (lossless at 17 significant digits); the trajectory column
+    stays as strings, each cell as written. Blank lines are skipped; CRLF
+    and CR end lines as LF does. ValueError, naming the path, is raised
+    for a short, long or non-numeric row, for a `# key=value` line after
+    the column line and for repeated column names."""
     meta, names, rows = _read_table(path, ("trajectory",))
     return meta, {name: rows[name].tolist() for name in names}
 
@@ -796,7 +902,7 @@ def read_spectrum_datasets(path) -> list[SpectrumDataset]:
     since its prefixed metadata names it."""
     meta, names, rows = _read_table(path, ("trajectory", "temperature"))
     if names == ["x", "n_out"]:
-        return [SpectrumDataset(meta["axis"], rows["x"].copy(), rows["n_out"].copy(), meta)]
+        return [SpectrumDataset(_axis(path, meta), rows["x"], rows["n_out"], meta)]
     if names != ["x", "n_out", "trajectory", "temperature"]:
         raise ValueError(f"{path}: unexpected columns {names}")
 
@@ -806,8 +912,13 @@ def read_spectrum_datasets(path) -> list[SpectrumDataset]:
         if ":" in key:
             prefix, _, name = key.partition(":")
             curves.setdefault(prefix, {})[name] = value
-    ids = rows["trajectory"] + "@" + rows["temperature"]
-    for cid in dict.fromkeys(ids.tolist()):
+    # One id per run of rows of one curve, not one str per row
+    trajectory, temperature = rows["trajectory"], rows["temperature"]
+    change = (trajectory[1:] != trajectory[:-1]) | (temperature[1:] != temperature[:-1])
+    heads = np.flatnonzero(np.concatenate([[len(trajectory) > 0], change]))
+    runs = [f"{t}@{T}" for t, T in zip(trajectory[heads].tolist(), temperature[heads].tolist())]
+    ids = _text_column(runs, np.diff(heads, append=len(trajectory)))
+    for cid in dict.fromkeys(runs):
         curves.setdefault(cid, {})
 
     datasets = []
@@ -817,9 +928,16 @@ def read_spectrum_datasets(path) -> list[SpectrumDataset]:
         ds_meta.setdefault("trajectory", traj)
         ds_meta.setdefault("temperature", temp)
         pick = ids == cid
-        curve = SpectrumDataset(ds_meta["axis"], rows["x"][pick], rows["n_out"][pick], ds_meta)
+        curve = SpectrumDataset(_axis(path, ds_meta), rows["x"][pick], rows["n_out"][pick], ds_meta)
         datasets.append(curve)
     return datasets
+
+
+def _axis(path, meta: Mapping[str, str]) -> str:
+    """The curve's `axis` metadata; ValueError, naming the path, if it has none."""
+    if "axis" not in meta:
+        raise ValueError(f"{path}: no 'axis' in the metadata")
+    return meta["axis"]
 
 
 def write_worldlines(ds: WorldlineDataset, path) -> Path:

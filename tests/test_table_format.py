@@ -300,6 +300,79 @@ def test_malformed_table_names_the_path(tmp_path, text):
         read_table(path)
 
 
+_SPELLINGS = [
+    (" 1", 1.0), ("1 ", 1.0), ("\t2", 2.0), ("+1", 1.0), (".5", 0.5), ("5.", 5.0),
+    ("1E5", 1e5), ("1e+05", 1e5), ("NaN", math.nan), ("-nan", -math.nan),
+    ("-Infinity", -math.inf), ("0.1e-400", 0.0), ("1e400", math.inf),
+]
+
+
+@pytest.mark.parametrize(("cell", "value"), _SPELLINGS, ids=[c for c, _ in _SPELLINGS])
+def test_float_cells_read_as_loadtxt_reads_them(tmp_path, cell, value):
+    path = tmp_path / "cell.csv"
+    path.write_text(_GOOD + f"1,{cell},3,sm\n")
+    _, columns = read_table(path)
+    got = np.array(columns["z"][-1:]).view(np.uint64)
+    assert got.tolist() == np.array([value]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "0x10", "١", "1d5", "", "1e", "e5", "--1", "1.2.3"])
+def test_float_cells_that_are_no_number_name_the_path(tmp_path, cell):
+    path = tmp_path / "cell.csv"
+    path.write_text(_GOOD + f"1,{cell},3,sm\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_table(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_GOOD.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(_GOOD.replace("\n", "\r"), id="cr"),
+        pytest.param(_GOOD[:-1], id="no-final-newline"),
+    ],
+)
+def test_line_endings_read_as_lf(tmp_path, text):
+    path = tmp_path / "eol.csv"
+    path.write_bytes(text.encode())
+    meta, columns = read_table(path)
+    assert meta == {"kind": "worldlines"}
+    assert columns["z"][0] == 1.5 and math.isnan(columns["z"][1])
+    assert {k: v for k, v in columns.items() if k != "z"} == {
+        "t": [0.0, 0.5], "alpha_dir": [-2.0, math.inf], "trajectory": ["sm", "aua"],
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_GOOD + "  \n" + "1,2,3,sm\n", id="whitespace-line"),
+        pytest.param(_GOOD.replace("t,z,", "t,t,"), id="duplicate-names"),
+    ],
+)
+def test_odd_lines_still_raise(tmp_path, text):
+    path = tmp_path / "odd.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_table(path)
+
+
+def test_text_cells_read_raw(tmp_path):
+    # Text cells keep their spaces and NULs and may be empty
+    path = tmp_path / "text.csv"
+    path.write_text(_GOOD + "1,2,3,\n" + "1,2,3, µ \n" + "1,2,3,\0aua\n" + "1,2,3,aua\n")
+    _, columns = read_table(path)
+    assert columns["trajectory"] == ["sm", "aua", "", " µ ", "\0aua", "aua"]
+
+
+@pytest.mark.parametrize("long_format", [True, False])
+def test_spectrum_file_without_axis_names_the_path(tmp_path, long_format):
+    (path,) = write_spectrum_datasets(_curves()[:1], tmp_path / "s.csv", long_format=long_format)
+    path.write_text(path.read_text().replace("# axis=omega_d\n", ""))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'axis'"):
+        read_spectrum_datasets(path)
+
+
 def test_malformed_spectrum_row_names_the_path(tmp_path):
     (path,) = write_spectrum_datasets(_curves(), tmp_path / "long.csv")
     path.write_text(path.read_text() + "3,abc,sa,0\n")
@@ -473,9 +546,11 @@ def _rss_rise_mb(setup: str, call: str) -> float:
 
 
 # Bounds from ten runs with numpy 2.4 on Python 3.11, Linux: the write rose
-# by 4.9-5.6 MB, the read by 42.9-43.0 MB (it returns 800k floats). A writer
-# that formats the whole file in memory rose by 80-81 MB, a reader that
-# splits every row into cell strings by 153 MB.
+# by 4.9-5.6 MB, the read by 51.7-52.1 MB (it returns 800k floats; the
+# np.loadtxt reader it replaced rose by 42.9-43.0 MB, the block-wise reader
+# holds each column's blocks until it joins them). A writer that formats the
+# whole file in memory rose by 80-81 MB, a reader that splits every row into
+# cell strings by 153 MB.
 def test_writing_a_long_table_streams_it(tmp_path):
     setup = (
         "from test_table_format import _NAMES, _long_columns, _write_table\n"
@@ -499,6 +574,18 @@ def test_first_table_write_stays_small(tmp_path):
     names = ("x", "n_out", "trajectory", "temperature")
     call = f"_write_table({str(tmp_path / 'f.csv')!r}, {{}}, {names!r}, columns)"
     assert _rss_rise_mb(setup, call) < 4.5
+
+
+# Bound from twenty runs with numpy 2.4 on Python 3.11, Linux: the first read
+# rose by 3.9-4.2 MB, 3.0 MB of it numpy code that the fork maps in again (the
+# parse kernel's uint64 loops); the np.loadtxt reader it replaced by 1.6 MB.
+def test_first_table_read_stays_small(tmp_path):
+    columns = (np.linspace(1e9, 2e9, 1001), np.random.default_rng(3).random(1001),
+               _text_column(["sa"], [1001]), _text_column(["0.025"], [1001]))
+    names = ("x", "n_out", "trajectory", "temperature")
+    path = _write_table(tmp_path / "f.csv", {}, names, columns)
+    call = f"read_table({str(path)!r})"
+    assert _rss_rise_mb("from mirror_dce.experiments import read_table", call) < 4.5
 
 
 def test_reading_a_long_table_parses_it_in_place(long_table):
