@@ -617,6 +617,12 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 _BYTES = 0x0101010101010101  # one in each byte of a word
 _ZEROS = 0x30 * _BYTES  # eight ASCII zeros
+# Lemire's steps from 8 digit bytes to 2, 4, then 8 digits a lane: (multiplier, shift, mask)
+_SWAR = (
+    (2561, 8, 0x00FF00FF00FF00FF),
+    (6553601, 16, 0x0000FFFF0000FFFF),
+    (42949672960001, 32, 0xFFFFFFFF),
+)
 
 
 @functools.cache
@@ -671,7 +677,7 @@ def _float_values(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nd
     # 24 bytes up to each cell's end as 3 words, the cell's last byte the top one
     w = np.ndarray((len(data) - 23,), "V24", data, 0, (1,))[end - 24].view(np.uint64)
     w = w.reshape(-1, 3).T.copy()
-    last = w[2]
+    last = w[2].copy()
     # The exponent: the last e or E among the cell's last 5 bytes, a sign or none, 1 to 3 digits
     suffix = suffixes.take(_flags((last >> 24) | 0x20 * _BYTES, 0x65))
     shift = (8 * suffix).astype(np.uint64)
@@ -686,6 +692,7 @@ def _float_values(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nd
     # The mantissa right-aligned in 3 words
     m = w << shift
     m[1:] |= w[:-1] >> (64 - shift)
+    del w  # each (3, n) array let go of as soon as it is used up
     first = data[start]
     negative = first == 45
     body = 24 - width + suffix + (negative | (first == 43))  # where its digits start
@@ -696,15 +703,19 @@ def _float_values(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nd
     dotted = point >= 0
     lead = body + dotted  # where the digits start once the point is out
     # bytes up to the point take the byte before them; bytes before lead are '0'
-    shifted = m << 8
-    shifted[1:] |= m[:-1] >> 56
-    words = m ^ ((m ^ shifted) & below.take(point + 1, axis=1))
+    words = m << 8
+    words[1:] |= m[:-1] >> 56
+    words ^= m
+    words &= below.take(point + 1, axis=1)
+    words ^= m
+    del m
     words ^= (words ^ _ZEROS) & below.take(lead, axis=1, mode="clip")
     ok &= (width <= 24) & (lead < 24) & _digit_words(words).all(axis=0)
-    words &= 0x0F0F0F0F0F0F0F0F  # SWAR (Lemire 2021): 2, 4 then 8 digits a lane
-    words = (words * 2561) >> 8 & 0x00FF00FF00FF00FF
-    words = (words * 6553601) >> 16 & 0x0000FFFF0000FFFF
-    words = (words * 42949672960001) >> 32
+    words &= 0x0F0F0F0F0F0F0F0F  # the digits' values, then SWAR (Lemire 2021)
+    for multiplier, bits, mask in _SWAR:
+        words *= multiplier
+        words >>= bits
+        words &= mask
     q = exponent - np.where(dotted, 23 - point, 0)
     ok &= (words[0] < 1000) & (q >= _P_MIN) & (q <= 280)
     n = np.minimum(words[0], 999) * 10**16 + words[1] * 10**8 + words[2]

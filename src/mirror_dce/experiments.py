@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -849,34 +850,40 @@ def _read_table(
     (object arrays, `_text_cells`), the others float64, each cell as
     np.loadtxt reads it (`_float_values`)."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         blocks = _line_blocks(fh)
         meta, names, rest = _read_head(path, blocks)
         if len(set(names)) < len(names):
             raise ValueError(f"{path}: repeated column names {names}")
         floats = [i for i, name in enumerate(names) if name not in text]
-        texts = [i for i, name in enumerate(names) if name in text]
-        parts: list[list[np.ndarray]] = [[] for _ in names]
+        texts = {i: [] for i, name in enumerate(names) if name in text}
+        # A row per float column, sized by the rows a byte so far times the
+        # bytes left: no block's floats are kept apart and joined at the end
+        values = np.empty((len(floats), 0))
         rows = 0
         try:
             for block in itertools.chain([rest], blocks):
                 data, start, end = _row_cells(block, len(names), rows)
-                if not len(start):
+                count = len(start)
+                if not count:
                     continue
+                if rows + count > values.shape[1]:
+                    read = fh.tell()
+                    room = rows + count + int((rows + count) * max(size - read, 0) / read * 1.1)
+                    more = np.empty((len(floats), room - rows))
+                    values = np.concatenate([values[:, :rows], more], axis=1)
                 if floats:  # one kernel call for the block's float cells, column by column
                     cells = start[:, floats].T.ravel(), end[:, floats].T.ravel()
-                    values = _float_values(data, *cells)
-                    for i, column in zip(floats, values.reshape(len(floats), -1)):
-                        parts[i].append(column)
-                for i in texts:
-                    parts[i].append(_text_cells(data, start[:, i], end[:, i]))
-                rows += len(start)
+                    values[:, rows : rows + count] = _float_values(data, *cells).reshape(-1, count)
+                for i, parts in texts.items():
+                    parts.append(_text_cells(data, start[:, i], end[:, i]))
+                rows += count
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    columns = {}
-    for name, part in zip(names, parts):
-        empty = np.empty(0, object if name in text else float)
-        columns[name] = np.concatenate(part) if part else empty
-    return meta, names, columns
+    columns = dict(zip((names[i] for i in floats), values[:, :rows]))
+    for i, parts in texts.items():
+        columns[names[i]] = np.concatenate(parts) if parts else np.empty(0, object)
+    return meta, names, {name: columns[name] for name in names}
 
 
 def read_table(path) -> tuple[dict[str, str], dict[str, list]]:

@@ -546,11 +546,10 @@ def _rss_rise_mb(setup: str, call: str) -> float:
 
 
 # Bounds from ten runs with numpy 2.4 on Python 3.11, Linux: the write rose
-# by 4.9-5.6 MB, the read by 51.7-52.1 MB (it returns 800k floats; the
-# np.loadtxt reader it replaced rose by 42.9-43.0 MB, the block-wise reader
-# holds each column's blocks until it joins them). A writer that formats the
-# whole file in memory rose by 80-81 MB, a reader that splits every row into
-# cell strings by 153 MB.
+# by 4.9-5.6 MB, the read by 46.7-46.8 MB (it returns 800k floats; the
+# np.loadtxt reader it replaced rose by 42.9-43.0 MB). A writer that formats
+# the whole file in memory rose by 80-81 MB, a reader that splits every row
+# into cell strings by 153 MB.
 def test_writing_a_long_table_streams_it(tmp_path):
     setup = (
         "from test_table_format import _NAMES, _long_columns, _write_table\n"
